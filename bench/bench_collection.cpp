@@ -6,9 +6,7 @@
 // the attribute indexes, and (c) through the indexes with the
 // schedulers' bounded-pool options (order_by + max_results).  Expected
 // shape: scan linear in records; indexed point/range queries roughly
-// flat; regexp match() non-sargable, so identical in all modes.  A
-// second table locates the serial-vs-parallel crossover for the
-// non-sargable scan that motivates kParallelFanoutThreshold.
+// flat; regexp match() non-sargable, so identical in all modes.
 //
 // Every indexed cell is checked byte-for-byte against the scan result
 // before timing (the planner-equivalence contract).
@@ -146,36 +144,10 @@ void RunAblation() {
   }
 }
 
-void RunParallelCrossover() {
-  Table table("E4b serial vs parallel scan (non-sargable regexp), us/query",
-              "records  serial_us  par2_us  par4_us  par8_us");
-  // No JSON mirror: every measured column is wall time, so there is
-  // nothing deterministic to record (see the sweep's byte-identity bar).
-  table.Begin();
-  const std::string text = "match($host_os_name, \"IRIX\") and "
-                           "match(\"5\\\\..*\", $host_os_version)";
-  auto query = query::CompiledQuery::Compile(text);
-  for (std::size_t records : {2000u, 8000u, 32000u, 100000u}) {
-    CollectionObject* collection = BuildCollection(records);
-    QueryOptions scan;
-    scan.force_scan = true;
-    const double serial_us =
-        TimeUs([&] { (void)collection->QueryLocal(*query, scan); });
-    std::vector<Cell> cells = {records, serial_us};
-    for (unsigned threads : {2u, 4u, 8u}) {
-      cells.push_back(TimeUs([&] {
-        (void)collection->QueryLocalParallel(*query, threads, scan);
-      }));
-    }
-    table.Row("%7zu  %9.1f  %7.1f  %7.1f  %7.1f", std::move(cells));
-  }
-}
-
 }  // namespace
 }  // namespace legion::bench
 
 int main() {
   legion::bench::RunAblation();
-  legion::bench::RunParallelCrossover();
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 namespace legion {
 
@@ -54,7 +53,6 @@ bool CollectionObject::Authorized(const Loid& caller,
 
 void CollectionObject::Upsert(const Loid& member,
                               const AttributeDatabase& attributes) {
-  std::unique_lock lock(store_mutex_);
   CollectionRecord& record = records_[member];
   // Keep the indexes in lockstep with the store: unindex the outgoing
   // attribute values before they are overwritten.
@@ -99,7 +97,6 @@ void CollectionObject::JoinCollection(const Loid& joiner,
 
 void CollectionObject::LeaveCollection(const Loid& leaver,
                                        Callback<bool> done) {
-  std::unique_lock lock(store_mutex_);
   auto it = records_.find(leaver);
   if (it == records_.end()) {
     done(false);
@@ -223,7 +220,7 @@ Result<CollectionData> CollectionObject::QueryLocal(
   auto compiled = compile_cache_.Get(query_text, &hit);
   (hit ? cells_.compile_cache_hits : cells_.compile_cache_misses)->Add();
   if (!compiled) return compiled.status();
-  return Execute(*compiled, options);
+  return QueryLocal(*compiled, options);
 }
 
 void CollectionObject::MaterializeDerived(CollectionRecord& record) const {
@@ -284,7 +281,7 @@ CollectionData CollectionObject::EmitResults(
   return out;
 }
 
-Result<CollectionData> CollectionObject::Execute(
+Result<CollectionData> CollectionObject::QueryLocal(
     const query::CompiledQuery& query, const QueryOptions& options) const {
   cells_.queries_served->Add();
   // Wall cost is measured through the kernel's WallClock, which is pinned
@@ -292,7 +289,6 @@ Result<CollectionData> CollectionObject::Execute(
   // into real time.
   const obs::WallClock& wall = kernel()->wallclock();
   const std::int64_t wall_start = wall.Micros();
-  std::shared_lock lock(store_mutex_);
 
   const bool scoped = options.domain_scope >= 0;
   const auto scope = static_cast<DomainId>(scoped ? options.domain_scope : 0);
@@ -349,87 +345,6 @@ Result<CollectionData> CollectionObject::Execute(
   return out;
 }
 
-Result<CollectionData> CollectionObject::QueryLocal(
-    const query::CompiledQuery& query, const QueryOptions& options) const {
-  return Execute(query, options);
-}
-
-Result<CollectionData> CollectionObject::QueryLocalParallel(
-    const query::CompiledQuery& query, unsigned threads,
-    const QueryOptions& options) const {
-  if (threads == 0) threads = options_.query_threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  // More workers than cores only adds scheduling overhead (E4b measures
-  // pure slowdown on a single-core box); force_scan keeps the requested
-  // fan-out so the ablation can time it anyway.
-  if (!options.force_scan) {
-    threads = std::min(threads,
-                       std::max(1u, std::thread::hardware_concurrency()));
-  }
-
-  // Fan-out pays for itself only on big non-sargable scans: indexed
-  // queries are already sub-linear, and below the threshold the whole
-  // scan costs less than starting threads (bench_collection measures
-  // the crossover).  force_scan suppresses the heuristic so the
-  // ablation can time the raw fan-out at any size.
-  if (threads <= 1 ||
-      (!options.force_scan &&
-       (query.plan() != nullptr ||
-        record_count() < kParallelFanoutThreshold))) {
-    return Execute(query, options);
-  }
-
-  cells_.queries_served->Add();
-  cells_.planner_fallbacks->Add();
-  const obs::WallClock& wall = kernel()->wallclock();
-  const std::int64_t wall_start = wall.Micros();
-
-  // Readers don't block readers: hold the shared lock for the whole
-  // evaluation so writers stay out while workers scan the records.
-  std::shared_lock lock(store_mutex_);
-  const bool scoped = options.domain_scope >= 0;
-  const auto scope = static_cast<DomainId>(scoped ? options.domain_scope : 0);
-  std::vector<const CollectionRecord*> snapshot;
-  snapshot.reserve(records_.size());
-  for (const auto& [member, record] : records_) {
-    if (scoped && member.domain() != scope) continue;
-    snapshot.push_back(&record);
-  }
-
-  std::vector<std::vector<const CollectionRecord*>> partials(threads);
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(threads);
-    const std::size_t chunk = (snapshot.size() + threads - 1) / threads;
-    for (unsigned t = 0; t < threads; ++t) {
-      const std::size_t begin = std::min(snapshot.size(), t * chunk);
-      const std::size_t end = std::min(snapshot.size(), begin + chunk);
-      workers.emplace_back([&, begin, end, t] {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (query.Matches(snapshot[i]->attributes, &functions_)) {
-            partials[t].push_back(snapshot[i]);
-          }
-        }
-      });
-    }
-  }  // jthreads join here
-
-  std::vector<const CollectionRecord*> matched;
-  for (const auto& partial : partials) {
-    matched.insert(matched.end(), partial.begin(), partial.end());
-  }
-  std::sort(matched.begin(), matched.end(),
-            [](const CollectionRecord* a, const CollectionRecord* b) {
-              return a->member < b->member;
-            });
-
-  CollectionData out = EmitResults(matched, options);
-  cells_.query_wall_us->Observe(
-      static_cast<double>(wall.Micros() - wall_start));
-  return out;
-}
-
 void CollectionObject::PullFrom(const std::vector<Loid>& members,
                                 Callback<std::size_t> done) {
   if (members.empty()) {
@@ -479,7 +394,6 @@ void CollectionObject::SetParent(const Loid& parent, Duration push_period) {
       kernel()->SchedulePeriodic(push_period, [this] { FlushDeltas(); });
   // Records stored before the parent link predate the journal: snapshot
   // them so the root converges without waiting for organic updates.
-  std::unique_lock lock(store_mutex_);
   for (const auto& [member, record] : records_) {
     JournalDelta(CollectionDelta::Kind::kUpsert, member, record.attributes);
   }
@@ -493,12 +407,9 @@ DeltaBatch CollectionObject::PendingDeltas() const {
   DeltaBatch batch;
   batch.source = loid();
   batch.domain = loid().domain();
-  {
-    std::shared_lock lock(store_mutex_);
-    batch.deltas.reserve(journal_.size());
-    for (const auto& [member, delta] : journal_) {
-      batch.deltas.push_back(delta);
-    }
+  batch.deltas.reserve(journal_.size());
+  for (const auto& [member, delta] : journal_) {
+    batch.deltas.push_back(delta);
   }
   // Version order reflects the causal order of the coalesced changes.
   std::sort(batch.deltas.begin(), batch.deltas.end(),
@@ -539,7 +450,6 @@ void CollectionObject::FlushDeltas() {
         // backlog retransmits next period and the root's version check
         // dedupes whatever had in fact arrived.
         if (!acked.ok()) return;
-        std::unique_lock lock(store_mutex_);
         for (auto it = journal_.begin(); it != journal_.end();) {
           if (it->second.version <= *acked) {
             it = journal_.erase(it);
@@ -574,7 +484,6 @@ void CollectionObject::ApplyDeltaBatch(const DeltaBatch& batch,
     if (delta.kind == CollectionDelta::Kind::kUpsert) {
       Upsert(delta.member, delta.attributes);
     } else {
-      std::unique_lock lock(store_mutex_);
       auto it = records_.find(delta.member);
       if (it != records_.end()) {
         indexes_.Remove(delta.member, it->second.attributes);
@@ -591,13 +500,7 @@ void CollectionObject::AddTrustedUpdater(const Loid& agent) {
   trusted_.insert(agent);
 }
 
-std::size_t CollectionObject::record_count() const {
-  std::shared_lock lock(store_mutex_);
-  return records_.size();
-}
-
 Duration CollectionObject::MeanRecordAge() const {
-  std::shared_lock lock(store_mutex_);
   if (records_.empty()) return Duration::Zero();
   std::int64_t total = 0;
   const SimTime now = kernel()->Now();

@@ -23,15 +23,12 @@
 // with an ordering hint and max_results so the Collection never
 // materializes thousands of records for a ten-host placement.
 //
-// The record store is internally synchronized (a shared_mutex guarding
-// the map and its indexes, per the mutex-with-its-data rule), because the
-// parallel query path evaluates a compiled query across worker threads.
+// Single-threaded like every simulated object: the kernel delivers one
+// event at a time, so the record store needs no locks (DESIGN.md §3).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -121,8 +118,6 @@ struct CollectionOptions {
   // Require updaters to be the member itself or a registered trusted
   // agent (the Legion authentication step).
   bool authenticate = true;
-  // Default worker count for QueryAllParallel (0 = hardware concurrency).
-  unsigned query_threads = 0;
 };
 
 class CollectionObject : public LegionObject, public CollectionSink {
@@ -166,21 +161,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
                                     const QueryOptions& options = {}) const;
   Result<CollectionData> QueryLocal(const query::CompiledQuery& query,
                                     const QueryOptions& options = {}) const;
-  // Shards the record set across worker threads.  Profitable only for
-  // large stores on non-sargable queries; indexed or small queries
-  // delegate to the serial path (see kParallelFanoutThreshold).
-  Result<CollectionData> QueryLocalParallel(const query::CompiledQuery& query,
-                                            unsigned threads = 0,
-                                            const QueryOptions& options = {}) const;
-
-  // Record count below which QueryLocalParallel stays serial: starting
-  // and joining workers costs on the order of the whole scan for a few
-  // thousand records (bench_collection's E4b table measures the
-  // crossover; below this size the fan-out never recovers its startup
-  // cost even with idle cores).  Worker count is additionally clamped to
-  // the hardware concurrency -- on a single-core machine the serial scan
-  // always wins.
-  static constexpr std::size_t kParallelFanoutThreshold = 8192;
 
   // ---- Federation (DESIGN.md §10) -------------------------------------------
   // Makes this Collection a sub-Collection feeding `parent`: every
@@ -216,7 +196,7 @@ class CollectionObject : public LegionObject, public CollectionSink {
   query::FunctionRegistry& functions() { return functions_; }
   const query::FunctionRegistry& functions() const { return functions_; }
 
-  std::size_t record_count() const;
+  std::size_t record_count() const { return records_.size(); }
   // Mean age (now - updated_at) across records; the staleness metric.
   Duration MeanRecordAge() const;
 
@@ -238,8 +218,7 @@ class CollectionObject : public LegionObject, public CollectionSink {
  private:
   bool Authorized(const Loid& caller, const Loid& member) const;
   void Upsert(const Loid& member, const AttributeDatabase& attributes);
-  // Journals a membership change for the next delta push.  Caller holds
-  // the unique lock.
+  // Journals a membership change for the next delta push.
   void JournalDelta(CollectionDelta::Kind kind, const Loid& member,
                     const AttributeDatabase& attributes);
   // Periodic push of the journal to the federation root.
@@ -258,15 +237,11 @@ class CollectionObject : public LegionObject, public CollectionSink {
   void MaterializeDerived(CollectionRecord& record) const;
   // Applies ordering / top-k pruning to the matched records and copies
   // the survivors out (materializing derived attributes).  `matched`
-  // must be sorted by member.  Caller holds the shared lock.
+  // must be sorted by member.
   CollectionData EmitResults(std::vector<const CollectionRecord*>& matched,
                              const QueryOptions& options) const;
-  // Shared tail of the serial query paths; caller holds no lock.
-  Result<CollectionData> Execute(const query::CompiledQuery& query,
-                                 const QueryOptions& options) const;
 
-  // Registry cells ({component=collection}); atomic, so the parallel
-  // query path reports through them safely.
+  // Registry cells ({component=collection}).
   struct Cells {
     obs::Counter* queries_served;
     obs::Counter* updates_applied;
@@ -295,7 +270,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
   };
 
   CollectionOptions options_;
-  mutable std::shared_mutex store_mutex_;  // guards records_ and indexes_
   std::unordered_map<Loid, CollectionRecord> records_;
   AttributeIndexes indexes_;
   std::unordered_set<Loid> trusted_;
@@ -305,8 +279,7 @@ class CollectionObject : public LegionObject, public CollectionSink {
 
   // ---- Federation state -----------------------------------------------------
   // Sub side.  The journal coalesces per member (latest change wins) and
-  // iterates in member order, so batches are deterministic; guarded by
-  // store_mutex_ alongside the records it shadows.
+  // iterates in member order, so batches are deterministic.
   Loid parent_;
   Duration push_period_ = Duration::Zero();
   SimKernel::PeriodicId push_timer_ = 0;

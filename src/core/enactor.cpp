@@ -39,7 +39,7 @@ struct EnactorObject::Negotiation {
   // chunks wait here for the leading chunk's reply: a smaller trailing
   // chunk is a smaller message and would otherwise overtake the bigger
   // one on the wire, making the host admit the round's slots out of
-  // mapping order (and so decide differently than the legacy path).
+  // mapping order (and so decide differently than cap 1 would).
   // Their slots stay counted in `outstanding`, so the round cannot
   // complete under them.
   std::vector<std::pair<Loid, std::deque<std::vector<std::size_t>>>>
@@ -148,19 +148,6 @@ void EnactorObject::ResetStats() {
   cells_.batch_size->Reset();
 }
 
-void EnactorObject::LookupDemand(const Loid& class_loid,
-                                 std::size_t* memory_mb,
-                                 double* cpu_fraction) const {
-  *memory_mb = 32;
-  *cpu_fraction = 1.0;
-  auto* klass =
-      dynamic_cast<ClassObject*>(kernel()->FindActor(class_loid));
-  if (klass != nullptr) {
-    *memory_mb = klass->instance_memory_mb();
-    *cpu_fraction = klass->instance_cpu_fraction();
-  }
-}
-
 void EnactorObject::MakeReservations(const ScheduleRequestList& request,
                                      Callback<ScheduleFeedback> done) {
   cells_.negotiations->Add();
@@ -224,7 +211,7 @@ void EnactorObject::RequestMissing(const std::shared_ptr<Negotiation>& n) {
   cells_.negotiation_rounds->Add();
   n->outstanding = missing.size();
   if (options_.max_batch_size <= 1) {
-    // Legacy path: one RPC per mapping.
+    // Cap 1: one make_reservation RPC per mapping, all sent at once.
     for (std::size_t index : missing) ReserveIndex(n, index);
     return;
   }
@@ -339,32 +326,7 @@ void EnactorObject::SendBatch(Batch batch) {
   if (options_.use_health && health_.IsProbe(batch.host)) {
     cells_.breaker_probes->Add();
   }
-
-  // Per-attempt accounting for the slots still negotiating, exactly as
-  // the unbatched path counts each ReserveIndex invocation.
-  for (std::size_t index : batch.wanted) {
-    const ObjectMapping& mapping = n->current[index];
-    // Thrash metric, per slot, exactly as on the unbatched path.
-    const auto& history = n->cancelled_history[index];
-    if (std::find(history.begin(), history.end(), mapping) != history.end()) {
-      cells_.rereservations->Add();
-      if (kernel()->trace().enabled()) {
-        kernel()->trace().Instant(kernel()->Now(), "rereservation", "enactor",
-                                  kernel()->trace().current(),
-                                  {{"host", mapping.host.ToString()},
-                                   {"index", std::to_string(index)}});
-      }
-    }
-    cells_.reservations_requested->Add();
-    if (AuditOn()) {
-      Audit("reserve_requested",
-            {{"nid", std::to_string(n->id)},
-             {"slot", std::to_string(index)},
-             {"host", mapping.host.ToString()},
-             {"batch", std::to_string(batch.id)},
-             {"attempt", std::to_string(n->attempts[index] + 1)}});
-    }
-  }
+  for (std::size_t index : batch.wanted) CountAttempt(*n, index, batch.id);
 
   // Freeze the wire payload on first send.  A retransmission reuses it
   // verbatim -- same id, same full slot set -- so the host can dedup by
@@ -376,19 +338,7 @@ void EnactorObject::SendBatch(Batch batch) {
     request->batch_id = batch.id;
     request->slots.reserve(batch.indices.size());
     for (std::size_t index : batch.indices) {
-      const ObjectMapping& mapping = n->current[index];
-      BatchSlotRequest slot;
-      slot.index = index;
-      slot.request.vault = mapping.vault;
-      slot.request.start = kernel()->Now() + options_.reservation_start_offset;
-      slot.request.duration = options_.reservation_duration;
-      slot.request.confirm_timeout = options_.confirm_timeout;
-      slot.request.type = options_.reservation_type;
-      slot.request.requester = loid();
-      slot.request.requester_domain = loid().domain();
-      LookupDemand(mapping.class_loid, &slot.request.memory_mb,
-                   &slot.request.cpu_fraction);
-      request->slots.push_back(std::move(slot));
+      request->slots.push_back(BatchSlotRequest{index, SlotRequest(*n, index)});
     }
     batch.request = std::move(request);
   }
@@ -449,52 +399,15 @@ void EnactorObject::OnBatchReply(const Batch& batch,
       ++completed;
       auto it = by_index.find(index);
       if (it == by_index.end()) {
-        cells_.reservations_failed->Add();
-        n->last_code = ErrorCode::kInternal;
-        n->last_error = "batch reply missing slot " + std::to_string(index);
-        if (AuditOn()) {
-          Audit("reserve_failed", {{"nid", std::to_string(n->id)},
-                                   {"slot", std::to_string(index)},
-                                   {"host", target.ToString()},
-                                   {"code", "INTERNAL"}});
-        }
+        ApplySlotAnswer(*n, target,
+                        {index,
+                         Status::Error(ErrorCode::kInternal,
+                                       "batch reply missing slot " +
+                                           std::to_string(index)),
+                         {}});
         continue;
       }
-      const BatchSlotOutcome& outcome = *it->second;
-      if (AuditOn()) {
-        if (outcome.status.ok()) {
-          Audit("reserve_granted", {{"nid", std::to_string(n->id)},
-                                    {"slot", std::to_string(index)},
-                                    {"host", target.ToString()}});
-        } else {
-          Audit("reserve_failed",
-                {{"nid", std::to_string(n->id)},
-                 {"slot", std::to_string(index)},
-                 {"host", target.ToString()},
-                 {"code", legion::ToString(outcome.status.code())}});
-        }
-      }
-      if (outcome.status.ok()) {
-        if (options_.use_health) health_.RecordSuccess(target);
-        cells_.reservations_granted->Add();
-        if (n->attempts[index] > 0) cells_.partial_recoveries->Add();
-        n->tokens[index] = outcome.token;
-      } else {
-        // Slot-level refusals and capacity shortfalls are the host's
-        // prerogative, not sickness -- no health signal, no retry; the
-        // variant machinery takes over per mapping.
-        cells_.reservations_failed->Add();
-        n->last_code = outcome.status.code();
-        n->last_error = outcome.status.message();
-      }
-      if (kernel()->trace().enabled()) {
-        kernel()->trace().Instant(
-            kernel()->Now(),
-            outcome.status.ok() ? "reserve_ok" : "reserve_fail", "enactor",
-            kernel()->trace().current(),
-            {{"host", target.ToString()},
-             {"index", std::to_string(index)}});
-      }
+      ApplySlotAnswer(*n, target, *it->second);
     }
     // A retransmission may carry slots the negotiation abandoned after
     // the original send (retry budget exhausted, possibly re-aimed by a
@@ -523,37 +436,12 @@ void EnactorObject::OnBatchReply(const Batch& batch,
   } else {
     // The whole RPC failed (timeout, unreachable host): every wanted
     // slot shares the outcome, with the same per-slot health and retry
-    // granularity as N concurrent unbatched RPCs would have had.
-    const ErrorCode code = result.status().code();
+    // granularity as N concurrent single-slot RPCs would have had.
     std::vector<std::size_t> retryable;
     for (std::size_t index : batch.wanted) {
-      if (options_.use_health && (code == ErrorCode::kTimeout ||
-                                  code == ErrorCode::kUnavailable)) {
-        health_.RecordFailure(target);
-      }
-      cells_.reservations_failed->Add();
-      n->last_code = code;
-      n->last_error = result.status().message();
-      if (code == ErrorCode::kTimeout &&
-          n->attempts[index] + 1 < options_.retry.max_attempts &&
-          (!options_.use_health || health_.Healthy(target))) {
-        ++n->attempts[index];
-        cells_.retries->Add();
-        if (AuditOn()) {
-          Audit("reserve_retry",
-                {{"nid", std::to_string(n->id)},
-                 {"slot", std::to_string(index)},
-                 {"host", target.ToString()},
-                 {"attempt", std::to_string(n->attempts[index] + 1)}});
-        }
+      if (ApplyRpcFailure(*n, index, target, result.status())) {
         retryable.push_back(index);
       } else {
-        if (AuditOn()) {
-          Audit("reserve_failed", {{"nid", std::to_string(n->id)},
-                                   {"slot", std::to_string(index)},
-                                   {"host", target.ToString()},
-                                   {"code", legion::ToString(code)}});
-        }
         ++completed;
       }
     }
@@ -648,18 +536,66 @@ void EnactorObject::FailIndexFast(const std::shared_ptr<Negotiation>& n,
       "enactor/fastfail");
 }
 
+// Cap 1: one make_reservation RPC per mapping, outside the batch window
+// and the batch counters.  Replies settle through the same per-slot code
+// as a batch reply.
 void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
                                  std::size_t index) {
-  const ObjectMapping& mapping = n->current[index];
-  if (options_.use_health && !health_.Healthy(mapping.host)) {
+  const Loid host = n->current[index].host;
+  if (options_.use_health && !health_.Healthy(host)) {
     FailIndexFast(n, index);
     return;
   }
-  if (options_.use_health && health_.IsProbe(mapping.host)) {
+  if (options_.use_health && health_.IsProbe(host)) {
     cells_.breaker_probes->Add();
   }
+  CountAttempt(*n, index, /*batch_id=*/0);
+  CallOn<ReservationToken, HostInterface>(
+      kernel(), loid(), host, kSmallMessage, kSmallMessage,
+      options_.rpc_timeout,
+      [request = SlotRequest(*n, index)](HostInterface& host_iface,
+                                         Callback<ReservationToken> reply) {
+        host_iface.MakeReservation(request, std::move(reply));
+      },
+      [this, n, index, host](Result<ReservationToken> result) {
+        if (n->finished) return;
+        const ErrorCode code = result.code();
+        if (code != ErrorCode::kTimeout && code != ErrorCode::kUnavailable) {
+          // The host answered: a grant or its own refusal.
+          ApplySlotAnswer(*n, host,
+                          {index, result.status(), result.value_or({})});
+        } else if (ApplyRpcFailure(*n, index, host, result.status())) {
+          const Duration delay = BackoffDelay(n->attempts[index]);
+          if (kernel()->trace().enabled()) {
+            kernel()->trace().Instant(
+                kernel()->Now(), "reserve_retry", "enactor",
+                kernel()->trace().current(),
+                {{"host", host.ToString()},
+                 {"index", std::to_string(index)},
+                 {"attempt", std::to_string(n->attempts[index] + 1)},
+                 {"delay", delay.ToString()}});
+          }
+          kernel()->ScheduleAfter(
+              delay,
+              [this, n, index] {
+                if (n->finished) return;
+                ReserveIndex(n, index);
+              },
+              "enactor/backoff");
+          return;  // the retry inherits this index's outstanding slot
+        }
+        if (--n->outstanding == 0) OnRoundComplete(n);
+      },
+      "make_reservation");
+}
+
+// ---- Per-slot settlement, shared by make_reservation and ReserveBatch ----
+
+void EnactorObject::CountAttempt(const Negotiation& n, std::size_t index,
+                                 std::uint64_t batch_id) {
+  const ObjectMapping& mapping = n.current[index];
   // Thrash metric: are we remaking a reservation we held and cancelled?
-  const auto& history = n->cancelled_history[index];
+  const auto& history = n.cancelled_history[index];
   if (std::find(history.begin(), history.end(), mapping) != history.end()) {
     cells_.rereservations->Add();
     if (kernel()->trace().enabled()) {
@@ -671,13 +607,18 @@ void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
   }
   cells_.reservations_requested->Add();
   if (AuditOn()) {
-    Audit("reserve_requested",
-          {{"nid", std::to_string(n->id)},
-           {"slot", std::to_string(index)},
-           {"host", mapping.host.ToString()},
-           {"attempt", std::to_string(n->attempts[index] + 1)}});
+    obs::TraceArgs fields = {{"nid", std::to_string(n.id)},
+                             {"slot", std::to_string(index)},
+                             {"host", mapping.host.ToString()}};
+    if (batch_id != 0) fields.push_back({"batch", std::to_string(batch_id)});
+    fields.push_back({"attempt", std::to_string(n.attempts[index] + 1)});
+    Audit("reserve_requested", std::move(fields));
   }
+}
 
+ReservationRequest EnactorObject::SlotRequest(const Negotiation& n,
+                                              std::size_t index) const {
+  const ObjectMapping& mapping = n.current[index];
   ReservationRequest request;
   request.vault = mapping.vault;
   request.start = kernel()->Now() + options_.reservation_start_offset;
@@ -686,90 +627,92 @@ void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
   request.type = options_.reservation_type;
   request.requester = loid();
   request.requester_domain = loid().domain();
-  LookupDemand(mapping.class_loid, &request.memory_mb, &request.cpu_fraction);
+  // Per-class instantiation demand, resolved from the local class object
+  // (the Enactor caches this knowledge between calls in the real system).
+  request.memory_mb = 32;
+  request.cpu_fraction = 1.0;
+  auto* klass =
+      dynamic_cast<ClassObject*>(kernel()->FindActor(mapping.class_loid));
+  if (klass != nullptr) {
+    request.memory_mb = klass->instance_memory_mb();
+    request.cpu_fraction = klass->instance_cpu_fraction();
+  }
+  return request;
+}
 
-  CallOn<ReservationToken, HostInterface>(
-      kernel(), loid(), mapping.host, kSmallMessage, kSmallMessage,
-      options_.rpc_timeout,
-      [request](HostInterface& host, Callback<ReservationToken> reply) {
-        host.MakeReservation(request, std::move(reply));
-      },
-      [this, n, index](Result<ReservationToken> result) {
-        if (n->finished) return;
-        const Loid target = n->current[index].host;
-        if (result.ok()) {
-          if (options_.use_health) health_.RecordSuccess(target);
-          cells_.reservations_granted->Add();
-          if (n->attempts[index] > 0) cells_.partial_recoveries->Add();
-          if (AuditOn()) {
-            Audit("reserve_granted", {{"nid", std::to_string(n->id)},
-                                      {"slot", std::to_string(index)},
-                                      {"host", target.ToString()}});
-          }
-          n->tokens[index] = std::move(*result);
-        } else {
-          const ErrorCode code = result.status().code();
-          // Unreachability is a health signal; refusals and capacity
-          // shortfalls are the host's prerogative, not sickness.
-          if (options_.use_health && (code == ErrorCode::kTimeout ||
-                                      code == ErrorCode::kUnavailable)) {
-            health_.RecordFailure(target);
-          }
-          cells_.reservations_failed->Add();
-          n->last_code = code;
-          n->last_error = result.status().message();
-          // Transient failure: retry the same mapping in place, with
-          // bounded exponential backoff, instead of burning a variant.
-          // A target whose breaker just opened is not worth re-probing
-          // inside this negotiation -- fall through to the variants.
-          if (code == ErrorCode::kTimeout &&
-              n->attempts[index] + 1 < options_.retry.max_attempts &&
-              (!options_.use_health || health_.Healthy(target))) {
-            ++n->attempts[index];
-            cells_.retries->Add();
-            const Duration delay = BackoffDelay(n->attempts[index]);
-            if (kernel()->trace().enabled()) {
-              kernel()->trace().Instant(
-                  kernel()->Now(), "reserve_retry", "enactor",
-                  kernel()->trace().current(),
-                  {{"host", target.ToString()},
-                   {"index", std::to_string(index)},
-                   {"attempt", std::to_string(n->attempts[index] + 1)},
-                   {"delay", delay.ToString()}});
-            }
-            if (AuditOn()) {
-              Audit("reserve_retry",
-                    {{"nid", std::to_string(n->id)},
-                     {"slot", std::to_string(index)},
-                     {"host", target.ToString()},
-                     {"attempt", std::to_string(n->attempts[index] + 1)}});
-            }
-            kernel()->ScheduleAfter(
-                delay,
-                [this, n, index] {
-                  if (n->finished) return;
-                  ReserveIndex(n, index);
-                },
-                "enactor/backoff");
-            return;  // the retry inherits this index's outstanding slot
-          }
-          if (AuditOn()) {
-            Audit("reserve_failed", {{"nid", std::to_string(n->id)},
-                                     {"slot", std::to_string(index)},
-                                     {"host", target.ToString()},
-                                     {"code", legion::ToString(code)}});
-          }
-        }
-        if (kernel()->trace().enabled()) {
-          kernel()->trace().Instant(
-              kernel()->Now(), result.ok() ? "reserve_ok" : "reserve_fail",
-              "enactor", kernel()->trace().current(),
-              {{"host", n->current[index].host.ToString()},
-               {"index", std::to_string(index)}});
-        }
-        if (--n->outstanding == 0) OnRoundComplete(n);
-      },
-      "make_reservation");
+void EnactorObject::ApplySlotAnswer(Negotiation& n, const Loid& host,
+                                    const BatchSlotOutcome& outcome) {
+  const std::size_t index = outcome.index;
+  if (AuditOn()) {
+    if (outcome.status.ok()) {
+      Audit("reserve_granted", {{"nid", std::to_string(n.id)},
+                                {"slot", std::to_string(index)},
+                                {"host", host.ToString()}});
+    } else {
+      Audit("reserve_failed",
+            {{"nid", std::to_string(n.id)},
+             {"slot", std::to_string(index)},
+             {"host", host.ToString()},
+             {"code", legion::ToString(outcome.status.code())}});
+    }
+  }
+  if (outcome.status.ok()) {
+    if (options_.use_health) health_.RecordSuccess(host);
+    cells_.reservations_granted->Add();
+    if (n.attempts[index] > 0) cells_.partial_recoveries->Add();
+    n.tokens[index] = outcome.token;
+  } else {
+    // Slot-level refusals and capacity shortfalls are the host's
+    // prerogative, not sickness -- no health signal, no retry; the
+    // variant machinery takes over per mapping.
+    cells_.reservations_failed->Add();
+    n.last_code = outcome.status.code();
+    n.last_error = outcome.status.message();
+  }
+  if (kernel()->trace().enabled()) {
+    kernel()->trace().Instant(
+        kernel()->Now(), outcome.status.ok() ? "reserve_ok" : "reserve_fail",
+        "enactor", kernel()->trace().current(),
+        {{"host", host.ToString()}, {"index", std::to_string(index)}});
+  }
+}
+
+bool EnactorObject::ApplyRpcFailure(Negotiation& n, std::size_t index,
+                                    const Loid& host, const Status& status) {
+  const ErrorCode code = status.code();
+  // Unreachability is a health signal.
+  if (options_.use_health &&
+      (code == ErrorCode::kTimeout || code == ErrorCode::kUnavailable)) {
+    health_.RecordFailure(host);
+  }
+  cells_.reservations_failed->Add();
+  n.last_code = code;
+  n.last_error = status.message();
+  // Transient failure: retry the same mapping in place, with bounded
+  // exponential backoff, instead of burning a variant.  A target whose
+  // breaker just opened is not worth re-probing inside this negotiation
+  // -- fall through to the variants.
+  if (code == ErrorCode::kTimeout &&
+      n.attempts[index] + 1 < options_.retry.max_attempts &&
+      (!options_.use_health || health_.Healthy(host))) {
+    ++n.attempts[index];
+    cells_.retries->Add();
+    if (AuditOn()) {
+      Audit("reserve_retry",
+            {{"nid", std::to_string(n.id)},
+             {"slot", std::to_string(index)},
+             {"host", host.ToString()},
+             {"attempt", std::to_string(n.attempts[index] + 1)}});
+    }
+    return true;
+  }
+  if (AuditOn()) {
+    Audit("reserve_failed", {{"nid", std::to_string(n.id)},
+                             {"slot", std::to_string(index)},
+                             {"host", host.ToString()},
+                             {"code", legion::ToString(code)}});
+  }
+  return false;
 }
 
 void EnactorObject::CancelHeld(const std::shared_ptr<Negotiation>& n,

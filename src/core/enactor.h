@@ -63,9 +63,10 @@ struct EnactorOptions {
   Duration rpc_timeout = kDefaultRpcTimeout;
   // Batched negotiation (DESIGN.md §11): a round's requests are grouped
   // by target host and sent as ReserveBatch RPCs of at most
-  // max_batch_size slots.  1 = the legacy one-RPC-per-mapping path
-  // (byte-identical placements either way; the batch path saves round
-  // trips and wire bytes).
+  // max_batch_size slots.  1 = one make_reservation RPC per mapping,
+  // outside the batch window; its replies settle through the same
+  // per-slot code, so placements are byte-identical either way and the
+  // batch path only saves round trips and wire bytes.
   std::size_t max_batch_size = 64;
   // Backpressure: at most this many batches in flight at once; overflow
   // parks in a FIFO admission queue instead of flooding the event queue
@@ -173,8 +174,23 @@ class EnactorObject : public LegionObject {
 
   void StartMaster(const std::shared_ptr<Negotiation>& n);
   void RequestMissing(const std::shared_ptr<Negotiation>& n);
+  // Cap 1: one make_reservation RPC for one mapping.
   void ReserveIndex(const std::shared_ptr<Negotiation>& n, std::size_t index);
   void FailIndexFast(const std::shared_ptr<Negotiation>& n, std::size_t index);
+  // Per-slot settlement, shared by make_reservation (cap 1) and
+  // ReserveBatch.  CountAttempt counts and audits one attempt (batch id
+  // 0 = cap 1); SlotRequest builds the slot's wire request;
+  // ApplySlotAnswer applies the host's answer for one slot;
+  // ApplyRpcFailure applies a failed RPC to one slot, including the
+  // health signal and the retry decision (true = retry the slot).
+  void CountAttempt(const Negotiation& n, std::size_t index,
+                    std::uint64_t batch_id);
+  ReservationRequest SlotRequest(const Negotiation& n,
+                                 std::size_t index) const;
+  void ApplySlotAnswer(Negotiation& n, const Loid& host,
+                       const BatchSlotOutcome& outcome);
+  bool ApplyRpcFailure(Negotiation& n, std::size_t index, const Loid& host,
+                       const Status& status);
   // Batch pipeline: EnqueueBatch mints the at-most-once id for a fresh
   // batch and hands to DispatchBatch, which either sends or parks under
   // backpressure; PumpParked drains the queue as replies free slots.
@@ -199,11 +215,6 @@ class EnactorObject : public LegionObject {
   // Fire-and-forget cancel of a token the negotiation does not hold
   // (e.g. a stray grant for a slot abandoned between transmissions).
   void CancelToken(const ReservationToken& token);
-
-  // Per-class instantiation demand, resolved from the local class object
-  // (the Enactor caches this knowledge between calls in the real system).
-  void LookupDemand(const Loid& class_loid, std::size_t* memory_mb,
-                    double* cpu_fraction) const;
 
   // Decision audit (obs/audit.h): every reservation-slot lifecycle
   // transition is recorded keyed by the negotiation id when the kernel's

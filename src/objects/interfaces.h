@@ -119,14 +119,15 @@ class HostInterface {
  public:
   virtual ~HostInterface() = default;
 
-  // Reservation management.
+  // Reservation management.  MakeReservation is the single-request form
+  // of MakeReservationBatch: hosts answer it as a one-slot batch.
   virtual void MakeReservation(const ReservationRequest& request,
                                Callback<ReservationToken> done) = 0;
   // Batched admission: slots are evaluated in slot order within one
   // event-loop turn, each against the state its predecessors left
-  // behind -- the same decisions the sequential MakeReservation path
-  // would make -- and each is either durably admitted or reported
-  // failed in its outcome.
+  // behind -- so N slots in one batch decide exactly as N requests
+  // arriving back to back would -- and each is either durably admitted
+  // or reported failed in its outcome.
   virtual void MakeReservationBatch(const ReservationBatchRequest& request,
                                     Callback<ReservationBatchReply> done) = 0;
   virtual void CheckReservation(const ReservationToken& token,

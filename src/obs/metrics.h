@@ -4,9 +4,9 @@
 // Usage pattern: a component resolves its cells once (name + labels ->
 // stable pointer) and the hot path touches only the cell -- one relaxed
 // atomic op per update, no lookups, no locks.  Registration and
-// Snapshot() take a mutex; updates never do.  Cells are atomic so the
-// Collection's multi-threaded query path can report through the same
-// registry as the single-threaded kernel.
+// Snapshot() take a mutex; updates never do.  Cells are atomic, so the
+// registry stays safe to use from any thread even though the simulation
+// itself is single-threaded (DESIGN.md §3).
 //
 // Snapshot() serializes the whole registry to JSON with keys sorted, so
 // snapshots of equal state are byte-identical.

@@ -1,9 +1,8 @@
 // AST and evaluation for the Collection query language.
 //
 // Expressions evaluate against a single attribute record.  Evaluation is
-// const and thread-safe (regexes over literal patterns are compiled at
-// parse time), so the Collection's parallel query path can share one
-// compiled query across worker threads.
+// const (regexes over literal patterns are compiled at parse time), so
+// one compiled query can be shared and cached.
 #pragma once
 
 #include <functional>

@@ -3,33 +3,26 @@
 namespace legion::query {
 
 Result<CompiledQuery> CompileCache::Get(const std::string& text, bool* hit) {
-  {
-    std::lock_guard lock(mutex_);
-    auto it = entries_.find(text);
-    if (it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      if (hit != nullptr) *hit = true;
-      return it->second->second;
-    }
+  auto it = entries_.find(text);
+  if (it != entries_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    if (hit != nullptr) *hit = true;
+    return it->second->second;
   }
-  // Compile outside the lock; parsing is pure.
   auto compiled = CompiledQuery::Compile(text);
   if (hit != nullptr) *hit = false;
   if (!compiled) return compiled;
 
   if (capacity_ == 0) return *compiled;  // caching disabled
-  std::lock_guard lock(mutex_);
-  if (entries_.count(text) == 0) {
-    // Evict the LRU entry *before* inserting: the cache never holds
-    // capacity_+1 entries, and a fresh entry can never be chosen as its
-    // own victim.
-    if (entries_.size() >= capacity_) {
-      entries_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-    lru_.emplace_front(text, *compiled);
-    entries_[text] = lru_.begin();
+  // Evict the LRU entry *before* inserting: the cache never holds
+  // capacity_+1 entries, and a fresh entry can never be chosen as its
+  // own victim.
+  if (entries_.size() >= capacity_) {
+    entries_.erase(lru_.back().first);
+    lru_.pop_back();
   }
+  lru_.emplace_front(text, *compiled);
+  entries_[text] = lru_.begin();
   return *compiled;
 }
 

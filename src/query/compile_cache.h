@@ -6,14 +6,10 @@
 // same handful of query strings forever.  A small LRU in front of
 // Compile() turns that into a hash lookup.  CompiledQuery is cheap to
 // copy (two shared_ptrs and the text), so Get() hands out copies.
-//
-// Thread-safe: the Collection's parallel query path may race string
-// queries from worker threads.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -34,16 +30,12 @@ class CompileCache {
   // cached: they are rare and the error message must stay fresh.
   Result<CompiledQuery> Get(const std::string& text, bool* hit = nullptr);
 
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return entries_.size();
-  }
+  std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
 
  private:
   using LruList = std::list<std::pair<std::string, CompiledQuery>>;
 
-  mutable std::mutex mutex_;
   std::size_t capacity_;
   LruList lru_;  // front = most recently used
   std::unordered_map<std::string, LruList::iterator> entries_;

@@ -49,39 +49,11 @@ void BatchQueueHost::OnPoll() {
 
 // ---- Reservation pass-through ------------------------------------------------
 
-void BatchQueueHost::MakeReservation(const ReservationRequest& request,
-                                     Callback<ReservationToken> done) {
-  // A reservation-aware queue gets a veto first: unlike the Unix-style
-  // host table, it also knows about running and queued jobs, so it can
-  // refuse windows it could not honor.
-  if (queue_->SupportsReservations()) {
-    const SimTime now = kernel()->Now();
-    const SimTime start = std::max(request.start, now);
-    if (!queue_->CanHonorWindow(start, start + request.duration,
-                                request.cpu_fraction, now)) {
-      done(Status::Error(ErrorCode::kNoResources,
-                         "queue cannot guarantee the window"));
-      return;
-    }
-  }
-  HostObject::MakeReservation(
-      request,
-      [this, cpu = request.cpu_fraction,
-       done = std::move(done)](Result<ReservationToken> result) {
-        if (result.ok() && queue_->SupportsReservations()) {
-          // Pass the job of managing the reservation through to the
-          // queuing system: the calendar protects the window from
-          // backfilled jobs.
-          const ReservationToken& token = *result;
-          queue_->AddReservationWindow(token.start,
-                                       token.start + token.duration, cpu);
-        }
-        done(std::move(result));
-      });
-}
-
 Status BatchQueueHost::PreAdmitSlot(const ReservationRequest& request,
                                     SimTime now) {
+  // A reservation-aware queue gets a veto: unlike the Unix-style host
+  // table, it also knows about running and queued jobs, so it can refuse
+  // windows it could not honor.
   if (queue_->SupportsReservations()) {
     const SimTime start = std::max(request.start, now);
     if (!queue_->CanHonorWindow(start, start + request.duration,
@@ -95,6 +67,8 @@ Status BatchQueueHost::PreAdmitSlot(const ReservationRequest& request,
 
 void BatchQueueHost::OnSlotGranted(const ReservationToken& token,
                                    double cpu_fraction) {
+  // Pass the job of managing the reservation through to the queuing
+  // system: the calendar protects the window from backfilled jobs.
   if (queue_->SupportsReservations()) {
     queue_->AddReservationWindow(token.start, token.start + token.duration,
                                  cpu_fraction);

@@ -45,9 +45,8 @@ class BatchQueueHost : public HostObject {
   // Runs one queue scheduling cycle immediately.
   void PollQueueNow() { OnPoll(); }
 
-  // Reservation pass-through (Maui path) happens on grant and cancel.
-  void MakeReservation(const ReservationRequest& request,
-                       Callback<ReservationToken> done) override;
+  // Reservation pass-through (Maui path) happens on grant (OnSlotGranted)
+  // and on cancel.
   void CancelReservation(const ReservationToken& token,
                          Callback<bool> done) override;
 
@@ -56,9 +55,8 @@ class BatchQueueHost : public HostObject {
   std::size_t pending_job_count() const { return pending_jobs_.size(); }
 
  protected:
-  // Batch-admission hooks: the queue's veto and calendar registration
-  // apply to each slot of a reservation batch exactly as they do to a
-  // single MakeReservation.
+  // Admission hooks: the queue's veto and calendar registration apply to
+  // each slot of every reservation request, after the vault check.
   Status PreAdmitSlot(const ReservationRequest& request, SimTime now) override;
   void OnSlotGranted(const ReservationToken& token,
                      double cpu_fraction) override;

@@ -29,40 +29,24 @@ HostObject::HostObject(SimKernel* kernel, Loid loid, HostSpec spec,
 
 void HostObject::MakeReservation(const ReservationRequest& request,
                                  Callback<ReservationToken> done) {
-  const SimTime now = kernel()->Now();
-  table_.ExpireStale(now);
-
-  // Local autonomy: the placement policy has final authority.
-  Status permit = policy_->Permit(request, attributes(), now);
-  if (!permit.ok()) {
-    done(permit);
-    return;
-  }
-  // "When asked for a reservation, the Host is responsible for ensuring
-  // that the vault is reachable" (paper 3.1).  Vaults on the host's
-  // compatibility list are known reachable; any other vault is probed
-  // live (vault_OK) before the host grants.
-  if (!request.vault.valid()) {
-    done(Status::Error(ErrorCode::kInvalidArgument,
-                       "reservation request names no vault"));
-    return;
-  }
-  const bool known_reachable =
-      std::find(compatible_vaults_.begin(), compatible_vaults_.end(),
-                request.vault) != compatible_vaults_.end();
-  if (known_reachable) {
-    GrantReservation(request, std::move(done));
-    return;
-  }
-  VaultOk(request.vault,
-          [this, request, done = std::move(done)](Result<bool> ok) mutable {
-            if (!ok.ok() || !*ok) {
-              done(Status::Error(ErrorCode::kRefused,
-                                 "vault not reachable from this host"));
-              return;
-            }
-            GrantReservation(request, std::move(done));
-          });
+  // A single request is a one-slot batch without a dedup id, so both
+  // entry points share one admission ladder (DESIGN.md §11).
+  ReservationBatchRequest batch;
+  batch.requester = request.requester;
+  batch.slots.push_back(BatchSlotRequest{0, request});
+  MakeReservationBatch(
+      batch, [done = std::move(done)](Result<ReservationBatchReply> reply) {
+        if (!reply.ok()) {
+          done(reply.status());
+          return;
+        }
+        const BatchSlotOutcome& outcome = reply->outcomes.front();
+        if (outcome.status.ok()) {
+          done(outcome.token);
+        } else {
+          done(outcome.status);
+        }
+      });
 }
 
 void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
@@ -70,16 +54,25 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
   const SimTime now = kernel()->Now();
   table_.ExpireStale(now);
 
+  auto batch = std::make_shared<PendingBatch>();
   // At-most-once admission: a batch whose reply was lost comes back under
-  // the same id; replay the recorded reply instead of admitting twice.
-  const std::string dedup_key =
-      request.requester.ToString() + "#" + std::to_string(request.batch_id);
+  // the same id.  It gets the recorded reply if the original finished, or
+  // joins the original if that still waits on a vault probe -- never a
+  // second admission.
   if (request.batch_id != 0) {
+    batch->dedup_key =
+        request.requester.ToString() + "#" + std::to_string(request.batch_id);
     EvictStaleBatchReplies(now);
-    auto cached = completed_batches_.find(dedup_key);
+    auto cached = completed_batches_.find(batch->dedup_key);
     if (cached != completed_batches_.end()) {
       ++batch_replay_hits_;
       done(cached->second);
+      return;
+    }
+    auto in_flight = pending_batches_.find(batch->dedup_key);
+    if (in_flight != pending_batches_.end()) {
+      ++batch_replay_hits_;
+      in_flight->second->waiters.push_back(std::move(done));
       return;
     }
     // A flagged retransmission that misses the cache re-admits blind:
@@ -89,18 +82,20 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
     if (request.retransmit) ++batch_replay_misses_;
   }
 
-  auto batch = std::make_shared<PendingBatch>();
   batch->request = request;
-  batch->done = std::move(done);
+  batch->waiters.push_back(std::move(done));
   batch->outcomes.resize(request.slots.size());
   batch->admissible.assign(request.slots.size(), false);
 
-  // Per-slot screening, same order and same rules as MakeReservation:
-  // local policy first, then vault validity, then vault reachability.
-  // Unknown vaults are probed live (one probe per distinct vault) before
-  // anything is admitted.  The machine-specific veto (PreAdmitSlot) is
-  // deliberately NOT screened here: it runs inside FinishBatch, per
-  // slot, interleaved with admission, so it sees predecessors' grants.
+  // Per-slot screening: local policy first (the autonomy guarantee), then
+  // vault validity, then vault reachability.  "When asked for a
+  // reservation, the Host is responsible for ensuring that the vault is
+  // reachable" (paper 3.1): vaults on the compatibility list are known
+  // reachable; any other vault is probed live (one vault_OK per distinct
+  // vault) before anything is admitted.  The machine-specific veto
+  // (PreAdmitSlot) is deliberately NOT screened here: it runs inside
+  // FinishBatch, per slot, interleaved with admission, so it sees
+  // predecessors' grants.
   std::unordered_map<Loid, std::vector<std::size_t>> probe_slots;
   for (std::size_t i = 0; i < request.slots.size(); ++i) {
     const ReservationRequest& slot = request.slots[i].request;
@@ -129,6 +124,7 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
     FinishBatch(batch);
     return;
   }
+  if (request.batch_id != 0) pending_batches_.emplace(batch->dedup_key, batch);
   batch->pending_probes = probe_slots.size();
   for (auto& [vault, indices] : probe_slots) {
     VaultOk(vault, [this, batch, indices = indices](Result<bool> ok) {
@@ -151,12 +147,12 @@ void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
   // Run each admissible slot through veto -> issue -> admit -> grant in
   // slot order (DESIGN.md §11).  The interleaving matters: PreAdmitSlot
   // and OnSlotGranted bracket every admission, so a reservation-aware
-  // queue vetoes slot i+1 against slot i's already-registered window --
-  // exactly the state the sequential MakeReservation path would show it.
-  // Two windows that individually fit but jointly exceed the queue's
-  // capacity admit one and refuse the other, never both.  A vetoed slot
-  // burns no serial (the sequential path vetoes before issuing); a slot
-  // the table rejects burns its serial exactly as GrantReservation does.
+  // queue vetoes slot i+1 against slot i's already-registered window, and
+  // a single request against every window granted before it -- including
+  // windows granted while its own vault probe was in flight.  Two windows
+  // that individually fit but jointly exceed the queue's capacity admit
+  // one and refuse the other, never both.  A vetoed slot burns no serial;
+  // a slot the table rejects burns the serial it was issued.
   table_.ExpireStale(now);
   for (std::size_t i = 0; i < batch->request.slots.size(); ++i) {
     if (!batch->admissible[i]) continue;
@@ -180,11 +176,14 @@ void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
   ReservationBatchReply reply;
   reply.outcomes = std::move(batch->outcomes);
   if (batch->request.batch_id != 0) {
-    RememberBatchReply(batch->request.requester.ToString() + "#" +
-                           std::to_string(batch->request.batch_id),
-                       reply);
+    RememberBatchReply(batch->dedup_key, reply);
+    pending_batches_.erase(batch->dedup_key);
   }
-  batch->done(std::move(reply));
+  // The original transmission and every retransmission that joined it in
+  // flight get the same reply.
+  const std::size_t last = batch->waiters.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) batch->waiters[i](reply);
+  batch->waiters[last](std::move(reply));
 }
 
 void HostObject::RememberBatchReply(const std::string& key,
@@ -208,22 +207,6 @@ void HostObject::EvictStaleBatchReplies(SimTime now) {
     completed_batches_.erase(completed_batch_order_.front().first);
     completed_batch_order_.pop_front();
   }
-}
-
-void HostObject::GrantReservation(const ReservationRequest& request,
-                                  Callback<ReservationToken> done) {
-  const SimTime now = kernel()->Now();
-  SimTime start = std::max(request.start, now);
-  ReservationToken token =
-      authority_.Issue(loid(), request.vault, start, request.duration,
-                       request.confirm_timeout, request.type);
-  Status admitted = table_.Admit(token, request.requester, request.memory_mb,
-                                 request.cpu_fraction, now);
-  if (!admitted.ok()) {
-    done(admitted);
-    return;
-  }
-  done(token);
 }
 
 void HostObject::CheckReservation(const ReservationToken& token,

@@ -132,10 +132,11 @@ class HostObject : public LegionObject, public HostInterface {
   std::uint64_t objects_started() const { return objects_started_; }
   std::uint64_t starts_refused() const { return starts_refused_; }
   // Replay-cache observability: hits are retransmitted batch ids served
-  // from the cache; misses are retransmissions (request.retransmit set)
-  // that found no cached reply -- either the original request was lost
-  // (benign re-admission) or the reply aged out of the cache (a
-  // possible double-admit; widen batch_replay_retention).
+  // from the cache or joined to their still-probing original; misses are
+  // retransmissions (request.retransmit set) that found neither -- either
+  // the original request was lost (benign re-admission) or the reply aged
+  // out of the cache (a possible double-admit; widen
+  // batch_replay_retention).
   std::uint64_t batch_replay_hits() const { return batch_replay_hits_; }
   std::uint64_t batch_replay_misses() const { return batch_replay_misses_; }
 
@@ -189,18 +190,14 @@ class HostObject : public LegionObject, public HostInterface {
   double RunningCpuDemand() const;
   std::size_t RunningMemoryDemand() const;
 
-  // Issues + admits the token once the vault is known reachable.
-  void GrantReservation(const ReservationRequest& request,
-                        Callback<ReservationToken> done);
-
-  // Batch-admission subclass hooks (DESIGN.md §11).  PreAdmitSlot gives
-  // the machine-specific layer a veto over each slot before the table
-  // sees it (batch-queue hosts ask the queue to honor the window);
+  // Admission subclass hooks (DESIGN.md §11), run for every slot of every
+  // request -- a single MakeReservation is a one-slot batch.  PreAdmitSlot
+  // gives the machine-specific layer a veto over each slot before the
+  // table sees it (batch-queue hosts ask the queue to honor the window);
   // OnSlotGranted fires for every admitted slot (batch-queue hosts
   // register the window in the queue calendar).  FinishBatch interleaves
   // the two per slot -- veto, admit, grant, then the next slot -- so
-  // each veto sees every predecessor's granted window exactly as the
-  // sequential MakeReservation path would.
+  // each veto sees every window granted before it.
   virtual Status PreAdmitSlot(const ReservationRequest& request, SimTime now) {
     (void)request;
     (void)now;
@@ -217,10 +214,13 @@ class HostObject : public LegionObject, public HostInterface {
 
   // In-flight batch admission: outcomes accumulate while unknown vaults
   // are probed; FinishBatch then runs each admissible slot through the
-  // veto/admit/grant ladder in slot order and replies.
+  // veto/admit/grant ladder in slot order and replies to every waiter
+  // (the original transmission plus any retransmission that arrived in
+  // the meantime).
   struct PendingBatch {
     ReservationBatchRequest request;
-    Callback<ReservationBatchReply> done;
+    std::string dedup_key;  // "requester#batch_id"; empty for batch id 0
+    std::vector<Callback<ReservationBatchReply>> waiters;
     std::vector<BatchSlotOutcome> outcomes;
     std::vector<bool> admissible;
     std::size_t pending_probes = 0;
@@ -247,6 +247,10 @@ class HostObject : public LegionObject, public HostInterface {
   // a retransmission still needs).
   std::unordered_map<std::string, ReservationBatchReply> completed_batches_;
   std::deque<std::pair<std::string, SimTime>> completed_batch_order_;
+  // Batches still waiting on a vault probe, under the same keys, so a
+  // retransmission joins the original instead of admitting again.
+  std::unordered_map<std::string, std::shared_ptr<PendingBatch>>
+      pending_batches_;
   SimKernel::PeriodicId reassess_timer_ = 0;
   bool joined_collections_ = false;
   std::uint64_t objects_started_ = 0;

@@ -20,22 +20,6 @@ const char* ToString(ReservationState state) {
   return "unknown";
 }
 
-std::vector<Status> ReservationTable::AdmitBatch(
-    const std::vector<BatchAdmitSlot>& slots, SimTime now) {
-  // Single-threaded kernel: nothing interleaves between these per-slot
-  // admissions, so the loop IS the atomic snapshot -- slot i+1 sees slot
-  // i's grant (or its absence) and nothing else changes underneath.
-  std::vector<Status> statuses;
-  statuses.reserve(slots.size());
-  ExpireStale(now);
-  for (const BatchAdmitSlot& slot : slots) {
-    statuses.push_back(
-        Admit(slot.token, slot.requester, slot.memory_mb, slot.cpu_fraction,
-              now));
-  }
-  return statuses;
-}
-
 Status ReservationTable::Admit(const ReservationToken& token,
                                const Loid& requester, std::size_t memory_mb,
                                double cpu_fraction, SimTime now) {

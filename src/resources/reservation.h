@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "base/loid.h"
 #include "base/result.h"
@@ -68,22 +67,6 @@ class ReservationTable {
   //     overlapping live reservations must stay within capacity.
   Status Admit(const ReservationToken& token, const Loid& requester,
                std::size_t memory_mb, double cpu_fraction, SimTime now);
-
-  // Atomic batch admission (DESIGN.md §11): all slots are evaluated
-  // against one consistent snapshot at `now`, in order, with each
-  // admitted slot's demand visible to its successors -- exactly the
-  // state a sequence of back-to-back Admit calls would see, so batched
-  // and unbatched negotiation grant identical sets.  Returns one Status
-  // per slot: every requested window is either durably admitted or has
-  // its failure reported; the table is never left half-updated.
-  struct BatchAdmitSlot {
-    ReservationToken token;
-    Loid requester;
-    std::size_t memory_mb = 0;
-    double cpu_fraction = 1.0;
-  };
-  std::vector<Status> AdmitBatch(const std::vector<BatchAdmitSlot>& slots,
-                                 SimTime now);
 
   // check_reservation(): true iff the token names a live (pending or
   // confirmed) reservation whose window has not passed.

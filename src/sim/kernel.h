@@ -9,9 +9,8 @@
 // the benchmark harnesses report (message counts, RPC timeouts).
 //
 // The kernel is deliberately single-threaded and deterministic: given the
-// same seed and workload, every experiment reproduces exactly.  Components
-// that are useful outside the kernel (the Collection's query engine) have
-// their own internal synchronization for multi-threaded callers.
+// same seed and workload, every experiment reproduces exactly.  Objects
+// run one handler at a time and hold no locks (DESIGN.md §3).
 #pragma once
 
 #include <cassert>

@@ -49,7 +49,7 @@ struct MetacomputerConfig {
   Duration delta_push_period = Duration::Seconds(5);
   // Reservation batching (DESIGN.md §11): the Enactor coalesces
   // same-host reservation requests into one RPC of up to
-  // reservation_batch_cap slots (1 = legacy per-mapping RPCs) and keeps
+  // reservation_batch_cap slots (1 = one RPC per mapping) and keeps
   // at most max_outstanding_batches in flight (0 = unlimited).
   std::size_t reservation_batch_cap = 64;
   std::size_t max_outstanding_batches = 32;

@@ -187,37 +187,6 @@ TEST_F(CollectionTest, FunctionInjectionVisibleInQueries) {
   EXPECT_EQ(result->size(), 1u);
 }
 
-TEST_F(CollectionTest, ParallelQueryMatchesSerial) {
-  for (int i = 0; i < 500; ++i) {
-    Await<bool> joined;
-    world_.collection->JoinCollection(
-        Member(i), HostRecord(i % 3 == 0 ? "x86" : "sparc", 0.01 * i),
-        joined.Sink());
-  }
-  auto query = query::CompiledQuery::Compile(
-      "$host_arch == \"x86\" and $host_load < 3.0");
-  ASSERT_TRUE(query.ok());
-  auto serial = world_.collection->QueryLocal(*query);
-  auto parallel = world_.collection->QueryLocalParallel(*query, 4);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(serial->size(), parallel->size());
-  for (std::size_t i = 0; i < serial->size(); ++i) {
-    EXPECT_EQ((*serial)[i].member, (*parallel)[i].member);
-  }
-}
-
-TEST_F(CollectionTest, ParallelQuerySmallStoreFallsBack) {
-  Await<bool> joined;
-  world_.collection->JoinCollection(Member(1), HostRecord("x86", 0.5),
-                                    joined.Sink());
-  auto query = query::CompiledQuery::Compile("true");
-  ASSERT_TRUE(query.ok());
-  auto result = world_.collection->QueryLocalParallel(*query, 8);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 1u);
-}
-
 TEST_F(CollectionTest, StatsCount) {
   Await<bool> joined;
   world_.collection->JoinCollection(Member(1), HostRecord("x86", 0.5),

@@ -303,7 +303,7 @@ TEST_F(EnactorTest, BatchingChunksAtTheCap) {
 }
 
 TEST_F(EnactorTest, BackpressureParksOverflowAndStillSucceeds) {
-  // Cap 2 keeps the batched path (1 is the legacy per-mapping path);
+  // Cap 2 keeps the batched path (1 sends one RPC per mapping);
   // four single-slot host groups against a window of one in-flight batch.
   world_.enactor->options().max_batch_size = 2;
   world_.enactor->options().max_outstanding_batches = 1;

@@ -186,7 +186,18 @@ TEST_F(FailureTest, KilledInstanceVanishesFromItsClassPerspective) {
 
 // ---- Resilience layer (DESIGN.md §9) ----------------------------------------
 
-TEST_F(FailureTest, TransientTimeoutRecoveredWithinMaxAttempts) {
+// The retry and breaker paths run at cap 1 (one make_reservation RPC per
+// mapping) and at the default batch cap; both settle through the same
+// per-slot code and must recover identically.
+class FailureCapTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Caps, FailureCapTest, ::testing::Values(std::size_t{1}, std::size_t{64}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "Cap" + std::to_string(info.param);
+    });
+
+TEST_P(FailureCapTest, TransientTimeoutRecoveredWithinMaxAttempts) {
   // Two domains, the target behind a 5-second partition.  The first
   // reservation attempt times out; the deterministic backoff lands the
   // retry after the partition heals, so the same mapping recovers in
@@ -195,6 +206,7 @@ TEST_F(FailureTest, TransientTimeoutRecoveredWithinMaxAttempts) {
   world.Populate();
   ClassObject* klass = world.MakeClass("app");
   EnactorOptions& opts = world.enactor->options();
+  opts.max_batch_size = GetParam();
   opts.rpc_timeout = Duration::Seconds(2);
   opts.retry.max_attempts = 3;
   opts.retry.base_delay = Duration::Seconds(4);
@@ -222,11 +234,13 @@ TEST_F(FailureTest, TransientTimeoutRecoveredWithinMaxAttempts) {
   EXPECT_GE(world.enactor->stats().partial_recoveries, 1u);
 }
 
-TEST_F(FailureTest, BreakerOpensAfterRepeatedTimeoutsAndSchedulerAvoidsHost) {
+TEST_P(FailureCapTest,
+       BreakerOpensAfterRepeatedTimeoutsAndSchedulerAvoidsHost) {
   TestWorld world(testing::TestWorldConfig{.hosts = 4});
   world.Populate();
   ClassObject* klass = world.MakeClass("app");
   EnactorOptions& opts = world.enactor->options();
+  opts.max_batch_size = GetParam();
   opts.rpc_timeout = Duration::Seconds(2);
   opts.retry.max_attempts = 1;  // isolate the breaker from the retry path
   world.enactor->health().options().host_failure_threshold = 2;
@@ -284,11 +298,12 @@ TEST_F(FailureTest, BreakerOpensAfterRepeatedTimeoutsAndSchedulerAvoidsHost) {
   EXPECT_EQ(world.enactor->stats().reservations_failed, failed_before);
 }
 
-TEST_F(FailureTest, BreakerReProbeRestoresPartitionedHost) {
+TEST_P(FailureCapTest, BreakerReProbeRestoresPartitionedHost) {
   TestWorld world(testing::TestWorldConfig{.hosts = 4, .domains = 2});
   world.Populate();
   ClassObject* klass = world.MakeClass("app");
   EnactorOptions& opts = world.enactor->options();
+  opts.max_batch_size = GetParam();
   opts.rpc_timeout = Duration::Seconds(2);
   opts.retry.max_attempts = 1;
   world.enactor->health().options().host_failure_threshold = 2;

@@ -1,13 +1,14 @@
 // Batched-negotiation properties (DESIGN.md §11).
 //
 // 1. Equivalence: the batch cap is a wire-level optimization only.  For
-//    the same seed and schedule, the legacy per-mapping path (cap 1) and
-//    any batched cap decide identically -- same winner, same reserved
+//    the same seed and schedule, one RPC per mapping (cap 1) and any
+//    batched cap decide identically -- same winner, same reserved
 //    mappings, same token serials, same per-host admission counters,
 //    same Collection contents.
 // 2. At-most-once under chaos: a batch whose reply is lost in a
 //    partition is retransmitted with the same batch id, and the host
-//    replays its cached decision instead of admitting the slots twice.
+//    replays its cached decision -- or, if the original is still waiting
+//    on a vault probe, joins it -- instead of admitting the slots twice.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -24,7 +25,7 @@ using testing::TestWorld;
 using testing::TestWorldConfig;
 
 // A deterministic world for the equivalence property: zero jitter so the
-// legacy path's concurrent per-slot RPCs arrive in send order, making
+// cap-1 path's concurrent per-slot RPCs arrive in send order, making
 // token serials comparable slot-for-slot against the batched path.
 TestWorldConfig QuietConfig() {
   TestWorldConfig config;
@@ -195,6 +196,45 @@ TEST(BatchEquivalence, LostReplyRetransmitsWithoutDoubleAdmit) {
     world.hosts[1]->CheckReservation(token, check.Sink());
     EXPECT_TRUE(*check.Get());
   }
+}
+
+TEST(BatchEquivalence, RetransmissionJoinsBatchStillProbingVault) {
+  // Host 0 must probe a vault in the other domain before it can admit,
+  // and the probe outlives the enactor's RPC timeout twice over.  Both
+  // retransmissions arrive while the original batch is still waiting on
+  // the probe: they join it and get its reply instead of admitting the
+  // slot again.
+  TestWorldConfig config;
+  config.hosts = 2;
+  config.domains = 2;
+  config.net.jitter_fraction = 0.0;
+  TestWorld world(config);
+  world.Populate();
+  ClassObject* klass = world.MakeClass("app", 16, 1.0);
+  world.enactor->options().rpc_timeout = Duration::Seconds(2);
+  world.kernel.network().SetPairLatency(0, 1, Duration::Seconds(3));
+
+  ScheduleRequestList request;
+  MasterSchedule master;
+  ObjectMapping mapping;
+  mapping.class_loid = klass->loid();
+  mapping.host = world.hosts[0]->loid();    // domain 0, local to the enactor
+  mapping.vault = world.vaults[1]->loid();  // domain 1: probed over the WAN
+  master.mappings.push_back(mapping);
+  request.masters.push_back(master);
+
+  Await<ScheduleFeedback> feedback;
+  world.enactor->MakeReservations(request, feedback.Sink());
+  world.Run();
+  ASSERT_TRUE(feedback.Ready());
+  ASSERT_TRUE(feedback.Get().ok());
+  EXPECT_TRUE(feedback.Get()->success);
+
+  const HostObject& host = *world.hosts[0];
+  EXPECT_EQ(host.reservations().admitted(), 1u);
+  EXPECT_EQ(host.reservations().live_count(), 1u);
+  EXPECT_EQ(host.batch_replay_hits(), 2u);
+  EXPECT_EQ(host.batch_replay_misses(), 0u);
 }
 
 TEST(BatchEquivalence, PartialRetryRetransmitsOriginalBatchAndCancelsStrays) {

@@ -186,6 +186,31 @@ TEST_F(BatchQueueHostTest, BatchAdmissionConsultsQueuePerSlot) {
   EXPECT_EQ(host->reservations().live_count(), 1u);
 }
 
+TEST_F(BatchQueueHostTest, SingleRequestsNamingProbedVaultCannotOvercommit) {
+  // Regression: two single requests for the same window, both naming a
+  // vault the 1-CPU Maui host must probe before granting.  The queue
+  // veto runs after the probe, per request, so the second request sees
+  // the first one's calendar window and is refused.
+  auto* host = MakeMauiHost(1);
+  auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
+  ASSERT_NE(queue, nullptr);
+  const SimTime start = world_.kernel.Now() + Duration::Minutes(10);
+  ReservationRequest request = Reservation(start, Duration::Hours(1));
+  request.vault = world_.vaults[1]->loid();  // not on the compatible list
+  Await<ReservationToken> first, second;
+  host->MakeReservation(request, first.Sink());
+  host->MakeReservation(request, second.Sink());
+  world_.kernel.RunFor(Duration::Seconds(5));
+  ASSERT_TRUE(first.Ready());
+  ASSERT_TRUE(second.Ready());
+  EXPECT_EQ(first.Get().ok() + second.Get().ok(), 1);
+  const ErrorCode refused =
+      first.Get().ok() ? second.Get().code() : first.Get().code();
+  EXPECT_EQ(refused, ErrorCode::kNoResources);
+  EXPECT_EQ(queue->window_count(), 1u);
+  EXPECT_EQ(host->reservations().live_count(), 1u);
+}
+
 TEST_F(BatchQueueHostTest, FifoHostKeepsReservationsInHostTable) {
   auto* host = MakeFifoHost(2);
   Await<ReservationToken> token;

@@ -257,98 +257,6 @@ TEST_F(ReservationFixture, SharedCpuLoadAtInstant) {
       table_.SharedCpuLoadAt(SimTime(0) + Duration::Minutes(80)), 2.0);
 }
 
-// ---- Batched admission -----------------------------------------------------
-
-TEST_F(ReservationFixture, AdmitBatchReportsPerSlotStatuses) {
-  std::vector<ReservationTable::BatchAdmitSlot> slots;
-  for (int i = 0; i < 3; ++i) {
-    ReservationTable::BatchAdmitSlot slot;
-    slot.token = Issue(SimTime(0), Duration::Hours(1),
-                       ReservationType::OneShotTimesharing());
-    slot.requester = Requester();
-    slot.memory_mb = 64;
-    slot.cpu_fraction = 1.0;
-    slots.push_back(slot);
-  }
-  // Slot 2 demands more memory than the whole machine: it alone fails.
-  slots[2].memory_mb = 4096;
-  const std::vector<Status> statuses = table_.AdmitBatch(slots, SimTime(0));
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_TRUE(statuses[1].ok());
-  EXPECT_EQ(statuses[2].code(), ErrorCode::kNoResources);
-  EXPECT_EQ(table_.live_count(), 2u);
-  EXPECT_EQ(table_.admitted(), 2u);
-  EXPECT_EQ(table_.rejected(), 1u);
-}
-
-TEST_F(ReservationFixture, AdmitBatchEarlierSlotsClaimCapacity) {
-  // One snapshot: slot i+1 sees slot i's grant.  Two exclusive windows
-  // over the same span cannot both land, whichever order they arrive in.
-  std::vector<ReservationTable::BatchAdmitSlot> slots(2);
-  for (auto& slot : slots) {
-    slot.token = Issue(SimTime(0), Duration::Hours(1),
-                       ReservationType::ReusableSpaceSharing());
-    slot.requester = Requester();
-    slot.memory_mb = 64;
-  }
-  const std::vector<Status> statuses = table_.AdmitBatch(slots, SimTime(0));
-  ASSERT_EQ(statuses.size(), 2u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_EQ(statuses[1].code(), ErrorCode::kNoResources);
-  EXPECT_EQ(table_.live_count(), 1u);
-}
-
-TEST_F(ReservationFixture, AdmitBatchSharedCapacityAccumulates) {
-  // 4 CPUs x 2.0 oversubscription = 8 units; slots of 1.0 each, so a
-  // 10-slot batch grants exactly the first 8.
-  std::vector<ReservationTable::BatchAdmitSlot> slots(10);
-  for (auto& slot : slots) {
-    slot.token = Issue(SimTime(0), Duration::Hours(1),
-                       ReservationType::OneShotTimesharing());
-    slot.requester = Requester();
-    slot.memory_mb = 16;
-    slot.cpu_fraction = 1.0;
-  }
-  const std::vector<Status> statuses = table_.AdmitBatch(slots, SimTime(0));
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_TRUE(statuses[i].ok()) << i;
-  for (std::size_t i = 8; i < 10; ++i) {
-    EXPECT_EQ(statuses[i].code(), ErrorCode::kNoResources) << i;
-  }
-  EXPECT_EQ(table_.live_count(), 8u);
-}
-
-TEST_F(ReservationFixture, AdmitBatchMatchesSequentialAdmits) {
-  // A batch of n slots must decide exactly as n sequential Admit calls
-  // (the batched==unbatched equivalence the Enactor relies on).
-  ReservationTable sequential(HostCapacity{4, 1024, 2.0});
-  std::vector<ReservationTable::BatchAdmitSlot> slots(6);
-  std::vector<ReservationTable::BatchAdmitSlot> twins(6);
-  TokenAuthority twin_authority(99);  // same seed as the fixture's
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const ReservationType type = (i % 2 == 0)
-                                     ? ReservationType::OneShotTimesharing()
-                                     : ReservationType::ReusableSpaceSharing();
-    slots[i].token = Issue(SimTime(0), Duration::Hours(1), type);
-    slots[i].requester = Requester();
-    slots[i].memory_mb = 64;
-    slots[i].cpu_fraction = 1.5;
-    twins[i] = slots[i];
-    twins[i].token = twin_authority.Issue(HostLoid(), VaultLoid(), SimTime(0),
-                                          Duration::Hours(1), Duration::Zero(),
-                                          type);
-  }
-  const std::vector<Status> batched = table_.AdmitBatch(slots, SimTime(0));
-  for (std::size_t i = 0; i < twins.size(); ++i) {
-    const Status single =
-        sequential.Admit(twins[i].token, twins[i].requester,
-                         twins[i].memory_mb, twins[i].cpu_fraction, SimTime(0));
-    EXPECT_EQ(batched[i].ok(), single.ok()) << i;
-    EXPECT_EQ(batched[i].code(), single.code()) << i;
-  }
-  EXPECT_EQ(table_.live_count(), sequential.live_count());
-}
-
 // ---- All four Table-2 types, parameterized -------------------------------------
 
 struct TypeCase {
