@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace legion {
 
@@ -54,17 +55,18 @@ bool CollectionObject::Authorized(const Loid& caller,
 void CollectionObject::Upsert(const Loid& member,
                               const AttributeDatabase& attributes) {
   CollectionRecord& record = records_[member];
-  // Keep the indexes in lockstep with the store: unindex the outgoing
-  // attribute values before they are overwritten.
-  indexes_.Remove(member, record.attributes);
-  record.member = member;
-  record.attributes = attributes;
+  // Build the incoming record in the spare (copy-assignment reuses its
+  // map nodes), re-index only the attributes that changed, then swap it
+  // in; the outgoing attributes become the next spare.
+  spare_ = attributes;
   // Every record self-identifies so injected functions can key external
   // state (e.g. load history) by member.
-  record.attributes.Set("member", member.ToString());
+  spare_.Set("member", member.ToString());
+  indexes_.Update(member, record.attributes, spare_);
+  std::swap(record.attributes, spare_);
+  record.member = member;
   record.updated_at = kernel()->Now();
   ++record.update_count;
-  indexes_.Add(member, record.attributes);
   cells_.updates_applied->Add();
   JournalDelta(CollectionDelta::Kind::kUpsert, member, record.attributes);
 }

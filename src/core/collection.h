@@ -272,6 +272,9 @@ class CollectionObject : public LegionObject, public CollectionSink {
   CollectionOptions options_;
   std::unordered_map<Loid, CollectionRecord> records_;
   AttributeIndexes indexes_;
+  // Upsert's scratch record: holds the previous push's outgoing
+  // attributes so the next copy reuses their allocations.
+  AttributeDatabase spare_;
   std::unordered_set<Loid> trusted_;
   query::FunctionRegistry functions_;
   mutable query::CompileCache compile_cache_;

@@ -23,50 +23,109 @@ void MapErase(Map& map, const Key& key, const Loid& member) {
   if (it->second.empty()) map.erase(it);
 }
 
+// True when the two values occupy exactly the same index entries, so an
+// update from one to the other has nothing to re-index.  Numbers compare
+// as their double keys (an int and a double of equal value share one
+// entry; NaN has none), and lists live only in the presence set.
+bool SameEntries(const AttrValue& a, const AttrValue& b) {
+  if (a.is_numeric() && b.is_numeric()) {
+    const double x = a.as_double();
+    const double y = b.as_double();
+    return x == y || (std::isnan(x) && std::isnan(y));
+  }
+  if (a.storage().index() != b.storage().index()) return false;
+  if (a.is_string()) return a.as_string() == b.as_string();
+  if (a.is_bool()) return a.as_bool() == b.as_bool();
+  return true;  // both null, or both lists
+}
+
 }  // namespace
 
 void AttributeIndexes::Add(const Loid& member, const AttributeDatabase& attrs) {
-  for (const auto& [name, value] : attrs) {
-    if (value.is_null()) continue;
-    PerAttribute& index = attrs_[name];
-    index.present.insert(member);
-    if (value.is_string()) {
-      MapInsert(index.by_string, value.as_string(), member);
-    } else if (value.is_numeric()) {
-      const double key = value.as_double();
-      if (!std::isnan(key)) MapInsert(index.by_number, key, member);
-    } else if (value.is_bool()) {
-      index.by_bool[value.as_bool() ? 1 : 0].insert(member);
-    }
-    // Lists are reachable through the presence index only.
-  }
+  Update(member, AttributeDatabase{}, attrs);
 }
 
 void AttributeIndexes::Remove(const Loid& member,
                               const AttributeDatabase& attrs) {
-  for (const auto& [name, value] : attrs) {
-    if (value.is_null()) continue;
+  Update(member, attrs, AttributeDatabase{});
+}
+
+void AttributeIndexes::Update(const Loid& member,
+                              const AttributeDatabase& before,
+                              const AttributeDatabase& after) {
+  // Both databases iterate in name order: merge them, treating a name
+  // missing on one side as null there.
+  static const AttrValue kNull;
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    // < 0: the name is only in `before`; > 0: only in `after`.
+    int order = 1;
+    if (a == after.end()) {
+      order = -1;
+    } else if (b != before.end()) {
+      order = b->first.compare(a->first);
+    }
+    const std::string& name = order <= 0 ? b->first : a->first;
+    const AttrValue& old_value = order <= 0 ? b->second : kNull;
+    const AttrValue& new_value = order >= 0 ? a->second : kNull;
+    if (!SameEntries(old_value, new_value)) {
+      Reindex(member, name, old_value, new_value);
+    }
+    if (order <= 0) ++b;
+    if (order >= 0) ++a;
+  }
+}
+
+void AttributeIndexes::Reindex(const Loid& member, const std::string& name,
+                               const AttrValue& old_value,
+                               const AttrValue& new_value) {
+  if (new_value.is_null()) {
     auto it = attrs_.find(name);
-    if (it == attrs_.end()) continue;
+    if (it == attrs_.end()) return;
     PerAttribute& index = it->second;
     index.present.erase(member);
-    if (value.is_string()) {
-      MapErase(index.by_string, value.as_string(), member);
-    } else if (value.is_numeric()) {
-      const double key = value.as_double();
-      if (!std::isnan(key)) MapErase(index.by_number, key, member);
-    } else if (value.is_bool()) {
-      index.by_bool[value.as_bool() ? 1 : 0].erase(member);
-    }
+    EraseValue(index, old_value, member);
     if (index.present.empty() && index.by_string.empty() &&
         index.by_number.empty() && index.by_bool[0].empty() &&
         index.by_bool[1].empty()) {
       attrs_.erase(it);
     }
+    return;
   }
+  PerAttribute& index = attrs_[name];
+  if (old_value.is_null()) {
+    index.present.insert(member);
+  } else {
+    EraseValue(index, old_value, member);
+  }
+  InsertValue(index, new_value, member);
 }
 
-void AttributeIndexes::Clear() { attrs_.clear(); }
+void AttributeIndexes::InsertValue(PerAttribute& index, const AttrValue& value,
+                                   const Loid& member) {
+  if (value.is_string()) {
+    MapInsert(index.by_string, value.as_string(), member);
+  } else if (value.is_numeric()) {
+    const double key = value.as_double();
+    if (!std::isnan(key)) MapInsert(index.by_number, key, member);
+  } else if (value.is_bool()) {
+    index.by_bool[value.as_bool() ? 1 : 0].insert(member);
+  }
+  // Lists are reachable through the presence index only.
+}
+
+void AttributeIndexes::EraseValue(PerAttribute& index, const AttrValue& value,
+                                  const Loid& member) {
+  if (value.is_string()) {
+    MapErase(index.by_string, value.as_string(), member);
+  } else if (value.is_numeric()) {
+    const double key = value.as_double();
+    if (!std::isnan(key)) MapErase(index.by_number, key, member);
+  } else if (value.is_bool()) {
+    index.by_bool[value.as_bool() ? 1 : 0].erase(member);
+  }
+}
 
 void AttributeIndexes::PredicateInto(const query::SargablePredicate& pred,
                                      std::vector<Loid>* out) const {

@@ -11,10 +11,12 @@
 //   * presence -> member set of records carrying a non-null value
 //     (serves defined($attr); lists appear only here).
 //
-// Maintained incrementally by the Collection on join/update/leave under
-// the store's write lock; Eval() runs under the shared lock.  Member
-// sets are ordered by LOID, so candidate lists come out sorted in the
-// Collection's canonical result order for free.
+// Maintained by diff on the single simulation thread (DESIGN.md §3,
+// §8): on join, update and leave the Collection hands Update() the
+// stored record and its replacement, and only the entries of attributes
+// whose value changed are touched.  Member sets are ordered by LOID, so
+// candidate lists come out sorted in the Collection's canonical result
+// order for free.
 //
 // The candidate contract matches planner.h: for any record matching the
 // full query, the plan's candidate set contains it.  Range boundaries
@@ -37,12 +39,17 @@ namespace legion {
 
 class AttributeIndexes {
  public:
-  // Index every attribute of `attrs` for `member`.  The caller keeps
-  // Add/Remove paired with the stored record so the structures never
-  // drift from the store.
+  // Moves `member`'s entries from the record `before` to the record
+  // `after`: a name only in `before` is unindexed, a name only in
+  // `after` is indexed, and a name whose value changed kind or value is
+  // re-indexed.  Unchanged names cost one comparison.  The caller keeps
+  // `before` equal to what it last indexed for `member`, so the
+  // structures never drift from the store.
+  void Update(const Loid& member, const AttributeDatabase& before,
+              const AttributeDatabase& after);
+  // Update from or to an empty record (join and leave).
   void Add(const Loid& member, const AttributeDatabase& attrs);
   void Remove(const Loid& member, const AttributeDatabase& attrs);
-  void Clear();
 
   // The result of evaluating an index plan.
   struct Candidates {
@@ -70,6 +77,17 @@ class AttributeIndexes {
     std::set<Loid> by_bool[2];
     std::set<Loid> present;
   };
+
+  // Moves `member` from `old_value`'s entries to `new_value`'s under
+  // attribute `name`; a null value has no entries.
+  void Reindex(const Loid& member, const std::string& name,
+               const AttrValue& old_value, const AttrValue& new_value);
+  // The value-keyed entry (string, number or bool set) of a non-null
+  // value; the presence set is the caller's.
+  static void InsertValue(PerAttribute& index, const AttrValue& value,
+                          const Loid& member);
+  static void EraseValue(PerAttribute& index, const AttrValue& value,
+                         const Loid& member);
 
   void EvalInto(const query::IndexPlan& plan, std::vector<Loid>* out) const;
   void PredicateInto(const query::SargablePredicate& pred,

@@ -52,8 +52,6 @@ void HostObject::MakeReservation(const ReservationRequest& request,
 void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
                                       Callback<ReservationBatchReply> done) {
   const SimTime now = kernel()->Now();
-  table_.ExpireStale(now);
-
   auto batch = std::make_shared<PendingBatch>();
   // At-most-once admission: a batch whose reply was lost comes back under
   // the same id.  It gets the recorded reply if the original finished, or
@@ -153,7 +151,6 @@ void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
   // that individually fit but jointly exceed the queue's capacity admit
   // one and refuse the other, never both.  A vetoed slot burns no serial;
   // a slot the table rejects burns the serial it was issued.
-  table_.ExpireStale(now);
   for (std::size_t i = 0; i < batch->request.slots.size(); ++i) {
     if (!batch->admissible[i]) continue;
     const ReservationRequest& slot = batch->request.slots[i].request;
@@ -626,6 +623,7 @@ void HostObject::SpikeLoad(double level) {
 }
 
 void HostObject::ReassessState() {
+  // Expire first so host_live_reservations counts only live windows.
   table_.ExpireStale(kernel()->Now());
   load_model_.Step();
   RepopulateAttributes();

@@ -1,6 +1,6 @@
 #include "resources/reservation.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace legion {
 
@@ -10,12 +10,8 @@ const char* ToString(ReservationState state) {
       return "pending";
     case ReservationState::kConfirmed:
       return "confirmed";
-    case ReservationState::kCancelled:
-      return "cancelled";
     case ReservationState::kExpired:
       return "expired";
-    case ReservationState::kConsumed:
-      return "consumed";
   }
   return "unknown";
 }
@@ -93,18 +89,18 @@ Status ReservationTable::Admit(const ReservationToken& token,
   record.memory_mb = memory_mb;
   record.cpu_fraction = cpu_fraction;
   record.state = ReservationState::kPending;
-  records_[token.serial] = std::move(record);
+  next_deadline_ = std::min(next_deadline_, Deadline(record));
+  records_.emplace(token.serial, std::move(record));
   ++admitted_;
+  ++live_;
   return Status::Ok();
 }
 
 bool ReservationTable::Check(const ReservationToken& token, SimTime now) {
+  // After ExpireStale(now) every record left has an open window.
   ExpireStale(now);
   auto it = records_.find(token.serial);
-  if (it == records_.end()) return false;
-  const ReservationRecord& record = it->second;
-  if (!Live(record)) return false;
-  return now < record.token.start + record.token.duration;
+  return it != records_.end() && Live(it->second);
 }
 
 bool ReservationTable::Cancel(const ReservationToken& token, SimTime now) {
@@ -114,7 +110,8 @@ bool ReservationTable::Cancel(const ReservationToken& token, SimTime now) {
   ExpireStale(now);
   auto it = records_.find(token.serial);
   if (it == records_.end() || !Live(it->second)) return false;
-  it->second.state = ReservationState::kCancelled;
+  records_.erase(it);
+  --live_;
   ++cancelled_;
   return true;
 }
@@ -123,25 +120,22 @@ Status ReservationTable::Redeem(const ReservationToken& token, SimTime now) {
   ExpireStale(now);
   auto it = records_.find(token.serial);
   if (it == records_.end()) {
-    return Status::Error(ErrorCode::kInvalidToken, "unknown reservation");
+    // Dead records leave the table; the token's own window tells the two
+    // dead-token answers apart.
+    if (now >= token.start + token.duration) {
+      return Status::Error(ErrorCode::kExpired, "reservation expired");
+    }
+    return Status::Error(ErrorCode::kInvalidToken,
+                         "reservation unknown, cancelled or used");
   }
   ReservationRecord& record = it->second;
-  switch (record.state) {
-    case ReservationState::kCancelled:
-      return Status::Error(ErrorCode::kInvalidToken, "reservation cancelled");
-    case ReservationState::kExpired:
-      return Status::Error(ErrorCode::kExpired, "reservation expired");
-    case ReservationState::kConsumed:
-      return Status::Error(ErrorCode::kInvalidToken,
-                           "one-shot reservation already used");
-    case ReservationState::kPending:
-    case ReservationState::kConfirmed:
-      break;
+  if (record.state == ReservationState::kExpired) {
+    return Status::Error(ErrorCode::kExpired, "reservation expired");
   }
   // Early presentation (before the window opens) is allowed and counts as
   // confirmation; execution is the host's concern (it defers the launch).
-  // A passed window cannot reach this point: ExpireStale(now) above already
-  // expired it, so the state switch returned kExpired.
+  // A passed window cannot reach this point: ExpireStale(now) above
+  // already erased it.
   //
   // The reuse bit: a one-shot token is good for exactly one StartObject.
   if (!record.token.type.reuse && record.uses >= 1) {
@@ -158,33 +152,49 @@ Status ReservationTable::Redeem(const ReservationToken& token, SimTime now) {
 void ReservationTable::OnJobDone(const ReservationToken& token) {
   auto it = records_.find(token.serial);
   if (it == records_.end()) return;
-  ReservationRecord& record = it->second;
   // One-shot reservations expire when the job is done (paper Table 2
   // discussion); reusable reservations persist for the whole window.
-  if (!record.token.type.reuse && Live(record)) {
-    record.state = ReservationState::kConsumed;
+  // `token` may alias the record, so it is not read past the erase.
+  if (!it->second.token.type.reuse && Live(it->second)) {
+    records_.erase(it);
+    --live_;
+    ++consumed_;
   }
 }
 
+SimTime ReservationTable::Deadline(const ReservationRecord& r) {
+  const SimTime end = r.token.start + r.token.duration;
+  if (r.state == ReservationState::kPending &&
+      r.token.confirm_timeout > Duration::Zero()) {
+    return std::min(end, r.token.start + r.token.confirm_timeout);
+  }
+  return end;
+}
+
 std::size_t ReservationTable::ExpireStale(SimTime now) {
+  if (now < next_deadline_) return 0;
   std::size_t n = 0;
-  for (auto& [serial, record] : records_) {
-    if (!Live(record)) continue;
+  next_deadline_ = SimTime::Max();
+  for (auto it = records_.begin(); it != records_.end();) {
+    ReservationRecord& record = it->second;
+    const ReservationToken& t = record.token;
+    const bool closed = now >= t.start + t.duration;
     // Confirmation timeout: only pending instantaneous reservations.
-    if (record.state == ReservationState::kPending &&
-        record.token.confirm_timeout > Duration::Zero() &&
-        record.token.start <= now &&
-        now >= record.token.start + record.token.confirm_timeout) {
+    const bool lapsed = record.state == ReservationState::kPending &&
+                        t.confirm_timeout > Duration::Zero() &&
+                        t.start <= now && now >= t.start + t.confirm_timeout;
+    if (Live(record) && (closed || lapsed)) {
       record.state = ReservationState::kExpired;
+      --live_;
       ++expired_;
       ++n;
+    }
+    if (closed) {
+      it = records_.erase(it);
       continue;
     }
-    if (now >= record.token.start + record.token.duration) {
-      record.state = ReservationState::kExpired;
-      ++expired_;
-      ++n;
-    }
+    next_deadline_ = std::min(next_deadline_, Deadline(record));
+    ++it;
   }
   return n;
 }
@@ -192,14 +202,6 @@ std::size_t ReservationTable::ExpireStale(SimTime now) {
 const ReservationRecord* ReservationTable::Find(std::uint64_t serial) const {
   auto it = records_.find(serial);
   return it == records_.end() ? nullptr : &it->second;
-}
-
-std::size_t ReservationTable::live_count() const {
-  std::size_t n = 0;
-  for (const auto& [serial, record] : records_) {
-    if (Live(record)) ++n;
-  }
-  return n;
 }
 
 double ReservationTable::SharedCpuLoadAt(SimTime t) const {

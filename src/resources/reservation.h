@@ -27,12 +27,13 @@
 
 namespace legion {
 
+// The states a record can hold while it is in the table.  Cancelled and
+// consumed records leave the table at once, and every record leaves when
+// its window ends (see ReservationTable).
 enum class ReservationState {
   kPending,    // granted, awaiting confirmation (instantaneous + timeout)
   kConfirmed,  // confirmed by a StartObject presenting the token
-  kCancelled,
-  kExpired,    // confirmation timeout elapsed or window passed
-  kConsumed,   // one-shot token used up
+  kExpired,    // confirmation timeout elapsed; kept until the window ends
 };
 
 const char* ToString(ReservationState state);
@@ -54,6 +55,21 @@ struct HostCapacity {
   double oversubscription = 1.0;  // >1 allows timesharing beyond cpus
 };
 
+// The table holds only records something can still observe (DESIGN.md
+// §11), so every operation costs what is live, not what has happened:
+//   * Cancel erases the record, and so does job-done on a one-shot
+//     reservation;
+//   * a live record whose window ends is counted expired and erased;
+//   * a pending record that misses its confirmation timeout is counted
+//     expired but stays until its window ends, so Redeem can still
+//     answer kExpired for it.
+// A token whose serial the table no longer holds is dead.  Redeem tells
+// the two dead-token answers apart by the token's own window: kExpired
+// once it has closed, kInvalidToken before that (cancelled, used, or
+// never admitted here).
+//
+// Invariant: admitted() == live_count() + cancelled() + expired() +
+// consumed().
 class ReservationTable {
  public:
   explicit ReservationTable(HostCapacity capacity) : capacity_(capacity) {}
@@ -90,10 +106,12 @@ class ReservationTable {
 
   // Expires pending reservations whose confirmation timeout elapsed and
   // live reservations whose window fully passed.  Returns # expired.
+  // Returns at once until the earliest deadline on the table has passed;
+  // then it walks the (live-only) table once.
   std::size_t ExpireStale(SimTime now);
 
   const ReservationRecord* Find(std::uint64_t serial) const;
-  std::size_t live_count() const;
+  std::size_t live_count() const { return live_; }
   std::size_t size() const { return records_.size(); }
 
   // Aggregate demand admitted for the instant `t` (live, shared).
@@ -104,6 +122,7 @@ class ReservationTable {
   std::uint64_t rejected() const { return rejected_; }
   std::uint64_t cancelled() const { return cancelled_; }
   std::uint64_t expired() const { return expired_; }
+  std::uint64_t consumed() const { return consumed_; }
 
  private:
   static bool Live(const ReservationRecord& r) {
@@ -115,13 +134,22 @@ class ReservationTable {
     SimTime b_end = b.start + b.duration;
     return a.start < b_end && b.start < a_end;
   }
+  // The instant ExpireStale next has work on `r`: its confirmation
+  // deadline while pending, else its window end.
+  static SimTime Deadline(const ReservationRecord& r);
 
   HostCapacity capacity_;
   std::unordered_map<std::uint64_t, ReservationRecord> records_;
+  std::size_t live_ = 0;
+  // No record's Deadline() is earlier.  Admit lowers it; records that
+  // leave early (cancelled, consumed, confirmed) can leave it stale-low,
+  // which costs one rescan that finds nothing and recomputes it.
+  SimTime next_deadline_ = SimTime::Max();
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t expired_ = 0;
+  std::uint64_t consumed_ = 0;
 };
 
 }  // namespace legion

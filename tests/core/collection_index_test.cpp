@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <vector>
+
+#include "base/rng.h"
 #include "core/collection.h"
 #include "test_world.h"
 
@@ -146,6 +151,154 @@ TEST(AttributeIndexesTest, EstimateHonorsTheCap) {
   EXPECT_EQ(indexes.Estimate(plan, 1000), 50u);
   // Capped: stops counting shortly past the cap instead of walking all.
   EXPECT_GT(indexes.Estimate(plan, 10), 10u);
+}
+
+// ---- Diff maintenance: Update == Remove + Add ------------------------------
+
+// A small vocabulary so random records collide on names and values.
+const char* const kNames[] = {"arch", "cpus", "load", "up", "vaults", "tag"};
+
+AttrValue RandomValue(Rng& rng) {
+  switch (rng.Index(9)) {
+    case 0:
+      return AttrValue();  // null: present in the record, never indexed
+    case 1:
+      return AttrValue(rng.Bernoulli(0.5) ? "x86" : "sparc");
+    case 2:
+      return AttrValue(rng.UniformInt(0, 3));
+    case 3:
+      // Half-steps, so doubles land on the ints' values as often as not.
+      return AttrValue(0.5 * static_cast<double>(rng.UniformInt(0, 6)));
+    case 4:
+      return AttrValue(rng.Bernoulli(0.5));
+    case 5:
+      return AttrValue(AttrList{"v1", rng.Bernoulli(0.5)});
+    case 6:
+      return AttrValue(std::numeric_limits<double>::quiet_NaN());
+    case 7:
+      return AttrValue(std::int64_t{2});  // equal to the double 2.0
+    default:
+      return AttrValue(2.0);
+  }
+}
+
+AttributeDatabase RandomDatabase(Rng& rng) {
+  AttributeDatabase db;
+  for (const char* name : kNames) {
+    if (rng.Bernoulli(0.6)) db.Set(name, RandomValue(rng));
+  }
+  return db;
+}
+
+// Every predicate shape over every name, plus and/or pairs of them.
+std::vector<query::IndexPlan> PlanBattery() {
+  using Op = query::PredicateOp;
+  const std::vector<AttrValue> literals = {"x86", "sparc", true, false,
+                                          2,     2.0,     1.5,  0};
+  std::vector<query::IndexPlan> plans;
+  for (const char* name : kNames) {
+    plans.push_back(Pred(name, Op::kDefined));
+    for (const AttrValue& literal : literals) {
+      plans.push_back(Pred(name, Op::kEq, literal));
+      if (!literal.is_numeric()) continue;
+      for (Op op : {Op::kLt, Op::kLe, Op::kGt, Op::kGe}) {
+        plans.push_back(Pred(name, op, literal));
+      }
+    }
+  }
+  const std::size_t singles = plans.size();
+  for (std::size_t i = 0; i + 7 < singles; i += 7) {
+    for (auto kind : {query::IndexPlan::Kind::kAnd,
+                      query::IndexPlan::Kind::kOr}) {
+      query::IndexPlan pair;
+      pair.kind = kind;
+      pair.children = {plans[i], plans[i + 7]};
+      plans.push_back(pair);
+    }
+  }
+  return plans;
+}
+
+void ExpectSameAnswers(const AttributeIndexes& actual,
+                       const AttributeIndexes& expected,
+                       const std::vector<query::IndexPlan>& plans,
+                       int step) {
+  ASSERT_EQ(actual.attribute_count(), expected.attribute_count())
+      << "step " << step;
+  for (const query::IndexPlan& plan : plans) {
+    ASSERT_EQ(actual.Eval(plan).members, expected.Eval(plan).members)
+        << plan.ToString() << " at step " << step;
+    ASSERT_EQ(actual.Estimate(plan, 1000), expected.Estimate(plan, 1000))
+        << plan.ToString() << " at step " << step;
+  }
+}
+
+class IndexDiffEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IndexDiffEquivalence, UpdateMatchesRemoveThenAdd) {
+  constexpr std::size_t kMembers = 6;
+  Rng rng(GetParam());
+  const std::vector<query::IndexPlan> plans = PlanBattery();
+  AttributeIndexes diffed;
+  AttributeIndexes rebuilt;
+  std::vector<AttributeDatabase> stored(kMembers);
+  for (int step = 0; step < 300; ++step) {
+    const std::size_t m = rng.Index(kMembers);
+    // Mostly small edits of the stored record, sometimes a fresh one
+    // (or an empty one: join and leave).
+    AttributeDatabase next = stored[m];
+    const double shape = rng.UniformDouble();
+    if (shape < 0.1) {
+      next = AttributeDatabase{};
+    } else if (shape < 0.3) {
+      next = RandomDatabase(rng);
+    } else {
+      const char* name = kNames[rng.Index(std::size(kNames))];
+      if (rng.Bernoulli(0.2)) {
+        next.Erase(name);
+      } else {
+        next.Set(name, RandomValue(rng));
+      }
+    }
+    diffed.Update(M(m + 1), stored[m], next);
+    rebuilt.Remove(M(m + 1), stored[m]);
+    rebuilt.Add(M(m + 1), next);
+    stored[m] = next;
+    ExpectSameAnswers(diffed, rebuilt, plans, step);
+    if (HasFatalFailure()) return;
+  }
+  // And both agree with indexes built from scratch over the final store.
+  AttributeIndexes fresh;
+  for (std::size_t m = 0; m < kMembers; ++m) fresh.Add(M(m + 1), stored[m]);
+  ExpectSameAnswers(diffed, fresh, plans, -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexDiffEquivalence,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(AttributeIndexesTest, UpdateTouchesOnlyChangedNames) {
+  AttributeIndexes indexes;
+  AttributeDatabase before;
+  before.Set("arch", "x86");
+  before.Set("load", 0.5);
+  before.Set("gone", true);
+  indexes.Add(M(1), before);
+  AttributeDatabase after;
+  after.Set("arch", "x86");
+  after.Set("load", 2);  // numeric kind change
+  after.Set("fresh", "yes");
+  indexes.Update(M(1), before, after);
+  using Op = query::PredicateOp;
+  EXPECT_EQ(indexes.Eval(Pred("arch", Op::kEq, AttrValue("x86"))).members,
+            (std::vector<Loid>{M(1)}));
+  EXPECT_TRUE(
+      indexes.Eval(Pred("load", Op::kEq, AttrValue(0.5))).members.empty());
+  EXPECT_EQ(indexes.Eval(Pred("load", Op::kEq, AttrValue(2.0))).members,
+            (std::vector<Loid>{M(1)}));
+  EXPECT_TRUE(indexes.Eval(Pred("gone", Op::kDefined)).members.empty());
+  EXPECT_EQ(indexes.Eval(Pred("fresh", Op::kDefined)).members,
+            (std::vector<Loid>{M(1)}));
+  EXPECT_EQ(indexes.attribute_count(), 3u);  // arch, load, fresh
 }
 
 // ---- Maintenance through the Collection ------------------------------------

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace legion {
 namespace {
 
@@ -102,8 +104,13 @@ TEST_F(ReservationFixture, OneShotExpiresWhenJobDone) {
   ASSERT_TRUE(Admit(token, SimTime(0)).ok());
   ASSERT_TRUE(table_.Redeem(token, SimTime(1)).ok());
   table_.OnJobDone(token);
-  EXPECT_EQ(table_.Find(token.serial)->state, ReservationState::kConsumed);
+  // A consumed record leaves the table at once.
+  EXPECT_EQ(table_.Find(token.serial), nullptr);
+  EXPECT_EQ(table_.consumed(), 1u);
+  EXPECT_EQ(table_.live_count(), 0u);
   EXPECT_FALSE(table_.Check(token, SimTime(2)));
+  EXPECT_EQ(table_.Redeem(token, SimTime(2)).code(),
+            ErrorCode::kInvalidToken);
 }
 
 TEST_F(ReservationFixture, ReusableSurvivesJobDone) {
@@ -255,6 +262,183 @@ TEST_F(ReservationFixture, SharedCpuLoadAtInstant) {
                    3.0);
   EXPECT_DOUBLE_EQ(
       table_.SharedCpuLoadAt(SimTime(0) + Duration::Minutes(80)), 2.0);
+}
+
+// ---- Record lifecycle: the table keeps only live records ------------------
+
+// Every admitted record is live or has left by exactly one exit.
+std::uint64_t Accounted(const ReservationTable& table) {
+  return table.live_count() + table.cancelled() + table.expired() +
+         table.consumed();
+}
+
+TEST_F(ReservationFixture, DeadTokensInsideTheirWindowAreInvalid) {
+  const SimTime t0(0);
+  const Duration hour = Duration::Hours(1);
+  auto cancelled = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  auto used = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  auto done = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  auto unknown = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  ASSERT_TRUE(Admit(cancelled, t0).ok());
+  ASSERT_TRUE(Admit(used, t0).ok());
+  ASSERT_TRUE(Admit(done, t0).ok());
+  ASSERT_TRUE(table_.Cancel(cancelled, t0));
+  ASSERT_TRUE(table_.Redeem(used, t0).ok());
+  ASSERT_TRUE(table_.Redeem(done, t0).ok());
+  table_.OnJobDone(done);
+
+  const SimTime inside = t0 + Duration::Minutes(30);
+  for (const auto& token : {cancelled, used, done, unknown}) {
+    EXPECT_EQ(table_.Redeem(token, inside).code(), ErrorCode::kInvalidToken)
+        << "serial " << token.serial;
+  }
+  // The used one-shot still holds its window while its job runs; the
+  // other dead tokens have left the table.
+  EXPECT_TRUE(table_.Check(used, inside));
+  EXPECT_EQ(table_.size(), 1u);
+}
+
+TEST_F(ReservationFixture, LapsedConfirmationAnswersExpiredUntilWindowEnd) {
+  const SimTime t0(0);
+  auto token = Issue(t0, Duration::Hours(1),
+                     ReservationType::OneShotTimesharing(),
+                     /*timeout=*/Duration::Minutes(5));
+  ASSERT_TRUE(Admit(token, t0).ok());
+  EXPECT_EQ(table_.ExpireStale(t0 + Duration::Minutes(5)), 1u);
+  // Counted expired at once, but kept so Redeem still owes kExpired.
+  EXPECT_EQ(table_.expired(), 1u);
+  EXPECT_EQ(table_.live_count(), 0u);
+  ASSERT_NE(table_.Find(token.serial), nullptr);
+  EXPECT_EQ(table_.Redeem(token, t0 + Duration::Minutes(30)).code(),
+            ErrorCode::kExpired);
+  EXPECT_FALSE(table_.Cancel(token, t0 + Duration::Minutes(30)));
+  // At the window end the record leaves without being counted twice.
+  EXPECT_EQ(table_.ExpireStale(t0 + Duration::Hours(1)), 0u);
+  EXPECT_EQ(table_.Find(token.serial), nullptr);
+  EXPECT_EQ(table_.expired(), 1u);
+  EXPECT_EQ(table_.Redeem(token, t0 + Duration::Hours(2)).code(),
+            ErrorCode::kExpired);
+}
+
+TEST_F(ReservationFixture, EveryTokenPastItsWindowAnswersExpired) {
+  const SimTime t0(0);
+  const Duration hour = Duration::Hours(1);
+  auto expired = Issue(t0, hour, ReservationType::ReusableTimesharing());
+  auto cancelled = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  auto done = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  auto lapsed = Issue(t0, hour, ReservationType::OneShotTimesharing(),
+                      /*timeout=*/Duration::Minutes(5));
+  auto unknown = Issue(t0, hour, ReservationType::OneShotTimesharing());
+  for (const auto& token : {expired, cancelled, done, lapsed}) {
+    ASSERT_TRUE(Admit(token, t0).ok());
+  }
+  ASSERT_TRUE(table_.Cancel(cancelled, t0));
+  ASSERT_TRUE(table_.Redeem(done, t0).ok());
+  table_.OnJobDone(done);
+
+  // At the edge and long after it, every dead token gets the same code.
+  for (const SimTime now : {t0 + hour, t0 + hour * 10.0}) {
+    for (const auto& token : {expired, cancelled, done, lapsed, unknown}) {
+      EXPECT_EQ(table_.Redeem(token, now).code(), ErrorCode::kExpired)
+          << "serial " << token.serial << " at " << now.ToString();
+    }
+  }
+  EXPECT_EQ(table_.size(), 0u);
+  EXPECT_EQ(table_.admitted(), Accounted(table_));
+}
+
+TEST_F(ReservationFixture, HistoryStaysBoundedOverALongStream) {
+  // Fifty simulated hours of admit, redeem, job-done, cancel and
+  // let-expire, with one-hour windows.  The table never holds more
+  // records than there are open windows, and empties once they close.
+  TokenAuthority authority(5);
+  ReservationTable table(HostCapacity{64, 1 << 20, 1.0});
+  std::vector<ReservationToken> admitted;
+  const Duration window = Duration::Hours(1);
+  const Duration step = Duration::Minutes(2);
+  const SimTime last = SimTime(0) + Duration::Hours(50);
+  std::size_t i = 0;
+  for (SimTime now(0); now < last; now = now + step, ++i) {
+    ReservationType type = ReservationType::ReusableTimesharing();
+    if (i % 2 == 0) type = ReservationType::OneShotTimesharing();
+    Duration timeout = Duration::Zero();
+    if (i % 5 == 4) timeout = Duration::Minutes(10);
+    ReservationToken token = authority.Issue(HostLoid(), VaultLoid(), now,
+                                             window, timeout, type);
+    ASSERT_TRUE(table.Admit(token, Requester(), 1, 0.5, now).ok());
+    admitted.push_back(token);
+    // Act on the reservation admitted ten minutes ago.
+    if (i >= 5) {
+      const ReservationToken& older = admitted[i - 5];
+      switch (i % 5) {
+        case 0:
+          ASSERT_TRUE(table.Redeem(older, now).ok());
+          table.OnJobDone(older);
+          break;
+        case 1:
+          ASSERT_TRUE(table.Cancel(older, now));
+          break;
+        case 2:
+          ASSERT_TRUE(table.Redeem(older, now).ok());
+          break;
+        default:
+          break;  // left to expire (case 4 misses its confirmation)
+      }
+    }
+    table.ExpireStale(now);
+    std::size_t open = 0;
+    for (const auto& token : admitted) {
+      if (now < token.start + token.duration) ++open;
+    }
+    ASSERT_LE(table.size(), open) << "at " << now.ToString();
+    ASSERT_EQ(table.admitted(), Accounted(table));
+  }
+  table.ExpireStale(admitted.back().start + window);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.live_count(), 0u);
+  EXPECT_EQ(table.admitted(), admitted.size());
+  EXPECT_EQ(table.admitted(), Accounted(table));
+}
+
+TEST_F(ReservationFixture, LaterAdmitWithEarlierDeadlineExpiresOnTime) {
+  const SimTime t0(0);
+  auto long_window = Issue(t0, Duration::Hours(1),
+                           ReservationType::ReusableTimesharing());
+  ASSERT_TRUE(Admit(long_window, t0).ok());
+  // Admitted later, but due first: its confirmation lapses at t0 + 3 min.
+  const SimTime admitted_at = t0 + Duration::Minutes(1);
+  auto due_first = Issue(admitted_at, Duration::Hours(1),
+                         ReservationType::OneShotTimesharing(),
+                         /*timeout=*/Duration::Minutes(2));
+  ASSERT_TRUE(Admit(due_first, admitted_at).ok());
+  const SimTime deadline = admitted_at + Duration::Minutes(2);
+  EXPECT_EQ(table_.ExpireStale(deadline - Duration::Micros(1)), 0u);
+  EXPECT_TRUE(table_.Check(due_first, deadline - Duration::Micros(1)));
+  EXPECT_EQ(table_.ExpireStale(deadline), 1u);
+  EXPECT_EQ(table_.Redeem(due_first, deadline).code(), ErrorCode::kExpired);
+  EXPECT_TRUE(table_.Check(long_window, deadline));
+  EXPECT_EQ(table_.live_count(), 1u);
+}
+
+TEST_F(ReservationFixture, CancellingTheEarliestDeadlineIsHarmless) {
+  const SimTime t0(0);
+  auto short_window = Issue(t0, Duration::Seconds(10),
+                            ReservationType::ReusableTimesharing());
+  auto long_window = Issue(t0, Duration::Hours(1),
+                           ReservationType::ReusableTimesharing());
+  ASSERT_TRUE(Admit(short_window, t0).ok());
+  ASSERT_TRUE(Admit(long_window, t0).ok());
+  ASSERT_TRUE(table_.Cancel(short_window, t0 + Duration::Seconds(1)));
+  // The cached minimum still names the cancelled record's window end:
+  // passing it rescans, finds nothing, and changes nothing.
+  EXPECT_EQ(table_.ExpireStale(t0 + Duration::Seconds(10)), 0u);
+  EXPECT_EQ(table_.live_count(), 1u);
+  EXPECT_EQ(table_.size(), 1u);
+  EXPECT_EQ(table_.cancelled(), 1u);
+  EXPECT_EQ(table_.expired(), 0u);
+  EXPECT_TRUE(table_.Check(long_window, t0 + Duration::Minutes(59)));
+  EXPECT_EQ(table_.ExpireStale(t0 + Duration::Hours(1)), 1u);
+  EXPECT_EQ(table_.size(), 0u);
 }
 
 // ---- All four Table-2 types, parameterized -------------------------------------
