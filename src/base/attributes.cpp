@@ -68,14 +68,29 @@ std::optional<int> CompareAttrValues(const AttrValue& a, const AttrValue& b) {
   return std::nullopt;
 }
 
+const AttributeDatabase::Map& AttributeDatabase::Attrs() const {
+  static const Map kEmpty;
+  return attrs_ ? *attrs_ : kEmpty;
+}
+
+AttributeDatabase::Map& AttributeDatabase::Mutable() {
+  if (!attrs_) {
+    attrs_ = std::make_shared<Map>();
+  } else if (attrs_.use_count() > 1) {
+    attrs_ = std::make_shared<Map>(*attrs_);
+  }
+  return *attrs_;
+}
+
 void AttributeDatabase::Set(const std::string& name, AttrValue value) {
-  attrs_[name] = std::move(value);
+  Mutable()[name] = std::move(value);
   ++version_;
 }
 
 const AttrValue* AttributeDatabase::Get(const std::string& name) const {
-  auto it = attrs_.find(name);
-  return it == attrs_.end() ? nullptr : &it->second;
+  if (!attrs_) return nullptr;
+  auto it = attrs_->find(name);
+  return it == attrs_->end() ? nullptr : &it->second;
 }
 
 AttrValue AttributeDatabase::GetOr(const std::string& name,
@@ -85,22 +100,28 @@ AttrValue AttributeDatabase::GetOr(const std::string& name,
 }
 
 bool AttributeDatabase::Has(const std::string& name) const {
-  return attrs_.count(name) != 0;
+  return Get(name) != nullptr;
 }
 
 bool AttributeDatabase::Erase(const std::string& name) {
-  bool erased = attrs_.erase(name) != 0;
-  if (erased) ++version_;
-  return erased;
+  // An absent name leaves a shared map shared.
+  if (!Has(name)) return false;
+  Mutable().erase(name);
+  ++version_;
+  return true;
 }
 
 void AttributeDatabase::Clear() {
-  attrs_.clear();
+  attrs_.reset();
   ++version_;
 }
 
 void AttributeDatabase::MergeFrom(const AttributeDatabase& other) {
-  for (const auto& [name, value] : other.attrs_) attrs_[name] = value;
+  // Merging itself or nothing changes no value, so it keeps any sharing.
+  if (this != &other && !other.empty()) {
+    Map& mine = Mutable();
+    for (const auto& [name, value] : other.Attrs()) mine[name] = value;
+  }
   ++version_;
 }
 
@@ -108,7 +129,7 @@ std::string AttributeDatabase::ToString() const {
   std::ostringstream os;
   os << '{';
   bool first = true;
-  for (const auto& [name, value] : attrs_) {
+  for (const auto& [name, value] : Attrs()) {
     if (!first) os << ", ";
     first = false;
     os << name << '=' << value.ToString();

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -79,6 +80,19 @@ std::optional<int> CompareAttrValues(const AttrValue& a, const AttrValue& b);
 // An attribute database: named attribute values with a monotone version
 // counter so Collections can detect stale pushes.  Names are kept sorted so
 // snapshots serialize deterministically.
+//
+// A copy-on-write value: copies share one map until either side writes,
+// and the first write through a shared handle clones the map first.  So a
+// host's push snapshot, the Collection's stored record, a federation
+// journal entry and every query reply holding the same attributes cost
+// one map between them, and a writer never disturbs another holder.  The
+// use_count() check behind this is sound because the simulation is
+// single-threaded (DESIGN.md §3).
+//
+// Rule for callers: a pointer from Get() or an iterator is valid only
+// until the next write through the same handle.  After the write it may
+// point into the old, still-shared map rather than the handle's own, so
+// never read through it again.
 class AttributeDatabase {
  public:
   void Set(const std::string& name, AttrValue value);
@@ -93,19 +107,26 @@ class AttributeDatabase {
   // Copies every attribute of `other` into this database (overwriting).
   void MergeFrom(const AttributeDatabase& other);
 
-  std::size_t size() const { return attrs_.size(); }
-  bool empty() const { return attrs_.empty(); }
+  std::size_t size() const { return attrs_ ? attrs_->size() : 0; }
+  bool empty() const { return size() == 0; }
 
   // Bumped on every mutation; lets readers detect change cheaply.
   std::uint64_t version() const { return version_; }
 
-  auto begin() const { return attrs_.begin(); }
-  auto end() const { return attrs_.end(); }
+  auto begin() const { return Attrs().begin(); }
+  auto end() const { return Attrs().end(); }
 
   std::string ToString() const;
 
  private:
-  std::map<std::string, AttrValue> attrs_;
+  using Map = std::map<std::string, AttrValue>;
+
+  // The shared map, or an empty one when nothing is stored.
+  const Map& Attrs() const;
+  // The map this handle may write: created if absent, cloned if shared.
+  Map& Mutable();
+
+  std::shared_ptr<Map> attrs_;  // null means empty
   std::uint64_t version_ = 0;
 };
 

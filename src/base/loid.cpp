@@ -1,7 +1,10 @@
 #include "base/loid.h"
 
+#include <charconv>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 namespace legion {
 
@@ -33,13 +36,28 @@ std::ostream& operator<<(std::ostream& os, const Loid& loid) {
   return os << loid.ToString();
 }
 
+namespace {
+
+// Parses all of `field` as an unsigned decimal that fits T.  from_chars
+// takes no sign, no whitespace and no prefix, and reports overflow.
+template <typename T>
+std::optional<T> ParseDecimal(std::string_view field) {
+  T value = 0;
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 std::optional<Loid> ParseLoid(const std::string& text) {
-  auto colon = text.find(':');
-  auto slash = text.find('/', colon == std::string::npos ? 0 : colon);
-  if (colon == std::string::npos || slash == std::string::npos) {
-    return std::nullopt;
-  }
-  const std::string space_name = text.substr(0, colon);
+  const std::string_view view(text);
+  const auto colon = view.find(':');
+  if (colon == std::string_view::npos) return std::nullopt;
+  const auto slash = view.find('/', colon);
+  if (slash == std::string_view::npos) return std::nullopt;
+  const std::string_view space_name = view.substr(0, colon);
   LoidSpace space = LoidSpace::kInvalid;
   for (auto candidate :
        {LoidSpace::kClass, LoidSpace::kHost, LoidSpace::kVault,
@@ -50,18 +68,11 @@ std::optional<Loid> ParseLoid(const std::string& text) {
     }
   }
   if (space == LoidSpace::kInvalid) return std::nullopt;
-  try {
-    std::size_t used = 0;
-    const std::string domain_str = text.substr(colon + 1, slash - colon - 1);
-    const unsigned long domain = std::stoul(domain_str, &used);
-    if (used != domain_str.size()) return std::nullopt;
-    const std::string serial_str = text.substr(slash + 1);
-    const unsigned long long serial = std::stoull(serial_str, &used);
-    if (used != serial_str.size()) return std::nullopt;
-    return Loid(space, static_cast<std::uint32_t>(domain), serial);
-  } catch (...) {
-    return std::nullopt;
-  }
+  const auto domain =
+      ParseDecimal<std::uint32_t>(view.substr(colon + 1, slash - colon - 1));
+  const auto serial = ParseDecimal<std::uint64_t>(view.substr(slash + 1));
+  if (!domain || !serial) return std::nullopt;
+  return Loid(space, *domain, *serial);
 }
 
 }  // namespace legion

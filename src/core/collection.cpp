@@ -55,15 +55,13 @@ bool CollectionObject::Authorized(const Loid& caller,
 void CollectionObject::Upsert(const Loid& member,
                               const AttributeDatabase& attributes) {
   CollectionRecord& record = records_[member];
-  // Build the incoming record in the spare (copy-assignment reuses its
-  // map nodes), re-index only the attributes that changed, then swap it
-  // in; the outgoing attributes become the next spare.
-  spare_ = attributes;
+  // The copy shares the push's map; setting "member" clones it once.
   // Every record self-identifies so injected functions can key external
   // state (e.g. load history) by member.
-  spare_.Set("member", member.ToString());
-  indexes_.Update(member, record.attributes, spare_);
-  std::swap(record.attributes, spare_);
+  AttributeDatabase next = attributes;
+  next.Set("member", member.ToString());
+  indexes_.Update(member, record.attributes, next);
+  record.attributes = std::move(next);
   record.member = member;
   record.updated_at = kernel()->Now();
   ++record.update_count;

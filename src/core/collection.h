@@ -236,8 +236,9 @@ class CollectionObject : public LegionObject, public CollectionSink {
   // after top-k pruning -- never per scanned candidate.
   void MaterializeDerived(CollectionRecord& record) const;
   // Applies ordering / top-k pruning to the matched records and copies
-  // the survivors out (materializing derived attributes).  `matched`
-  // must be sorted by member.
+  // the survivors out (materializing derived attributes); each copy
+  // shares the stored record's attribute map.  `matched` must be sorted
+  // by member.
   CollectionData EmitResults(std::vector<const CollectionRecord*>& matched,
                              const QueryOptions& options) const;
 
@@ -272,9 +273,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
   CollectionOptions options_;
   std::unordered_map<Loid, CollectionRecord> records_;
   AttributeIndexes indexes_;
-  // Upsert's scratch record: holds the previous push's outgoing
-  // attributes so the next copy reuses their allocations.
-  AttributeDatabase spare_;
   std::unordered_set<Loid> trusted_;
   query::FunctionRegistry functions_;
   mutable query::CompileCache compile_cache_;

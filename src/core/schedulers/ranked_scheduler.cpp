@@ -155,19 +155,22 @@ void RankedScheduler::NextClass(const std::shared_ptr<GenState>& state) {
                   std::min(nvariants_ + 1, ranked.size());
               for (std::size_t i = 0; i < instance_request.count; ++i) {
                 // Pick the current best (score + charged load), charge it,
-                // and record the next-best alternatives as variants.
+                // and record the next-best alternatives as variants.  Only
+                // the first `depth` ranks are read, and ties break by
+                // member, so selecting them equals sorting the whole pool.
                 std::vector<std::size_t> order(ranked.size());
                 for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
-                std::sort(order.begin(), order.end(),
-                          [&](std::size_t a, std::size_t b) {
-                            const double sa =
-                                ranked[a].score + ranked[a].extra_load;
-                            const double sb =
-                                ranked[b].score + ranked[b].extra_load;
-                            if (sa != sb) return sa < sb;
-                            return ranked[a].record->member <
-                                   ranked[b].record->member;
-                          });
+                std::partial_sort(order.begin(), order.begin() + depth,
+                                  order.end(),
+                                  [&](std::size_t a, std::size_t b) {
+                                    const double sa =
+                                        ranked[a].score + ranked[a].extra_load;
+                                    const double sb =
+                                        ranked[b].score + ranked[b].extra_load;
+                                    if (sa != sb) return sa < sb;
+                                    return ranked[a].record->member <
+                                           ranked[b].record->member;
+                                  });
                 std::vector<ObjectMapping> per_instance;
                 for (std::size_t rank = 0; rank < depth; ++rank) {
                   const Ranked& host = ranked[order[rank]];

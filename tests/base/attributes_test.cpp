@@ -125,5 +125,130 @@ TEST(AttributeDatabaseTest, IterationIsSortedByName) {
   EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
 }
 
+// Copy-on-write: copies share one map until either side writes.
+
+// The integer stored under `name`, or -1 when it is absent.
+std::int64_t IntOr(const AttributeDatabase& db, const std::string& name) {
+  return db.GetOr(name, AttrValue(-1)).as_int();
+}
+
+AttributeDatabase TwoEntries() {
+  AttributeDatabase db;
+  db.Set("k", 1);
+  db.Set("other", "x");
+  return db;
+}
+
+TEST(AttributeDatabaseTest, CopiesShareStorageUntilAWrite) {
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  ASSERT_NE(a.Get("k"), nullptr);
+  EXPECT_EQ(a.Get("k"), b.Get("k"));
+  AttributeDatabase c;
+  c = a;
+  EXPECT_EQ(c.Get("k"), a.Get("k"));
+  b.Set("other", "y");
+  EXPECT_NE(a.Get("k"), b.Get("k"));
+  EXPECT_EQ(a.Get("k"), c.Get("k"));
+  a.Set("k", 1);
+  EXPECT_NE(a.Get("k"), c.Get("k"));
+}
+
+TEST(AttributeDatabaseTest, SetOnASharedCopyIsIsolatedBothWays) {
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  b.Set("k", 2);
+  b.Set("new", 3);
+  EXPECT_EQ(IntOr(a, "k"), 1);
+  EXPECT_FALSE(a.Has("new"));
+  EXPECT_EQ(IntOr(b, "k"), 2);
+  AttributeDatabase c = a;
+  a.Set("k", 4);
+  EXPECT_EQ(IntOr(c, "k"), 1);
+  EXPECT_EQ(IntOr(a, "k"), 4);
+}
+
+TEST(AttributeDatabaseTest, EraseOnASharedCopyIsIsolatedBothWays) {
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  EXPECT_TRUE(b.Erase("k"));
+  EXPECT_TRUE(a.Has("k"));
+  EXPECT_FALSE(b.Has("k"));
+  AttributeDatabase c = a;
+  EXPECT_TRUE(a.Erase("other"));
+  EXPECT_TRUE(c.Has("other"));
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(a.size(), 1u);
+}
+
+TEST(AttributeDatabaseTest, EraseOfAnAbsentNameKeepsSharing) {
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  const auto version = b.version();
+  EXPECT_FALSE(b.Erase("missing"));
+  ASSERT_NE(a.Get("k"), nullptr);
+  EXPECT_EQ(a.Get("k"), b.Get("k"));
+  EXPECT_EQ(b.version(), version);
+}
+
+TEST(AttributeDatabaseTest, ClearOnASharedCopyIsIsolatedBothWays) {
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  b.Clear();
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(a.size(), 2u);
+  AttributeDatabase c = a;
+  a.Clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(IntOr(c, "k"), 1);
+}
+
+TEST(AttributeDatabaseTest, MergeFromOnASharedCopyIsIsolatedBothWays) {
+  AttributeDatabase extra;
+  extra.Set("k", 9);
+  extra.Set("z", 5);
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  b.MergeFrom(extra);
+  EXPECT_EQ(IntOr(a, "k"), 1);
+  EXPECT_FALSE(a.Has("z"));
+  EXPECT_EQ(IntOr(b, "k"), 9);
+  AttributeDatabase c = a;
+  a.MergeFrom(extra);
+  EXPECT_EQ(IntOr(c, "k"), 1);
+  EXPECT_FALSE(c.Has("z"));
+  EXPECT_EQ(IntOr(a, "z"), 5);
+  // The source is only read.
+  EXPECT_EQ(extra.size(), 2u);
+  // Merging a database into a copy of itself, or into itself, changes
+  // no value.
+  AttributeDatabase d = c;
+  d.MergeFrom(c);
+  d.MergeFrom(d);
+  EXPECT_EQ(d.ToString(), c.ToString());
+}
+
+TEST(AttributeDatabaseTest, VersionBumpsOnlyOnTheHandleThatWrote) {
+  AttributeDatabase a = TwoEntries();
+  AttributeDatabase b = a;
+  EXPECT_EQ(a.version(), b.version());
+  const auto before = a.version();
+  b.Set("k", 2);
+  EXPECT_EQ(a.version(), before);
+  EXPECT_GT(b.version(), before);
+  AttributeDatabase c = a;
+  for (auto write : {+[](AttributeDatabase& db) { db.Erase("k"); },
+                     +[](AttributeDatabase& db) { db.Clear(); },
+                     +[](AttributeDatabase& db) { db.MergeFrom(TwoEntries()); },
+                     +[](AttributeDatabase& db) { db.Set("n", 1); }}) {
+    const auto mine = c.version();
+    write(c);
+    EXPECT_GT(c.version(), mine);
+    EXPECT_EQ(a.version(), before);
+  }
+  EXPECT_EQ(a.ToString(), TwoEntries().ToString());
+}
+
 }  // namespace
 }  // namespace legion

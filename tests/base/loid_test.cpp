@@ -44,10 +44,13 @@ TEST(LoidTest, ToStringFormat) {
 TEST(LoidTest, ParseRoundTripsEverySpace) {
   for (auto space : {LoidSpace::kClass, LoidSpace::kHost, LoidSpace::kVault,
                      LoidSpace::kObject, LoidSpace::kService}) {
-    Loid original(space, 12, 345);
-    auto parsed = ParseLoid(original.ToString());
-    ASSERT_TRUE(parsed.has_value()) << original.ToString();
-    EXPECT_EQ(*parsed, original);
+    for (const Loid& original :
+         {Loid(space, 12, 345), Loid(space, 0, 0),
+          Loid(space, UINT32_MAX, UINT64_MAX)}) {
+      auto parsed = ParseLoid(original.ToString());
+      ASSERT_TRUE(parsed.has_value()) << original.ToString();
+      EXPECT_EQ(*parsed, original);
+    }
   }
 }
 
@@ -60,6 +63,18 @@ TEST(LoidTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseLoid("host:x/17").has_value());
   EXPECT_FALSE(ParseLoid("host:3/abc").has_value());
   EXPECT_FALSE(ParseLoid("host:3/17trailing").has_value());
+  EXPECT_FALSE(ParseLoid("host:/5").has_value());
+  EXPECT_FALSE(ParseLoid("host:3/").has_value());
+  // Signs, whitespace and out-of-range fields must not wrap into another
+  // valid LOID.
+  EXPECT_FALSE(ParseLoid("host:-1/5").has_value());
+  EXPECT_FALSE(ParseLoid("host:4294967296/1").has_value());
+  EXPECT_FALSE(ParseLoid("host:3/-1").has_value());
+  EXPECT_FALSE(ParseLoid("host:3/18446744073709551616").has_value());
+  EXPECT_FALSE(ParseLoid("host: 3/5").has_value());
+  EXPECT_FALSE(ParseLoid("host:+3/5").has_value());
+  EXPECT_FALSE(ParseLoid("host:3/ 17").has_value());
+  EXPECT_FALSE(ParseLoid("host:3/+17").has_value());
 }
 
 TEST(LoidTest, HashDistributesAndMatchesEquality) {

@@ -1,5 +1,5 @@
 // The Collection (paper figure 4): join/leave/update/query, the push and
-// pull models, authentication, staleness, and the parallel query path.
+// pull models, authentication, staleness, and the copy-on-write records.
 #include "core/collection.h"
 
 #include <gtest/gtest.h>
@@ -185,6 +185,54 @@ TEST_F(CollectionTest, FunctionInjectionVisibleInQueries) {
                                     joined.Sink());
   auto result = world_.collection->QueryLocal("always_42() == 42");
   EXPECT_EQ(result->size(), 1u);
+}
+
+TEST_F(CollectionTest, HeldQueryResultKeepsItsValuesAfterAnUpdate) {
+  Await<bool> joined;
+  world_.collection->JoinCollection(Member(1), HostRecord("x86", 0.5),
+                                    joined.Sink());
+  auto held = world_.collection->QueryLocal("true");
+  ASSERT_TRUE(held.ok());
+  ASSERT_EQ(held->size(), 1u);
+  Await<bool> updated;
+  world_.collection->UpdateCollectionEntry(Member(1), HostRecord("sparc", 0.9),
+                                           updated.Sink());
+  ASSERT_TRUE(*updated.Get());
+  const AttributeDatabase& before = (*held)[0].attributes;
+  EXPECT_EQ(before.GetOr("host_arch", AttrValue("")).as_string(), "x86");
+  EXPECT_EQ(before.GetOr("host_load", AttrValue(-1.0)).as_double(), 0.5);
+  auto now = world_.collection->QueryLocal("true");
+  ASSERT_TRUE(now.ok());
+  ASSERT_EQ(now->size(), 1u);
+  EXPECT_EQ((*now)[0].attributes.GetOr("host_arch", AttrValue("")).as_string(),
+            "sparc");
+}
+
+TEST_F(CollectionTest, CallerWritesAfterAPushDoNotReachTheRecord) {
+  AttributeDatabase pushed = HostRecord("x86", 0.5);
+  Await<bool> joined;
+  world_.collection->JoinCollection(Member(1), pushed, joined.Sink());
+  ASSERT_TRUE(*joined.Get());
+  pushed.Set("host_arch", "sparc");
+  pushed.Erase("host_load");
+  auto result = world_.collection->QueryLocal("$host_arch == \"x86\"");
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ(
+      (*result)[0].attributes.GetOr("host_load", AttrValue(-1.0)).as_double(),
+      0.5);
+
+  Await<bool> updated;
+  world_.collection->UpdateCollectionEntry(Member(1), pushed, updated.Sink());
+  ASSERT_TRUE(*updated.Get());
+  pushed.Set("host_arch", "mips");
+  pushed.Clear();
+  result = world_.collection->QueryLocal("$host_arch == \"sparc\"");
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_FALSE((*result)[0].attributes.Has("host_load"));
+  EXPECT_TRUE(world_.collection->QueryLocal("$host_arch == \"mips\"")
+                  ->empty());
 }
 
 TEST_F(CollectionTest, StatsCount) {

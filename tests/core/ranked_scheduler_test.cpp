@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "test_world.h"
 
@@ -104,6 +106,52 @@ TEST_F(RankedSchedulerTest, RankedVariantsNameAlternatives) {
     for (const auto& [index, mapping] : variant.mappings) {
       EXPECT_FALSE(mapping == master.mappings[index]);
     }
+  }
+}
+
+TEST_F(RankedSchedulerTest, VariantsAreTheNextBestHostsInRankOrder) {
+  // Distinct loads decide every rank.  Each instance's master and
+  // variants must be its best hosts in order, by score plus the load this
+  // round already charged to them (ties by LOID), not just its best host.
+  world_.hosts[0]->SpikeLoad(0.3);
+  world_.hosts[1]->SpikeLoad(0.2);
+  world_.hosts[2]->SpikeLoad(0.1);
+  world_.Populate();
+  auto records = world_.collection->QueryLocal("true");
+  ASSERT_TRUE(records.ok());
+  std::map<Loid, double> score;
+  std::map<Loid, double> charge;
+  for (const CollectionRecord& record : *records) {
+    score[record.member] =
+        record.attributes.GetOr("host_load", AttrValue(1e9)).as_double();
+    charge[record.member] =
+        1.0 / record.attributes.GetOr("host_cpus", AttrValue(1)).as_double();
+  }
+  ASSERT_EQ(score.size(), 4u);
+
+  auto* scheduler = Make<LoadAwareScheduler>(false, /*nvariants=*/2);
+  auto schedule = Compute(scheduler, {{klass_->loid(), 3}});
+  ASSERT_TRUE(schedule.ok());
+  const MasterSchedule& master = schedule->masters[0];
+  ASSERT_EQ(master.mappings.size(), 3u);
+  ASSERT_EQ(master.variants.size(), 2u);
+  for (std::size_t i = 0; i < master.mappings.size(); ++i) {
+    std::vector<Loid> expected;
+    for (const auto& [host, unused] : score) expected.push_back(host);
+    std::sort(expected.begin(), expected.end(),
+              [&](const Loid& a, const Loid& b) {
+                if (score[a] != score[b]) return score[a] < score[b];
+                return a < b;
+              });
+    expected.resize(3);
+    std::vector<Loid> ranked{master.mappings[i].host};
+    for (const VariantSchedule& variant : master.variants) {
+      for (const auto& [index, mapping] : variant.mappings) {
+        if (index == i) ranked.push_back(mapping.host);
+      }
+    }
+    EXPECT_EQ(ranked, expected) << "instance " << i;
+    score[master.mappings[i].host] += charge[master.mappings[i].host];
   }
 }
 
