@@ -11,12 +11,9 @@ namespace {
 constexpr std::uint64_t kCollectionClassSerial = 4;
 }  // namespace
 
-CollectionObject::CollectionObject(SimKernel* kernel, Loid loid,
-                                   CollectionOptions options)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(),
-                        kCollectionClassSerial)),
-      options_(options) {
+CollectionObject::CollectionObject(SimKernel* kernel, Loid loid)
+    : LegionObject(kernel, loid, Loid(LoidSpace::kClass, loid.domain(),
+                                      kCollectionClassSerial)) {
   kernel->network().RegisterEndpoint(loid, loid.domain());
   (void)Activate(loid, Loid());
   mutable_attributes().Set("service", "collection");
@@ -47,7 +44,6 @@ CollectionObject::CollectionObject(SimKernel* kernel, Loid loid,
 
 bool CollectionObject::Authorized(const Loid& caller,
                                   const Loid& member) const {
-  if (!options_.authenticate) return true;
   if (caller == member) return true;  // a resource may describe itself
   return trusted_.count(caller) != 0;
 }
@@ -466,14 +462,14 @@ void CollectionObject::ApplyDeltaBatch(const DeltaBatch& batch,
   auto child = children_.find(batch.domain);
   const bool enrolled =
       child != children_.end() && child->second.sub == batch.source;
-  if (options_.authenticate && !enrolled) {
+  if (!enrolled) {
     cells_.updates_rejected->Add();
     done(Status::Error(ErrorCode::kRefused,
                        batch.source.ToString() +
                            " is not an enrolled sub-Collection"));
     return;
   }
-  if (enrolled) child->second.last_delta_at = kernel()->Now();
+  child->second.last_delta_at = kernel()->Now();
   std::uint64_t high = 0;
   for (const CollectionDelta& delta : batch.deltas) {
     high = std::max(high, delta.version);

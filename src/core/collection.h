@@ -114,15 +114,9 @@ struct QueryOptions {
   Duration max_staleness = Duration::Infinite();
 };
 
-struct CollectionOptions {
-  // Require updaters to be the member itself or a registered trusted
-  // agent (the Legion authentication step).
-  bool authenticate = true;
-};
-
 class CollectionObject : public LegionObject, public CollectionSink {
  public:
-  CollectionObject(SimKernel* kernel, Loid loid, CollectionOptions options = {});
+  CollectionObject(SimKernel* kernel, Loid loid);
 
   std::string DebugName() const override { return "collection"; }
 
@@ -270,7 +264,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
     obs::Counter* refresh_pulls;
   };
 
-  CollectionOptions options_;
   std::unordered_map<Loid, CollectionRecord> records_;
   AttributeIndexes indexes_;
   std::unordered_set<Loid> trusted_;

@@ -19,7 +19,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "core/collection.h"
 
@@ -30,8 +29,6 @@ struct FederationOptions {
   // The root's staleness for a domain is bounded by this period plus the
   // inter-domain delivery latency (empty batches act as heartbeats).
   Duration push_period = Duration::Seconds(5);
-  // Options applied to the root and every sub-Collection.
-  CollectionOptions collection;
 };
 
 // Owns nothing: the kernel owns the actors.  This is a builder plus a
@@ -49,16 +46,6 @@ class CollectionFederation {
     return it == subs_.end() ? nullptr : it->second;
   }
   const std::map<DomainId, CollectionObject*>& subs() const { return subs_; }
-
-  // The Collection a query scoped to `domain` should address: the owning
-  // sub-Collection when the scope names one, the root otherwise.
-  CollectionObject* RouteFor(std::optional<DomainId> domain) const {
-    if (domain.has_value()) {
-      CollectionObject* owned = sub(*domain);
-      if (owned != nullptr) return owned;
-    }
-    return root_;
-  }
 
   Duration push_period() const { return options_.push_period; }
 

@@ -9,6 +9,9 @@ namespace legion {
 
 namespace {
 constexpr std::uint64_t kServiceClassSerial = 5;
+// Every reservation the Enactor requests is an instantaneous (starting
+// now) one-shot timesharing window of this length.
+constexpr Duration kReservationDuration = Duration::Hours(1);
 }  // namespace
 
 // The mutable state of one make_reservations() negotiation.  Kept alive
@@ -621,10 +624,10 @@ ReservationRequest EnactorObject::SlotRequest(const Negotiation& n,
   const ObjectMapping& mapping = n.current[index];
   ReservationRequest request;
   request.vault = mapping.vault;
-  request.start = kernel()->Now() + options_.reservation_start_offset;
-  request.duration = options_.reservation_duration;
+  request.start = kernel()->Now();
+  request.duration = kReservationDuration;
   request.confirm_timeout = options_.confirm_timeout;
-  request.type = options_.reservation_type;
+  request.type = ReservationType::OneShotTimesharing();
   request.requester = loid();
   request.requester_domain = loid().domain();
   // Per-class instantiation demand, resolved from the local class object

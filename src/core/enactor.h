@@ -55,11 +55,8 @@ struct RetryPolicy {
 };
 
 struct EnactorOptions {
-  // Window parameters for the reservations the Enactor requests.
-  Duration reservation_start_offset = Duration::Zero();  // 0 = instantaneous
-  Duration reservation_duration = Duration::Hours(1);
+  // How long a granted reservation waits for its confirmation.
   Duration confirm_timeout = Duration::Minutes(5);
-  ReservationType reservation_type = ReservationType::OneShotTimesharing();
   Duration rpc_timeout = kDefaultRpcTimeout;
   // Batched negotiation (DESIGN.md §11): a round's requests are grouped
   // by target host and sent as ReserveBatch RPCs of at most

@@ -65,7 +65,7 @@ void MonitorObject::OnEvent(const RgeEvent& event) {
   const SimTime now = kernel()->Now();
   const auto key = std::make_pair(event.source, event.name);
   auto it = last_dispatch_.find(key);
-  if (it != last_dispatch_.end() && now - it->second < min_interval_) {
+  if (it != last_dispatch_.end() && now - it->second < kMinRescheduleInterval) {
     suppressed_cell_->Add();
     return;
   }

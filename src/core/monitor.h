@@ -47,24 +47,21 @@ class MonitorObject : public LegionObject {
     handler_ = std::move(handler);
   }
 
-  // Debounce window for the reschedule handler.  An edge-sensitive load
-  // trigger on a flapping host re-fires every time the guard crosses the
-  // threshold; without a floor between dispatches one sustained spike can
-  // request a migration per evaluation tick while the first migration is
-  // still in flight (a reschedule storm).  Events arriving inside the
-  // window are still counted and traced, but the handler is not invoked.
-  void SetMinRescheduleInterval(Duration interval) {
-    min_interval_ = interval;
-  }
-
   std::uint64_t events_received() const { return events_cell_->value(); }
   std::uint64_t events_suppressed() const { return suppressed_cell_->value(); }
 
  private:
   void OnEvent(const RgeEvent& event);
 
+  // Debounce window for the reschedule handler.  An edge-sensitive load
+  // trigger on a flapping host re-fires every time the guard crosses the
+  // threshold; without a floor between dispatches one sustained spike can
+  // request a migration per evaluation tick while the first migration is
+  // still in flight (a reschedule storm).  Events arriving inside the
+  // window are still counted and traced, but the handler is not invoked.
+  static constexpr Duration kMinRescheduleInterval = Duration::Seconds(30);
+
   RescheduleHandler handler_;
-  Duration min_interval_ = Duration::Seconds(30);
   // Last handler dispatch per (source host, event name).
   std::map<std::pair<Loid, std::string>, SimTime> last_dispatch_;
   // Registry cells ({component=monitor}).

@@ -44,16 +44,6 @@ void SchedulerObject::AuditDecision(const char* kind, obs::TraceArgs fields) {
   kernel()->audit().Record(kernel()->Now(), kind, std::move(fields));
 }
 
-void SchedulerObject::AuditChoice(std::size_t slot,
-                                  const ObjectMapping& mapping,
-                                  const std::string& reason) {
-  if (!AuditOn()) return;
-  AuditDecision("sched_choice", {{"slot", std::to_string(slot)},
-                                 {"class", mapping.class_loid.ToString()},
-                                 {"host", mapping.host.ToString()},
-                                 {"reason", reason}});
-}
-
 void SchedulerObject::FilterSuspects(CollectionData* hosts,
                                      std::size_t min_keep) {
   const HealthTracker* tracker = health();
@@ -86,11 +76,6 @@ void SchedulerObject::FilterSuspects(CollectionData* hosts,
                               }),
                hosts->end());
   suspects_skipped_cell_->Add(skipped);
-}
-
-void SchedulerObject::QueryHosts(const std::string& query,
-                                 Callback<CollectionData> done) {
-  QueryHosts(query, ScopedOptions(), std::move(done));
 }
 
 void SchedulerObject::QueryHosts(const std::string& query,
@@ -156,15 +141,136 @@ std::vector<Loid> SchedulerObject::CompatibleVaultsOf(
   return vaults;
 }
 
-std::string SchedulerObject::ImplementationFor(
-    const CollectionRecord& record) {
-  const AttrValue* arch = record.attributes.Get("host_arch");
-  const AttrValue* os = record.attributes.Get("host_os_name");
-  if (arch == nullptr || os == nullptr || !arch->is_string() ||
-      !os->is_string()) {
-    return "";
+ObjectMapping SchedulerObject::MapOnto(const Loid& class_loid,
+                                       const CollectionRecord& host,
+                                       const Loid& vault) {
+  ObjectMapping mapping;
+  mapping.class_loid = class_loid;
+  mapping.host = host.member;
+  mapping.vault = vault;
+  // Implementation selection (§3.3 implemented): the host's "arch/os".
+  const AttrValue* arch = host.attributes.Get("host_arch");
+  const AttrValue* os = host.attributes.Get("host_os_name");
+  if (arch != nullptr && os != nullptr && arch->is_string() &&
+      os->is_string()) {
+    mapping.implementation = arch->as_string() + "/" + os->as_string();
   }
-  return arch->as_string() + "/" + os->as_string();
+  return mapping;
+}
+
+// ---- The shared candidate pipeline (figures 7 and 8) ------------------------
+
+void SchedulerObject::QueryPool(const Loid& class_loid, QueryOptions bounds,
+                                std::size_t min_keep,
+                                Callback<CollectionData> done) {
+  bounds.domain_scope = domain_scope_;
+  bounds.max_staleness = max_staleness_;
+  // "query the class for available implementations"
+  GetImplementations(
+      class_loid,
+      [this, class_loid, bounds, min_keep, done = std::move(done)](
+          Result<std::vector<Implementation>> implementations) mutable {
+        if (!implementations.ok()) {
+          done(implementations.status());
+          return;
+        }
+        // "query Collection for Hosts matching available implementations"
+        QueryHosts(
+            HostMatchQuery(*implementations), bounds,
+            [this, class_loid, min_keep,
+             done = std::move(done)](Result<CollectionData> hosts) {
+              if (hosts.ok()) {
+                if (hosts->empty()) {
+                  done(Status::Error(ErrorCode::kNoResources,
+                                     "no matching hosts for class " +
+                                         class_loid.ToString()));
+                  return;
+                }
+                // Demote suspects before choosing: a choice spent on a
+                // host whose breaker is already open is wasted.
+                FilterSuspects(&*hosts, min_keep);
+              }
+              done(std::move(hosts));
+            });
+      });
+}
+
+struct SchedulerObject::Walk {
+  PlacementRequest request;
+  QueryOptions bounds;
+  ClassPlacer place;
+  Callback<ScheduleRequestList> done;
+  std::size_t next_class = 0;
+  ChoiceLists choices;
+};
+
+void SchedulerObject::PlaceEachClass(const PlacementRequest& request,
+                                     const QueryOptions& bounds,
+                                     ClassPlacer place,
+                                     Callback<ScheduleRequestList> done) {
+  auto walk = std::make_shared<Walk>();
+  walk->request = request;
+  walk->bounds = bounds;
+  walk->place = std::move(place);
+  walk->done = std::move(done);
+  NextClass(walk);
+}
+
+void SchedulerObject::NextClass(const std::shared_ptr<Walk>& walk) {
+  if (walk->next_class == walk->request.size()) {
+    walk->done(MasterWithVariants(walk->choices));
+    return;
+  }
+  const InstanceRequest wanted = walk->request[walk->next_class++];
+  QueryPool(wanted.class_loid, walk->bounds, 1,
+            [this, walk, wanted](Result<CollectionData> pool) {
+              if (!pool.ok()) {
+                walk->done(pool.status());
+                return;
+              }
+              Status placed = walk->place(wanted, *pool, &walk->choices);
+              if (!placed.ok()) {
+                walk->done(std::move(placed));
+                return;
+              }
+              NextClass(walk);
+            });
+}
+
+Result<ScheduleRequestList> SchedulerObject::MasterWithVariants(
+    const ChoiceLists& choices) {
+  if (choices.empty()) {
+    return Status::Error(ErrorCode::kNoResources,
+                         "no mappings could be generated");
+  }
+  const std::size_t instances = choices.size();
+  MasterSchedule master;
+  // "master sched. = first item from each object inst. list"
+  master.mappings.reserve(instances);
+  for (const auto& per_instance : choices) {
+    master.mappings.push_back(per_instance.front());
+  }
+  // "for l := 2 to n: select the l-th component of the list for each
+  //  object instance; construct a list of all that do not appear in the
+  //  master list; append to list of variant schedules"
+  const std::size_t ranks = choices.front().size();
+  for (std::size_t l = 1; l < ranks; ++l) {
+    VariantSchedule variant;
+    variant.replaces.Resize(instances);
+    for (std::size_t i = 0; i < instances; ++i) {
+      const ObjectMapping& candidate =
+          choices[i][std::min(l, choices[i].size() - 1)];
+      if (candidate == master.mappings[i]) continue;
+      variant.replaces.Set(i);
+      variant.mappings.emplace_back(i, candidate);
+    }
+    if (!variant.mappings.empty()) {
+      master.variants.push_back(std::move(variant));
+    }
+  }
+  ScheduleRequestList list;
+  list.masters.push_back(std::move(master));
+  return list;
 }
 
 // ---- The figure-9 run loop ---------------------------------------------------

@@ -10,12 +10,19 @@
 // to the Enactor for implementation."
 //
 // SchedulerObject is the abstract base: it owns the Collection/Enactor
-// wiring, provides the query helpers every placement policy needs, and
-// implements the generalized run loop of figure 9 (compute a schedule,
-// make reservations, enact, retry within limits) as ScheduleAndEnact().
-// Concrete policies override ComputeSchedule().
+// wiring, implements the generalized run loop of figure 9 (compute a
+// schedule, make reservations, enact, retry within limits) as
+// ScheduleAndEnact(), and owns the candidate pipeline figures 7 and 8
+// share: the per-class pool query (QueryPool), the in-order per-class
+// walk with figure 8's master + variants builder (PlaceEachClass), and
+// the mapping helper (MapOnto).  A concrete policy overrides
+// ComputeSchedule() and supplies only its choice logic: its pool bounds,
+// and per class one choice list per instance, best first -- or, for a
+// single-class policy with its own variant shape (k-of-n, stencil), the
+// schedule built from one pool.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,12 +94,62 @@ class SchedulerObject : public LegionObject {
   }
 
  protected:
-  // Queries the Collection over the network.  The options form lets a
-  // policy bound its candidate pool (top-k pruning happens inside the
-  // Collection, before the reply is materialized).
-  void QueryHosts(const std::string& query, Callback<CollectionData> done);
-  void QueryHosts(const std::string& query, const QueryOptions& options,
-                  Callback<CollectionData> done);
+  // One class's candidate pool.  `bounds` carries the policy's
+  // max_results/order_by; the routing scope and staleness bound are set
+  // here.  An empty reply fails with kNoResources; suspects are demoted
+  // keeping at least `min_keep` candidates (see FilterSuspects).
+  void QueryPool(const Loid& class_loid, QueryOptions bounds,
+                 std::size_t min_keep, Callback<CollectionData> done);
+
+  // choices[i] lists instance i's mappings, best first: entry 0 goes to
+  // the master schedule, entry l to the rank-l variant.
+  using ChoiceLists = std::vector<std::vector<ObjectMapping>>;
+  // Appends one choice list per instance of `wanted`, drawn from `pool`
+  // (never empty), or fails the whole schedule.
+  using ClassPlacer = std::function<Status(
+      const InstanceRequest& wanted, const CollectionData& pool,
+      ChoiceLists* choices)>;
+  // Figures 7 and 8's per-class walk: QueryPool for each requested class
+  // in request order (min_keep 1), `place` on each pool, then the master
+  // (every list's first entry) plus one variant per further rank, holding
+  // only the entries that differ from the master.  The first list's
+  // length sets the ranks; a shorter list repeats its last entry.
+  void PlaceEachClass(const PlacementRequest& request,
+                      const QueryOptions& bounds, ClassPlacer place,
+                      Callback<ScheduleRequestList> done);
+
+  // The mapping of one `class_loid` instance onto `host` and `vault`,
+  // recording the implementation the host's record advertises so
+  // enactment runs exactly the binary the schedule chose.
+  static ObjectMapping MapOnto(const Loid& class_loid,
+                               const CollectionRecord& host,
+                               const Loid& vault);
+
+  // Extracts the compatible-vault LOIDs from a host's Collection record.
+  static std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record);
+
+  // ---- Decision audit (obs/audit.h) -----------------------------------------
+  // One chosen mapping: which class lands on which host at schedule slot
+  // `slot`, and the policy's rationale ("random", "rank=3.7", ...).
+  // `reason` returns that string and runs only when the log is on.
+  template <typename Reason>
+  void AuditChoice(std::size_t slot, const ObjectMapping& mapping,
+                   const Reason& reason) {
+    if (!AuditOn()) return;
+    AuditDecision("sched_choice", {{"slot", std::to_string(slot)},
+                                   {"class", mapping.class_loid.ToString()},
+                                   {"host", mapping.host.ToString()},
+                                   {"reason", reason()}});
+  }
+
+ private:
+  // Scheduler-side audit records carry {"scheduler": name} and no
+  // negotiation id (the id is minted later, by the Enactor);
+  // ExplainMapping joins them to the lifecycle by host.  Sites guard
+  // with AuditOn().
+  bool AuditOn() const { return kernel()->audit().enabled(); }
+  void AuditDecision(const char* kind, obs::TraceArgs fields);
+
   // Steps 2-3 of figure 3: acquire application knowledge from the class.
   void GetImplementations(const Loid& class_loid,
                           Callback<std::vector<Implementation>> done);
@@ -103,13 +160,11 @@ class SchedulerObject : public LegionObject {
   static std::string HostMatchQuery(
       const std::vector<Implementation>& implementations);
 
-  // Extracts the compatible-vault LOIDs from a host's Collection record.
-  static std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record);
-
-  // Implementation selection (§3.3 implemented): the "arch/os" key the
-  // host's record advertises, recorded into the mapping so enactment
-  // runs exactly the binary the schedule chose.
-  static std::string ImplementationFor(const CollectionRecord& record);
+  // Queries the Collection over the network; top-k pruning under
+  // `options` happens inside the Collection, before the reply is
+  // materialized.
+  void QueryHosts(const std::string& query, const QueryOptions& options,
+                  Callback<CollectionData> done);
 
   // The Enactor's health view (the breaker state schedulers share), or
   // nullptr when the enactor is unreachable or health tracking is off.
@@ -120,32 +175,13 @@ class SchedulerObject : public LegionObject {
   // fewer than min_keep candidates -- a degraded pool beats an empty
   // one, and suspects must stay reachable for probes when nothing else
   // is left.  Each erased record bumps the suspects_skipped counter.
-  void FilterSuspects(CollectionData* hosts, std::size_t min_keep = 1);
+  void FilterSuspects(CollectionData* hosts, std::size_t min_keep);
 
-  Loid collection_loid() const { return collection_; }
-  Loid enactor_loid() const { return enactor_; }
+  struct Walk;
+  void NextClass(const std::shared_ptr<Walk>& walk);
+  static Result<ScheduleRequestList> MasterWithVariants(
+      const ChoiceLists& choices);
 
-  // ---- Decision audit (obs/audit.h) -----------------------------------------
-  // Scheduler-side records carry {"scheduler": name} and no negotiation
-  // id (the id is minted later, by the Enactor); ExplainMapping joins
-  // them to the lifecycle by host.  Sites guard with AuditOn().
-  bool AuditOn() const { return kernel()->audit().enabled(); }
-  void AuditDecision(const char* kind, obs::TraceArgs fields);
-  // One chosen mapping: which class lands on which host at schedule slot
-  // `slot`, and the policy's rationale ("random", "rank=3.7", ...).
-  void AuditChoice(std::size_t slot, const ObjectMapping& mapping,
-                   const std::string& reason);
-
-  // Seed for every policy's QueryOptions: carries the routing scope and
-  // staleness bound so all five schedulers inherit federated behavior.
-  QueryOptions ScopedOptions() const {
-    QueryOptions options;
-    options.domain_scope = domain_scope_;
-    options.max_staleness = max_staleness_;
-    return options;
-  }
-
- private:
   struct RunState;
   void RunScheduleAttempt(const std::shared_ptr<RunState>& state);
   void RunEnactAttempt(const std::shared_ptr<RunState>& state,

@@ -2,137 +2,51 @@
 
 namespace legion {
 
-struct IrsScheduler::GenState {
-  PlacementRequest request;
-  Callback<ScheduleRequestList> done;
-  std::size_t class_index = 0;
-  // candidates[instance][l] = l-th random (class, host, vault) mapping
-  // for that instance, l in [0, n).
-  std::vector<std::vector<ObjectMapping>> candidates;
-};
-
 void IrsScheduler::ComputeSchedule(const PlacementRequest& request,
                                    Callback<ScheduleRequestList> done) {
-  auto state = std::make_shared<GenState>();
-  state->request = request;
-  state->done = std::move(done);
-  NextClass(state);
-}
-
-void IrsScheduler::NextClass(const std::shared_ptr<GenState>& state) {
-  if (state->class_index >= state->request.size()) {
-    Finish(state);
-    return;
-  }
-  const InstanceRequest& instance_request =
-      state->request[state->class_index];
-  GetImplementations(
-      instance_request.class_loid,
-      [this, state, instance_request](
-          Result<std::vector<Implementation>> implementations) {
-        if (!implementations.ok()) {
-          state->done(implementations.status());
-          return;
+  // One Collection lookup per class, reused across all n candidate
+  // mappings -- the "fewer lookups" improvement.  A bounded pool is
+  // plenty for random draws.
+  QueryOptions bounds;
+  bounds.max_results = 1024;
+  PlaceEachClass(
+      request, bounds,
+      [this](const InstanceRequest& wanted, const CollectionData& hosts,
+             ChoiceLists* choices) {
+        // "for i := 1 to k: for l := 1 to n: pick (H, V) at random;
+        //  append the target to the list for this instance"
+        for (std::size_t i = 0; i < wanted.count; ++i) {
+          std::vector<ObjectMapping> per_instance;
+          per_instance.reserve(nsched_);
+          // Unusable hosts (no compatible vaults) trigger a redraw,
+          // bounded so a vault-less metacomputer still terminates.
+          std::size_t draws_left = 10 * nsched_ + 10;
+          while (per_instance.size() < nsched_ && draws_left-- > 0) {
+            const CollectionRecord& host = hosts[rng_.Index(hosts.size())];
+            std::vector<Loid> vaults = CompatibleVaultsOf(host);
+            if (vaults.empty()) continue;
+            per_instance.push_back(MapOnto(wanted.class_loid, host,
+                                           vaults[rng_.Index(vaults.size())]));
+          }
+          if (per_instance.empty()) {
+            return Status::Error(ErrorCode::kNoResources,
+                                 "no host with a compatible vault for class " +
+                                     wanted.class_loid.ToString());
+          }
+          // Pad short candidate lists by repeating the first pick so
+          // every instance has n components.
+          while (per_instance.size() < nsched_) {
+            per_instance.push_back(per_instance.front());
+          }
+          AuditChoice(choices->size(), per_instance.front(), [&] {
+            return "random draw 1 of " + std::to_string(per_instance.size()) +
+                   " from " + std::to_string(hosts.size()) + " candidates";
+          });
+          choices->push_back(std::move(per_instance));
         }
-        // One Collection lookup per class, reused across all n candidate
-        // mappings -- the "fewer lookups" improvement.  A bounded pool is
-        // plenty for random draws.
-        QueryOptions options = ScopedOptions();
-        options.max_results = 1024;
-        QueryHosts(
-            HostMatchQuery(*implementations), options,
-            [this, state, instance_request](Result<CollectionData> hosts) {
-              if (!hosts.ok()) {
-                state->done(hosts.status());
-                return;
-              }
-              if (hosts->empty()) {
-                state->done(Status::Error(
-                    ErrorCode::kNoResources,
-                    "no matching hosts for class " +
-                        instance_request.class_loid.ToString()));
-                return;
-              }
-              // Demote suspects before drawing: variant diversity is
-              // wasted on hosts whose breaker is already open.
-              FilterSuspects(&*hosts);
-              // "for i := 1 to k: for l := 1 to n: pick (H, V) at random;
-              //  append the target to the list for this instance"
-              for (std::size_t i = 0; i < instance_request.count; ++i) {
-                std::vector<ObjectMapping> per_instance;
-                per_instance.reserve(nsched_);
-                // Unusable hosts (no compatible vaults) trigger a redraw,
-                // bounded so a vault-less metacomputer still terminates.
-                std::size_t draws_left = 10 * nsched_ + 10;
-                while (per_instance.size() < nsched_ && draws_left-- > 0) {
-                  const CollectionRecord& host =
-                      (*hosts)[rng_.Index(hosts->size())];
-                  std::vector<Loid> vaults = CompatibleVaultsOf(host);
-                  if (vaults.empty()) continue;
-                  ObjectMapping mapping;
-                  mapping.class_loid = instance_request.class_loid;
-                  mapping.host = host.member;
-                  mapping.vault = vaults[rng_.Index(vaults.size())];
-                  mapping.implementation = ImplementationFor(host);
-                  per_instance.push_back(mapping);
-                }
-                if (per_instance.empty()) {
-                  state->done(Status::Error(
-                      ErrorCode::kNoResources,
-                      "no host with a compatible vault for class " +
-                          instance_request.class_loid.ToString()));
-                  return;
-                }
-                // Pad short candidate lists by repeating the first pick
-                // so every instance has n components.
-                while (per_instance.size() < nsched_) {
-                  per_instance.push_back(per_instance.front());
-                }
-                AuditChoice(state->candidates.size(), per_instance.front(),
-                            "random draw 1 of " +
-                                std::to_string(per_instance.size()) +
-                                " from " + std::to_string(hosts->size()) +
-                                " candidates");
-                state->candidates.push_back(std::move(per_instance));
-              }
-              ++state->class_index;
-              NextClass(state);
-            });
-      });
-}
-
-void IrsScheduler::Finish(const std::shared_ptr<GenState>& state) {
-  if (state->candidates.empty()) {
-    state->done(Status::Error(ErrorCode::kNoResources,
-                              "no mappings could be generated"));
-    return;
-  }
-  const std::size_t instances = state->candidates.size();
-  MasterSchedule master;
-  // "master sched. = first item from each object inst. list"
-  master.mappings.reserve(instances);
-  for (const auto& per_instance : state->candidates) {
-    master.mappings.push_back(per_instance.front());
-  }
-  // "for l := 2 to n: select the l-th component of the list for each
-  //  object instance; construct a list of all that do not appear in the
-  //  master list; append to list of variant schedules"
-  for (std::size_t l = 1; l < nsched_; ++l) {
-    VariantSchedule variant;
-    variant.replaces.Resize(instances);
-    for (std::size_t i = 0; i < instances; ++i) {
-      const ObjectMapping& candidate = state->candidates[i][l];
-      if (candidate == master.mappings[i]) continue;
-      variant.replaces.Set(i);
-      variant.mappings.emplace_back(i, candidate);
-    }
-    if (!variant.mappings.empty()) {
-      master.variants.push_back(std::move(variant));
-    }
-  }
-  ScheduleRequestList list;
-  list.masters.push_back(std::move(master));
-  state->done(std::move(list));
+        return Status::Ok();
+      },
+      std::move(done));
 }
 
 }  // namespace legion

@@ -12,9 +12,10 @@
 // and one Collection query per class, n candidate (Host, Vault) pairs per
 // instance, the first forming the master schedule and components 2..n
 // forming variant schedules containing only the entries that differ from
-// the master (with the bitmap marking them).  The wrapper of figure 9 is
-// SchedulerObject::ScheduleAndEnact with RunOptions{SchedTryLimit,
-// EnactTryLimit}.
+// the master (with the bitmap marking them).  The queries and the
+// master/variant assembly are the base's PlaceEachClass; IRS supplies the
+// n draws.  The wrapper of figure 9 is SchedulerObject::ScheduleAndEnact
+// with RunOptions{SchedTryLimit, EnactTryLimit}.
 #pragma once
 
 #include "base/rng.h"
@@ -38,10 +39,6 @@ class IrsScheduler : public SchedulerObject {
   std::size_t nsched() const { return nsched_; }
 
  private:
-  struct GenState;
-  void NextClass(const std::shared_ptr<GenState>& state);
-  void Finish(const std::shared_ptr<GenState>& state);
-
   std::size_t nsched_;
   Rng rng_;
 };

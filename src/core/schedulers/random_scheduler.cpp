@@ -2,93 +2,38 @@
 
 namespace legion {
 
-struct RandomScheduler::GenState {
-  PlacementRequest request;
-  Callback<ScheduleRequestList> done;
-  std::size_t class_index = 0;
-  MasterSchedule master;
-};
-
 void RandomScheduler::ComputeSchedule(const PlacementRequest& request,
                                       Callback<ScheduleRequestList> done) {
-  auto state = std::make_shared<GenState>();
-  state->request = request;
-  state->done = std::move(done);
-  NextClass(state);
-}
-
-void RandomScheduler::NextClass(const std::shared_ptr<GenState>& state) {
-  if (state->class_index >= state->request.size()) {
-    if (state->master.mappings.empty()) {
-      state->done(Status::Error(ErrorCode::kNoResources,
-                                "no mappings could be generated"));
-      return;
-    }
-    ScheduleRequestList list;
-    list.masters.push_back(std::move(state->master));
-    state->done(std::move(list));
-    return;
-  }
-  const InstanceRequest& instance_request =
-      state->request[state->class_index];
-  // "query the class for available implementations"
-  GetImplementations(
-      instance_request.class_loid,
-      [this, state, instance_request](
-          Result<std::vector<Implementation>> implementations) {
-        if (!implementations.ok()) {
-          state->done(implementations.status());
-          return;
+  // Random sampling only needs a bounded candidate pool; cap the reply so
+  // a metacomputer-scale Collection is never copied whole.
+  QueryOptions bounds;
+  bounds.max_results = 1024;
+  PlaceEachClass(
+      request, bounds,
+      [this](const InstanceRequest& wanted, const CollectionData& hosts,
+             ChoiceLists* choices) {
+        // "for i := 1 to k: pick a Host H at random; extract list of
+        //  compatible vaults from H; randomly pick a compatible vault V;
+        //  append the target (H, V) to the master schedule"
+        for (std::size_t i = 0; i < wanted.count; ++i) {
+          const CollectionRecord& host = hosts[rng_.Index(hosts.size())];
+          std::vector<Loid> vaults = CompatibleVaultsOf(host);
+          if (vaults.empty()) {
+            return Status::Error(
+                ErrorCode::kNoResources,
+                "host has no compatible vaults: " + host.member.ToString());
+          }
+          ObjectMapping mapping = MapOnto(wanted.class_loid, host,
+                                          vaults[rng_.Index(vaults.size())]);
+          AuditChoice(choices->size(), mapping, [&] {
+            return "random pick of " + std::to_string(hosts.size()) +
+                   " candidates";
+          });
+          choices->push_back({std::move(mapping)});
         }
-        // "query Collection for Hosts matching available implementations"
-        // Random sampling only needs a bounded candidate pool; cap the
-        // reply so a metacomputer-scale Collection is never copied whole.
-        QueryOptions options = ScopedOptions();
-        options.max_results = 1024;
-        QueryHosts(
-            HostMatchQuery(*implementations), options,
-            [this, state, instance_request](Result<CollectionData> hosts) {
-              if (!hosts.ok()) {
-                state->done(hosts.status());
-                return;
-              }
-              if (hosts->empty()) {
-                state->done(Status::Error(
-                    ErrorCode::kNoResources,
-                    "no matching hosts for class " +
-                        instance_request.class_loid.ToString()));
-                return;
-              }
-              FilterSuspects(&*hosts);
-              // "for i := 1 to k: pick a Host H at random; extract list of
-              //  compatible vaults from H; randomly pick a compatible
-              //  vault V; append the target (H, V) to the master schedule"
-              for (std::size_t i = 0; i < instance_request.count; ++i) {
-                const CollectionRecord& host =
-                    (*hosts)[rng_.Index(hosts->size())];
-                std::vector<Loid> vaults = CompatibleVaultsOf(host);
-                if (vaults.empty()) {
-                  state->done(Status::Error(
-                      ErrorCode::kNoResources,
-                      "host has no compatible vaults: " +
-                          host.member.ToString()));
-                  return;
-                }
-                ObjectMapping mapping;
-                mapping.class_loid = instance_request.class_loid;
-                mapping.host = host.member;
-                mapping.vault = vaults[rng_.Index(vaults.size())];
-                mapping.implementation = ImplementationFor(host);
-                AuditChoice(state->master.mappings.size(), mapping,
-                            "random pick of " +
-                                std::to_string(hosts->size()) +
-                                " candidates");
-                state->master.mappings.push_back(mapping);
-              }
-              ++state->class_index;
-              NextClass(state);
-            });
-      });
+        return Status::Ok();
+      },
+      std::move(done));
 }
 
 }  // namespace legion

@@ -9,11 +9,12 @@
 //
 // ComputeSchedule is a faithful rendering of Generate_Random_Placement():
 // for each ObjectClass, query the class for its implementations, query
-// the Collection for matching Hosts, and for each desired instance pick a
-// random Host, extract its compatible-vault list, and pick a random
-// vault.  One master schedule, no variants -- "the equivalent of the
-// default schedule generator for Legion Classes in releases prior to
-// 1.5".
+// the Collection for matching Hosts (the base's per-class walk does
+// both), and for each desired instance pick a random Host, extract its
+// compatible-vault list, and pick a random vault.  Every instance gets a
+// one-entry choice list, so the result is one master schedule with no
+// variants -- "the equivalent of the default schedule generator for
+// Legion Classes in releases prior to 1.5".
 #pragma once
 
 #include "base/rng.h"
@@ -32,9 +33,6 @@ class RandomScheduler : public SchedulerObject {
                        Callback<ScheduleRequestList> done) override;
 
  private:
-  struct GenState;
-  void NextClass(const std::shared_ptr<GenState>& state);
-
   Rng rng_;
 };
 

@@ -41,162 +41,91 @@ double CostAwareScheduler::Score(const CollectionRecord& record) const {
   return cost / std::max(speed, 1e-9);
 }
 
-struct RankedScheduler::GenState {
-  PlacementRequest request;
-  Callback<ScheduleRequestList> done;
-  std::size_t class_index = 0;
-  // candidates[instance][rank] like the IRS structure.
-  std::vector<std::vector<ObjectMapping>> candidates;
-};
-
 void RankedScheduler::ComputeSchedule(const PlacementRequest& request,
                                       Callback<ScheduleRequestList> done) {
-  auto state = std::make_shared<GenState>();
-  state->request = request;
-  state->done = std::move(done);
-  NextClass(state);
-}
-
-void RankedScheduler::NextClass(const std::shared_ptr<GenState>& state) {
-  if (state->class_index >= state->request.size()) {
-    if (state->candidates.empty()) {
-      state->done(Status::Error(ErrorCode::kNoResources, "nothing to place"));
-      return;
-    }
-    const std::size_t instances = state->candidates.size();
-    MasterSchedule master;
-    for (const auto& per_instance : state->candidates) {
-      master.mappings.push_back(per_instance.front());
-    }
-    const std::size_t depth = state->candidates.front().size();
-    for (std::size_t rank = 1; rank < depth; ++rank) {
-      VariantSchedule variant;
-      variant.replaces.Resize(instances);
-      for (std::size_t i = 0; i < instances; ++i) {
-        const std::size_t r = std::min(rank, state->candidates[i].size() - 1);
-        const ObjectMapping& alternative = state->candidates[i][r];
-        if (alternative == master.mappings[i]) continue;
-        variant.replaces.Set(i);
-        variant.mappings.emplace_back(i, alternative);
-      }
-      if (!variant.mappings.empty()) master.variants.push_back(variant);
-    }
-    ScheduleRequestList list;
-    list.masters.push_back(std::move(master));
-    state->done(std::move(list));
-    return;
-  }
-
-  const InstanceRequest& instance_request = state->request[state->class_index];
-  // Per-instance memory demand, for the feasibility filter.
-  std::size_t memory_mb = 32;
-  if (auto* klass = dynamic_cast<ClassObject*>(
-          kernel()->FindActor(instance_request.class_loid))) {
-    memory_mb = klass->instance_memory_mb();
-  }
-
-  GetImplementations(
-      instance_request.class_loid,
-      [this, state, instance_request, memory_mb](
-          Result<std::vector<Implementation>> implementations) {
-        if (!implementations.ok()) {
-          state->done(implementations.status());
-          return;
+  // Bound the candidate pool, pre-ordered by the policy's score proxy so
+  // the cap keeps the most promising hosts.
+  QueryOptions bounds;
+  bounds.max_results = 1024;
+  bounds.order_by = OrderAttribute();
+  PlaceEachClass(
+      request, bounds,
+      [this](const InstanceRequest& wanted, const CollectionData& hosts,
+             ChoiceLists* choices) {
+        // Per-instance memory demand, for the feasibility filter.
+        std::size_t memory_mb = 32;
+        if (auto* klass = dynamic_cast<ClassObject*>(
+                kernel()->FindActor(wanted.class_loid))) {
+          memory_mb = klass->instance_memory_mb();
         }
-        // Bound the candidate pool, pre-ordered by the policy's score
-        // proxy so the cap keeps the most promising hosts.
-        QueryOptions options = ScopedOptions();
-        options.max_results = 1024;
-        options.order_by = OrderAttribute();
-        QueryHosts(
-            HostMatchQuery(*implementations), options,
-            [this, state, instance_request,
-             memory_mb](Result<CollectionData> hosts) {
-              if (!hosts.ok()) {
-                state->done(hosts.status());
-                return;
-              }
-              FilterSuspects(&*hosts);
-              // Filter to feasible hosts with vaults, then rank by score.
-              struct Ranked {
-                double score;
-                const CollectionRecord* record;
-                std::vector<Loid> vaults;
-                double extra_load = 0.0;  // assignments charged this round
-                double cpus = 1.0;
-              };
-              std::vector<Ranked> ranked;
-              for (const CollectionRecord& record : *hosts) {
-                if (!Feasible(record, memory_mb)) continue;
-                std::vector<Loid> vaults = CompatibleVaultsOf(record);
-                if (vaults.empty()) continue;
-                Ranked r;
-                r.score = Score(record);
-                r.record = &record;
-                r.vaults = std::move(vaults);
-                r.cpus = record.attributes.GetOr("host_cpus", AttrValue(1))
-                             .as_double();
-                ranked.push_back(std::move(r));
-              }
-              if (ranked.empty()) {
-                state->done(Status::Error(
-                    ErrorCode::kNoResources,
-                    "no feasible hosts for class " +
-                        instance_request.class_loid.ToString()));
-                return;
-              }
-              std::sort(ranked.begin(), ranked.end(),
-                        [](const Ranked& a, const Ranked& b) {
-                          if (a.score != b.score) return a.score < b.score;
-                          return a.record->member < b.record->member;
-                        });
+        // Filter to feasible hosts with vaults, then rank by score.
+        struct Ranked {
+          double score;
+          const CollectionRecord* record;
+          Loid vault;
+          double extra_load = 0.0;  // assignments charged this round
+          double cpus = 1.0;
+        };
+        std::vector<Ranked> ranked;
+        for (const CollectionRecord& record : hosts) {
+          if (!Feasible(record, memory_mb)) continue;
+          std::vector<Loid> vaults = CompatibleVaultsOf(record);
+          if (vaults.empty()) continue;
+          Ranked r;
+          r.score = Score(record);
+          r.record = &record;
+          r.vault = vaults.front();
+          r.cpus = record.attributes.GetOr("host_cpus", AttrValue(1))
+                       .as_double();
+          ranked.push_back(r);
+        }
+        if (ranked.empty()) {
+          return Status::Error(ErrorCode::kNoResources,
+                               "no feasible hosts for class " +
+                                   wanted.class_loid.ToString());
+        }
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const Ranked& a, const Ranked& b) {
+                    if (a.score != b.score) return a.score < b.score;
+                    return a.record->member < b.record->member;
+                  });
 
-              const std::size_t depth =
-                  std::min(nvariants_ + 1, ranked.size());
-              for (std::size_t i = 0; i < instance_request.count; ++i) {
-                // Pick the current best (score + charged load), charge it,
-                // and record the next-best alternatives as variants.  Only
-                // the first `depth` ranks are read, and ties break by
-                // member, so selecting them equals sorting the whole pool.
-                std::vector<std::size_t> order(ranked.size());
-                for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
-                std::partial_sort(order.begin(), order.begin() + depth,
-                                  order.end(),
-                                  [&](std::size_t a, std::size_t b) {
-                                    const double sa =
-                                        ranked[a].score + ranked[a].extra_load;
-                                    const double sb =
-                                        ranked[b].score + ranked[b].extra_load;
-                                    if (sa != sb) return sa < sb;
-                                    return ranked[a].record->member <
-                                           ranked[b].record->member;
-                                  });
-                std::vector<ObjectMapping> per_instance;
-                for (std::size_t rank = 0; rank < depth; ++rank) {
-                  const Ranked& host = ranked[order[rank]];
-                  ObjectMapping mapping;
-                  mapping.class_loid = instance_request.class_loid;
-                  mapping.host = host.record->member;
-                  mapping.vault = host.vaults.front();
-                  mapping.implementation = ImplementationFor(*host.record);
-                  per_instance.push_back(mapping);
-                }
-                if (AuditOn()) {
-                  const Ranked& best = ranked[order[0]];
-                  AuditChoice(state->candidates.size(), per_instance.front(),
-                              "best of " + std::to_string(ranked.size()) +
-                                  " feasible, score=" +
-                                  std::to_string(best.score +
-                                                 best.extra_load));
-                }
-                ranked[order[0]].extra_load +=
-                    1.0 / std::max(ranked[order[0]].cpus, 1.0);
-                state->candidates.push_back(std::move(per_instance));
-              }
-              ++state->class_index;
-              NextClass(state);
-            });
-      });
+        const std::size_t depth = std::min(nvariants_ + 1, ranked.size());
+        for (std::size_t i = 0; i < wanted.count; ++i) {
+          // Pick the current best (score + charged load), charge it, and
+          // record the next-best alternatives as variants.  Only the
+          // first `depth` ranks are read, and ties break by member, so
+          // selecting them equals sorting the whole pool.
+          std::vector<std::size_t> order(ranked.size());
+          for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+          std::partial_sort(order.begin(), order.begin() + depth, order.end(),
+                            [&](std::size_t a, std::size_t b) {
+                              const double sa =
+                                  ranked[a].score + ranked[a].extra_load;
+                              const double sb =
+                                  ranked[b].score + ranked[b].extra_load;
+                              if (sa != sb) return sa < sb;
+                              return ranked[a].record->member <
+                                     ranked[b].record->member;
+                            });
+          std::vector<ObjectMapping> per_instance;
+          for (std::size_t rank = 0; rank < depth; ++rank) {
+            const Ranked& host = ranked[order[rank]];
+            per_instance.push_back(
+                MapOnto(wanted.class_loid, *host.record, host.vault));
+          }
+          Ranked& best = ranked[order[0]];
+          AuditChoice(choices->size(), per_instance.front(), [&] {
+            return "best of " + std::to_string(ranked.size()) +
+                   " feasible, score=" +
+                   std::to_string(best.score + best.extra_load);
+          });
+          best.extra_load += 1.0 / std::max(best.cpus, 1.0);
+          choices->push_back(std::move(per_instance));
+        }
+        return Status::Ok();
+      },
+      std::move(done));
 }
 
 }  // namespace legion

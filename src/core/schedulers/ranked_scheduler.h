@@ -5,8 +5,9 @@
 //
 // A RankedScheduler scores every feasible host (lower is better), spreads
 // instances across the best hosts (charging each assignment against the
-// host's remaining capacity so one fast host is not swamped), and emits
-// IRS-style variant schedules built from the next-best alternatives.
+// host's remaining capacity so one fast host is not swamped), and hands
+// each instance's best-first alternatives to the base's PlaceEachClass,
+// which emits IRS-style variant schedules from the next-best ranks.
 //
 //   * LoadAwareScheduler  -- score = host_load (optionally the injected
 //     forecast_load() prediction), exercising the paper's claim that rich
@@ -45,9 +46,6 @@ class RankedScheduler : public SchedulerObject {
                         std::size_t memory_mb) const;
 
  private:
-  struct GenState;
-  void NextClass(const std::shared_ptr<GenState>& state);
-
   std::size_t nvariants_;
 };
 

@@ -22,155 +22,130 @@ void StencilScheduler::ComputeSchedule(const PlacementRequest& request,
           dynamic_cast<ClassObject*>(kernel()->FindActor(class_loid))) {
     cpu_fraction = klass->instance_cpu_fraction();
   }
-  GetImplementations(
-      class_loid,
-      [this, class_loid, cpu_fraction, done = std::move(done)](
-          Result<std::vector<Implementation>> implementations) mutable {
-        if (!implementations.ok()) {
-          done(implementations.status());
+  // Band sizing wants broad domain coverage, so keep member order (no
+  // score proxy) but still bound the pool.  Suspects are demoted before
+  // capacity sizing: a suspect domain would otherwise be handed a whole
+  // band of rows.
+  QueryOptions bounds;
+  bounds.max_results = 4096;
+  QueryPool(
+      class_loid, bounds, /*min_keep=*/1,
+      [this, class_loid, cpu_fraction,
+       done = std::move(done)](Result<CollectionData> hosts) {
+        if (!hosts.ok()) {
+          done(hosts.status());
           return;
         }
-        // Band sizing wants broad domain coverage, so keep member order
-        // (no score proxy) but still bound the pool.
-        QueryOptions options = ScopedOptions();
-        options.max_results = 4096;
-        QueryHosts(
-            HostMatchQuery(*implementations), options,
-            [this, class_loid, cpu_fraction,
-             done = std::move(done)](Result<CollectionData> hosts) mutable {
-              if (!hosts.ok() || hosts->empty()) {
-                done(Status::Error(ErrorCode::kNoResources,
-                                   "no matching hosts"));
-                return;
-              }
-              // A suspect domain would otherwise be handed a whole band
-              // of rows; demote its hosts before capacity sizing.
-              FilterSuspects(&*hosts);
-              // Group usable hosts by administrative domain.
-              struct HostSlot {
-                Loid host;
-                Loid vault;
-                std::string impl;
-                double load;
-                double cpus;
-                double charged = 0.0;
-              };
-              std::map<std::int64_t, std::vector<HostSlot>> domains;
-              for (const CollectionRecord& record : *hosts) {
-                std::vector<Loid> vaults = CompatibleVaultsOf(record);
-                if (vaults.empty()) continue;
-                HostSlot slot;
-                slot.host = record.member;
-                slot.vault = vaults.front();
-                slot.impl = ImplementationFor(record);
-                slot.load = record.attributes.GetOr("host_load", AttrValue(0.0))
-                                .as_double();
-                slot.cpus = record.attributes.GetOr("host_cpus", AttrValue(1))
-                                .as_double();
-                domains[record.attributes.GetOr("host_domain", AttrValue(0))
-                            .as_int()]
-                    .push_back(std::move(slot));
-              }
-              if (domains.empty()) {
-                done(Status::Error(ErrorCode::kNoResources,
-                                   "no usable hosts"));
-                return;
-              }
-              // Aggregate capacity per domain drives band sizing.
-              std::vector<std::pair<std::int64_t, double>> capacity;
-              double total_capacity = 0.0;
-              for (auto& [domain, slots] : domains) {
-                std::sort(slots.begin(), slots.end(),
-                          [](const HostSlot& a, const HostSlot& b) {
-                            if (a.load != b.load) return a.load < b.load;
-                            return a.host < b.host;
-                          });
-                double c = 0.0;
-                for (const HostSlot& slot : slots) {
-                  c += slot.cpus / (1.0 + slot.load);
-                }
-                capacity.emplace_back(domain, c);
-                total_capacity += c;
-              }
-              // Assign contiguous row bands to domains, proportional to
-              // capacity (largest domains first keeps bands contiguous).
-              std::sort(capacity.begin(), capacity.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.second > b.second;
-                        });
-              std::vector<std::int64_t> row_domain(rows_);
-              std::size_t next_row = 0;
-              for (std::size_t d = 0; d < capacity.size() && next_row < rows_;
-                   ++d) {
-                std::size_t band =
-                    d + 1 == capacity.size()
-                        ? rows_ - next_row
-                        : static_cast<std::size_t>(
-                              static_cast<double>(rows_) * capacity[d].second /
-                                  total_capacity +
-                              0.5);
-                if (band == 0 && next_row < rows_) band = 1;
-                for (std::size_t r = 0; r < band && next_row < rows_; ++r) {
-                  row_domain[next_row++] = capacity[d].first;
-                }
-              }
-              while (next_row < rows_) {
-                row_domain[next_row++] = capacity.front().first;
-              }
+        // Group usable hosts by administrative domain.
+        struct HostSlot {
+          ObjectMapping mapping;
+          double load;
+          double cpus;
+          double charged = 0.0;
+        };
+        std::map<std::int64_t, std::vector<HostSlot>> domains;
+        for (const CollectionRecord& record : *hosts) {
+          std::vector<Loid> vaults = CompatibleVaultsOf(record);
+          if (vaults.empty()) continue;
+          HostSlot slot;
+          slot.mapping = MapOnto(class_loid, record, vaults.front());
+          slot.load =
+              record.attributes.GetOr("host_load", AttrValue(0.0)).as_double();
+          slot.cpus =
+              record.attributes.GetOr("host_cpus", AttrValue(1)).as_double();
+          domains[record.attributes.GetOr("host_domain", AttrValue(0))
+                      .as_int()]
+              .push_back(std::move(slot));
+        }
+        if (domains.empty()) {
+          done(Status::Error(ErrorCode::kNoResources, "no usable hosts"));
+          return;
+        }
+        // Aggregate capacity per domain drives band sizing.
+        std::vector<std::pair<std::int64_t, double>> capacity;
+        double total_capacity = 0.0;
+        for (auto& [domain, slots] : domains) {
+          std::sort(slots.begin(), slots.end(),
+                    [](const HostSlot& a, const HostSlot& b) {
+                      if (a.load != b.load) return a.load < b.load;
+                      return a.mapping.host < b.mapping.host;
+                    });
+          double c = 0.0;
+          for (const HostSlot& slot : slots) {
+            c += slot.cpus / (1.0 + slot.load);
+          }
+          capacity.emplace_back(domain, c);
+          total_capacity += c;
+        }
+        // Assign contiguous row bands to domains, proportional to
+        // capacity (largest domains first keeps bands contiguous).
+        std::sort(capacity.begin(), capacity.end(),
+                  [](const auto& a, const auto& b) {
+                    return a.second > b.second;
+                  });
+        std::vector<std::int64_t> row_domain(rows_);
+        std::size_t next_row = 0;
+        for (std::size_t d = 0; d < capacity.size() && next_row < rows_;
+             ++d) {
+          std::size_t band =
+              d + 1 == capacity.size()
+                  ? rows_ - next_row
+                  : static_cast<std::size_t>(static_cast<double>(rows_) *
+                                                 capacity[d].second /
+                                                 total_capacity +
+                                             0.5);
+          if (band == 0 && next_row < rows_) band = 1;
+          for (std::size_t r = 0; r < band && next_row < rows_; ++r) {
+            row_domain[next_row++] = capacity[d].first;
+          }
+        }
+        while (next_row < rows_) {
+          row_domain[next_row++] = capacity.front().first;
+        }
 
-              // Fill cells row-major; within a band, spread across the
-              // domain's hosts least-loaded-first with load charging.
-              MasterSchedule master;
-              master.mappings.reserve(rows_ * cols_);
-              VariantSchedule alternates;
-              alternates.replaces.Resize(rows_ * cols_);
-              for (std::size_t r = 0; r < rows_; ++r) {
-                auto& slots = domains[row_domain[r]];
-                for (std::size_t c = 0; c < cols_; ++c) {
-                  // Current cheapest slot in this domain.
-                  std::size_t best = 0;
-                  for (std::size_t s = 1; s < slots.size(); ++s) {
-                    const double sa = slots[s].load + slots[s].charged;
-                    const double sb =
-                        slots[best].load + slots[best].charged;
-                    if (sa < sb) best = s;
-                  }
-                  ObjectMapping mapping;
-                  mapping.class_loid = class_loid;
-                  mapping.host = slots[best].host;
-                  mapping.vault = slots[best].vault;
-                  mapping.implementation = slots[best].impl;
-                  AuditChoice(master.mappings.size(), mapping,
-                              "cell (" + std::to_string(r) + "," +
-                                  std::to_string(c) + ") domain " +
-                                  std::to_string(row_domain[r]) +
-                                  ", least-loaded of " +
-                                  std::to_string(slots.size()));
-                  master.mappings.push_back(mapping);
-                  slots[best].charged +=
-                      cpu_fraction / std::max(slots[best].cpus, 1.0);
-                  // Same-domain alternate as the variant entry, if any.
-                  if (slots.size() > 1) {
-                    const std::size_t index = r * cols_ + c;
-                    const std::size_t alt = (best + 1) % slots.size();
-                    ObjectMapping alternative = mapping;
-                    alternative.host = slots[alt].host;
-                    alternative.vault = slots[alt].vault;
-                    alternative.implementation = slots[alt].impl;
-                    if (!(alternative == mapping)) {
-                      alternates.replaces.Set(index);
-                      alternates.mappings.emplace_back(index, alternative);
-                    }
-                  }
-                }
-              }
-              if (!alternates.mappings.empty()) {
-                master.variants.push_back(std::move(alternates));
-              }
-              ScheduleRequestList list;
-              list.masters.push_back(std::move(master));
-              done(std::move(list));
+        // Fill cells row-major; within a band, spread across the domain's
+        // hosts least-loaded-first with load charging.
+        MasterSchedule master;
+        master.mappings.reserve(rows_ * cols_);
+        VariantSchedule alternates;
+        alternates.replaces.Resize(rows_ * cols_);
+        for (std::size_t r = 0; r < rows_; ++r) {
+          auto& slots = domains[row_domain[r]];
+          for (std::size_t c = 0; c < cols_; ++c) {
+            // Current cheapest slot in this domain.
+            std::size_t best = 0;
+            for (std::size_t s = 1; s < slots.size(); ++s) {
+              const double sa = slots[s].load + slots[s].charged;
+              const double sb = slots[best].load + slots[best].charged;
+              if (sa < sb) best = s;
+            }
+            const ObjectMapping& mapping = slots[best].mapping;
+            AuditChoice(master.mappings.size(), mapping, [&] {
+              return "cell (" + std::to_string(r) + "," + std::to_string(c) +
+                     ") domain " + std::to_string(row_domain[r]) +
+                     ", least-loaded of " + std::to_string(slots.size());
             });
+            master.mappings.push_back(mapping);
+            slots[best].charged +=
+                cpu_fraction / std::max(slots[best].cpus, 1.0);
+            // Same-domain alternate as the variant entry, if any.
+            if (slots.size() > 1) {
+              const std::size_t index = r * cols_ + c;
+              const ObjectMapping& alternative =
+                  slots[(best + 1) % slots.size()].mapping;
+              if (!(alternative == mapping)) {
+                alternates.replaces.Set(index);
+                alternates.mappings.emplace_back(index, alternative);
+              }
+            }
+          }
+        }
+        if (!alternates.mappings.empty()) {
+          master.variants.push_back(std::move(alternates));
+        }
+        ScheduleRequestList list;
+        list.masters.push_back(std::move(master));
+        done(std::move(list));
       });
 }
 

@@ -19,8 +19,6 @@ struct LoadModelParams {
   double mean = 0.3;          // long-run background load (per-CPU)
   double reversion = 0.2;     // pull toward the mean per step
   double volatility = 0.08;   // step noise
-  double floor = 0.0;
-  double ceiling = 4.0;       // runaway protection
   double initial = 0.3;
 };
 
@@ -35,15 +33,20 @@ class LoadModel {
   double Step() {
     load_ += params_.reversion * (params_.mean - load_) +
              rng_.Normal(0.0, params_.volatility);
-    load_ = std::clamp(load_, params_.floor, params_.ceiling);
+    load_ = std::clamp(load_, kFloor, kCeiling);
     return load_;
   }
 
   // Forces a load spike (used by the migration experiments to model an
   // interactive user arriving at the workstation).
-  void Spike(double level) { load_ = std::clamp(level, params_.floor, params_.ceiling); }
+  void Spike(double level) { load_ = std::clamp(level, kFloor, kCeiling); }
 
  private:
+  // Load never leaves [kFloor, kCeiling]; the ceiling is runaway
+  // protection.
+  static constexpr double kFloor = 0.0;
+  static constexpr double kCeiling = 4.0;
+
   LoadModelParams params_;
   Rng rng_;
   double load_;

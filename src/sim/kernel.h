@@ -124,7 +124,6 @@ class SimKernel {
   std::uint64_t RunUntil(SimTime until);
   std::uint64_t Run() { return RunUntil(SimTime::Max()); }
   std::uint64_t RunFor(Duration d) { return RunUntil(now_ + d); }
-  bool Idle() const { return queue_.empty(); }
   std::size_t queue_size() const { return queue_.size(); }
 
   // ---- Actor registry ---------------------------------------------------
