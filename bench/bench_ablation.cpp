@@ -58,7 +58,8 @@ void RunVariantDepth() {
       world.kernel->RunFor(Duration::Minutes(5));
       successes += success ? 1 : 0;
       variants_applied += applied;
-      reservations += world->enactor()->stats().reservations_requested;
+      reservations +=
+          Count(*world.kernel, "reservations_requested", "enactor");
     }
     table.Row("%6zu  %7.0f%%  %16.1f  %20.2f", nsched,
               100.0 * successes / trials,

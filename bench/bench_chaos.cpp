@@ -85,7 +85,7 @@ ChaosCell RunCell(bool resilient, double loss, bool partition, int trials,
         world.kernel->minter().Mint(LoidSpace::kService, 0),
         world->collection()->loid(), world->enactor()->loid(), 4,
         4400 + trial);
-    world->ResetAllStats();
+    world.kernel->metrics().Reset();
 
     // A stream of placements paced across the fault window.
     for (int p = 0; p < placements; ++p) {
@@ -104,11 +104,11 @@ ChaosCell RunCell(bool resilient, double loss, bool partition, int trials,
         success_ms += (finished - started).millis();
       }
     }
-    const EnactorStats& stats = world->enactor()->stats();
-    cell.wasted += static_cast<double>(stats.reservations_cancelled +
-                                       stats.reservations_failed);
-    cell.retries += static_cast<double>(stats.retries);
-    cell.breaker_open += static_cast<double>(stats.breaker_open);
+    const SimKernel& kernel = *world.kernel;
+    cell.wasted += Count(kernel, "reservations_cancelled", "enactor") +
+                   Count(kernel, "reservations_failed", "enactor");
+    cell.retries += Count(kernel, "retries", "enactor");
+    cell.breaker_open += Count(kernel, "breaker_open", "enactor");
   }
   cell.success_pct = 100.0 * successes / attempts;
   cell.time_to_place_ms = successes > 0 ? success_ms / successes : 0.0;

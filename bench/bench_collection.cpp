@@ -124,9 +124,11 @@ void RunAblation() {
         std::exit(1);
       }
 
-      const std::uint64_t hits_before = collection->index_hits();
+      const std::uint64_t hits_before =
+          Count(*g_kernel, "index_hits", "collection");
       (void)collection->QueryLocal(*query, indexed);
-      const bool used_index = collection->index_hits() > hits_before;
+      const bool used_index =
+          Count(*g_kernel, "index_hits", "collection") > hits_before;
 
       const double scan_us =
           TimeUs([&] { (void)collection->QueryLocal(*query, scan); });

@@ -72,14 +72,8 @@ FederationCell RunCell(bool federated, std::size_t domains,
   CollectionObject* scoped_target =
       federated ? world->federation()->sub(probe_domain) : root;
 
-  // Measurement window starts after populate: snapshot the shared
-  // {component=collection} cells and the kernel counters, report the
-  // difference.
-  world->ResetAllStats();
-  const std::uint64_t pushes0 = root->delta_pushes();
-  const std::uint64_t records0 = root->delta_records();
-  const std::uint64_t pulls0 = root->refresh_pulls();
-  const std::uint64_t stale0 = root->stale_answers();
+  // Measurement window starts after populate: zero every registry cell.
+  kernel.metrics().Reset();
 
   FederationCell cell;
   const std::string query = "$host_load < 10.0";
@@ -126,13 +120,12 @@ FederationCell RunCell(bool federated, std::size_t domains,
   if (cell.scoped_ok > 0) cell.scoped_ms /= cell.scoped_ok;
   if (cell.global_ok > 0) cell.global_ms /= cell.global_ok;
   cell.staleness_ms = root->MeanRecordAge().millis();
-  cell.delta_pushes = root->delta_pushes() - pushes0;
-  cell.delta_records = root->delta_records() - records0;
-  cell.refresh_pulls = root->refresh_pulls() - pulls0;
-  cell.stale_answers = root->stale_answers() - stale0;
-  const KernelStats& stats = kernel.stats();
-  cell.messages = stats.messages_sent;
-  cell.kbytes = stats.bytes_sent / 1024;
+  cell.delta_pushes = Count(kernel, "delta_pushes", "collection");
+  cell.delta_records = Count(kernel, "delta_records", "collection");
+  cell.refresh_pulls = Count(kernel, "refresh_pulls", "collection");
+  cell.stale_answers = Count(kernel, "stale_answers", "collection");
+  cell.messages = Count(kernel, "messages_sent", "kernel");
+  cell.kbytes = Count(kernel, "bytes_sent", "kernel") / 1024;
   return cell;
 }
 

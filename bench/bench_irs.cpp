@@ -52,7 +52,7 @@ Outcome RunIrs(std::size_t n, std::size_t refusing, int trials) {
     outcome.successes += success ? 1 : 0;
     outcome.lookups += irs->collection_lookups();
     outcome.reservation_requests +=
-        world->enactor()->stats().reservations_requested;
+        Count(*world.kernel, "reservations_requested", "enactor");
   }
   return outcome;
 }
@@ -77,7 +77,7 @@ Outcome RunRepeatedRandom(std::size_t n, std::size_t refusing, int trials) {
     outcome.successes += success ? 1 : 0;
     outcome.lookups += random->collection_lookups();
     outcome.reservation_requests +=
-        world->enactor()->stats().reservations_requested;
+        Count(*world.kernel, "reservations_requested", "enactor");
   }
   return outcome;
 }

@@ -50,9 +50,8 @@ KOfNResult RunCell(std::size_t k, std::size_t n, double refuse_fraction,
     world.kernel->RunFor(Duration::Minutes(5));
     result.success += success ? 1.0 : 0.0;
     result.reservations +=
-        static_cast<double>(world->enactor()->stats().reservations_requested);
-    result.rethrash +=
-        static_cast<double>(world->enactor()->stats().rereservations);
+        Count(*world.kernel, "reservations_requested", "enactor");
+    result.rethrash += Count(*world.kernel, "rereservations", "enactor");
   }
   result.success = 100.0 * result.success / trials;
   result.reservations /= trials;

@@ -52,16 +52,15 @@ LayeringCost RunCell(Layering layering, std::size_t instances, int rounds) {
 
   LayeringCost cost;
   for (int round = 0; round < rounds; ++round) {
-    world->ResetAllStats();
+    world.kernel->metrics().Reset();
     PlacementTrace trace;
     app->Place({{klass->loid(), instances}},
                [&](Result<PlacementTrace> r) {
                  if (r.ok()) trace = *r;
                });
     world.kernel->RunFor(Duration::Minutes(2));
-    const KernelStats& stats = world.kernel->stats();
-    cost.messages += static_cast<double>(stats.messages_sent);
-    cost.kbytes += static_cast<double>(stats.bytes_sent) / 1024.0;
+    cost.messages += Count(*world.kernel, "messages_sent", "kernel");
+    cost.kbytes += Count(*world.kernel, "bytes_sent", "kernel") / 1024.0;
     cost.latency_ms += trace.latency.millis();
     cost.success += trace.success ? 1.0 : 0.0;
   }

@@ -122,10 +122,9 @@ ObsCell RunCell(const Mode& mode, int placements, bool export_artifacts) {
                      std::chrono::steady_clock::now() - wall_start)
                      .count();
 
-  const KernelStats& stats = kernel.stats();
-  cell.events = stats.events_run;
-  cell.messages = stats.messages_sent;
-  cell.rpcs = stats.rpcs_started;
+  cell.events = Count(kernel, "events_run", "kernel");
+  cell.messages = Count(kernel, "messages_sent", "kernel");
+  cell.rpcs = Count(kernel, "rpcs_started", "kernel");
   cell.samples = kernel.recorder().samples("kernel/messages_sent").size();
   cell.audit_records = kernel.audit().size();
   cell.profiled_labels = kernel.profiler().entries().size();

@@ -60,10 +60,11 @@ Totals RunMode(bool use_bitmaps, std::size_t refusing, std::size_t instances,
                                       outcome.ok() && outcome->success;
                                 });
     world.kernel->RunFor(Duration::Minutes(5));
-    const EnactorStats& stats = world->enactor()->stats();
-    totals.requested += stats.reservations_requested;
-    totals.cancelled += stats.reservations_cancelled;
-    totals.rethrash += stats.rereservations;
+    totals.requested +=
+        Count(*world.kernel, "reservations_requested", "enactor");
+    totals.cancelled +=
+        Count(*world.kernel, "reservations_cancelled", "enactor");
+    totals.rethrash += Count(*world.kernel, "rereservations", "enactor");
     totals.successes += success ? 1 : 0;
     ++totals.trials;
   }
@@ -105,10 +106,11 @@ Totals RunSingleBitMode(bool use_bitmaps, std::size_t refusing,
                                       outcome.ok() && outcome->success;
                                 });
     world.kernel->RunFor(Duration::Minutes(5));
-    const EnactorStats& stats = world->enactor()->stats();
-    totals.requested += stats.reservations_requested;
-    totals.cancelled += stats.reservations_cancelled;
-    totals.rethrash += stats.rereservations;
+    totals.requested +=
+        Count(*world.kernel, "reservations_requested", "enactor");
+    totals.cancelled +=
+        Count(*world.kernel, "reservations_cancelled", "enactor");
+    totals.rethrash += Count(*world.kernel, "rereservations", "enactor");
     totals.successes += success ? 1 : 0;
     ++totals.trials;
   }

@@ -115,7 +115,7 @@ BatchCellResult RunBatchCell(std::size_t objects, std::size_t cap,
     master.mappings.push_back(mapping);
   }
 
-  world->ResetAllStats();
+  world.kernel->metrics().Reset();
   BatchCellResult result;
   const SimTime t0 = world.kernel->Now();
   SimTime t1 = t0;
@@ -127,12 +127,11 @@ BatchCellResult RunBatchCell(std::size_t objects, std::size_t cap,
   world.kernel->RunFor(Duration::Minutes(10));
 
   result.place_s = (t1 - t0).seconds();
-  const KernelStats& kstats = world.kernel->stats();
-  result.rpcs = kstats.rpcs_started;
-  result.bytes = kstats.bytes_sent;
-  const EnactorStats& estats = world->enactor()->stats();
-  result.batches = estats.batches_sent;
-  result.parked = estats.requests_parked;
+  const SimKernel& kernel = *world.kernel;
+  result.rpcs = Count(kernel, "rpcs_started", "kernel");
+  result.bytes = Count(kernel, "bytes_sent", "kernel");
+  result.batches = Count(kernel, "batches_sent", "enactor");
+  result.parked = Count(kernel, "requests_parked", "enactor");
   return result;
 }
 

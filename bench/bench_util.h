@@ -51,6 +51,21 @@ inline World MakeWorld(MetacomputerConfig config,
   return world;
 }
 
+// Reads the registry counter `name{component=<component>}`.  A cell that
+// does not exist exits the bench, so a misspelt name cannot read as 0.
+inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
+                           const std::string& component) {
+  const obs::MetricsSnapshot snapshot = kernel.metrics().Snapshot();
+  const auto it = snapshot.counters.find(
+      obs::MetricsRegistry::CellKey(name, {{"component", component}}));
+  if (it == snapshot.counters.end()) {
+    std::fprintf(stderr, "no counter %.*s{component=%s}\n",
+                 static_cast<int>(name.size()), name.data(), component.c_str());
+    std::exit(1);
+  }
+  return it->second;
+}
+
 // One value in a machine-readable table row: a number or a label.
 struct Cell {
   template <typename T, std::enable_if_t<std::is_arithmetic_v<T>, int> = 0>

@@ -59,12 +59,15 @@ int main() {
   const auto& winner = *outcome.feedback.winner;
   std::printf("placed: master schedule + %zu variant substitutions\n",
               winner.variant_indices.size());
-  const EnactorStats& stats = metacomputer.enactor()->stats();
+  const obs::MetricsSnapshot metrics = kernel.metrics().Snapshot();
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(metrics.counters.at(
+        obs::MetricsRegistry::CellKey(name, {{"component", "enactor"}})));
+  };
   std::printf("negotiation: %llu reservation requests, %llu refused, "
               "%llu thrash remakes\n",
-              static_cast<unsigned long long>(stats.reservations_requested),
-              static_cast<unsigned long long>(stats.reservations_failed),
-              static_cast<unsigned long long>(stats.rereservations));
+              count("reservations_requested"), count("reservations_failed"),
+              count("rereservations"));
 
   ApplicationSpec app = MakeParameterStudy(k, /*work=*/30000.0);
   MakespanBreakdown breakdown = EstimateMakespan(

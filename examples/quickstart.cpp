@@ -91,12 +91,14 @@ int main() {
   std::printf("estimated makespan: %.2f s (max host load %.2f)\n",
               breakdown.makespan.seconds(), breakdown.max_host_load);
 
-  const KernelStats& stats = kernel.stats();
+  const obs::MetricsSnapshot metrics = kernel.metrics().Snapshot();
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(metrics.counters.at(
+        obs::MetricsRegistry::CellKey(name, {{"component", "kernel"}})));
+  };
   std::printf("kernel: %llu events, %llu messages (%llu dropped), %llu RPCs\n",
-              static_cast<unsigned long long>(stats.events_run),
-              static_cast<unsigned long long>(stats.messages_sent),
-              static_cast<unsigned long long>(stats.messages_dropped),
-              static_cast<unsigned long long>(stats.rpcs_started));
+              count("events_run"), count("messages_sent"),
+              count("messages_dropped"), count("rpcs_started"));
 
   // Dump the observability artifacts: the causal trace of the whole run
   // (both Chrome trace_event JSON and raw JSONL) and a metrics snapshot.

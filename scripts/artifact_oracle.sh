@@ -9,17 +9,24 @@
 #   AUDIT_*.jsonl, EXPLAIN_*.txt, and quickstart.{trace.json,
 #   trace.jsonl,metrics.json}
 #
+# It also runs the wall-clock benchmark's smoke gate,
+# `python3 perfbench/run.py --smoke`, in both trees and compares the
+# three `smoke <workload> <status> fingerprint=...` lines it prints.
+# perfbench/ is only run, never edited.
+#
 # A change that only restructures or speeds up the code must leave every
 # one of them identical.  Bench text output is diffed too, but only as a
 # note: its wall-time columns move from run to run.
 #
 # Usage: scripts/artifact_oracle.sh <base-ref> [work-dir]
-#   work-dir keeps the export, both build trees and both run directories
-#   (rerunning with the same work-dir rebuilds incrementally); without
-#   it a temporary directory is used and removed on exit.
-# Exit status: 0 if every artifact matches, 1 naming every artifact that
-# differs, exists on one side only, or comes from a run that failed;
-# 2 on usage or build errors.
+#   work-dir keeps the export, both build trees (the export's perfbench
+#   .bench_build included) and both run directories (rerunning with the
+#   same work-dir rebuilds incrementally); without it a temporary
+#   directory is used and removed on exit.
+# Exit status: 0 if every artifact and smoke fingerprint matches, 1
+# naming every artifact that differs, exists on one side only, or comes
+# from a run that failed, and every smoke line that differs or reports
+# FAIL; 2 on usage or build errors.
 set -euo pipefail
 
 die() { echo "artifact_oracle.sh: $*" >&2; exit 2; }
@@ -41,9 +48,18 @@ else
   trap 'rm -rf "$work"' EXIT
 fi
 
+# The export is replaced, but its perfbench build tree is kept so a
+# rerun does not rebuild perfbench cold.
+if [[ -d "$work/base-src/.bench_build" ]]; then
+  rm -rf "$work/base-bench_build"
+  mv "$work/base-src/.bench_build" "$work/base-bench_build"
+fi
 rm -rf "$work/base-src"
 mkdir -p "$work/base-src"
 git -C "$repo" archive "$base_ref" | tar -x -C "$work/base-src"
+if [[ -d "$work/base-bench_build" ]]; then
+  mv "$work/base-bench_build" "$work/base-src/.bench_build"
+fi
 
 # Builds the bench and example targets of the source tree $1 into $2,
 # logging to $2.log.
@@ -76,6 +92,14 @@ run_tree() {
   done
 }
 
+# Runs perfbench's smoke gate in source tree $1, logging to $2.  Prints
+# its exit status.
+smoke_tree() {
+  local status=0
+  (cd "$1" && python3 perfbench/run.py --smoke) >"$2" 2>&1 || status=$?
+  echo "$status"
+}
+
 echo "artifact_oracle.sh: building $base_ref and the working tree"
 build_tree "$work/base-src" "$work/base-build"
 build_tree "$repo" "$work/head-build"
@@ -84,9 +108,41 @@ echo "artifact_oracle.sh: running benches (smoke preset) and examples"
 base_failed="$(run_tree "$work/base-build" "$work/base-run")"
 head_failed="$(run_tree "$work/head-build" "$work/head-run")"
 
+echo "artifact_oracle.sh: running perfbench/run.py --smoke in both trees"
+base_smoke_status="$(smoke_tree "$work/base-src" "$work/base-smoke.log")"
+head_smoke_status="$(smoke_tree "$repo" "$work/head-smoke.log")"
+
 differ=()
 for name in $base_failed; do differ+=("run failed at $base_ref: $name"); done
 for name in $head_failed; do differ+=("run failed in working tree: $name"); done
+
+# perfbench smoke: a FAIL status, a failed run, or any line that differs.
+# check_smoke <smoke lines> <exit status> <where> <log> reports one side.
+check_smoke() {
+  local failed workload
+  failed="$(awk '$3 == "FAIL" {print $2}' <<<"$1")"
+  for workload in $failed; do
+    differ+=("perfbench smoke FAIL $3: $workload")
+  done
+  if [[ $2 != 0 && -z $failed ]]; then
+    differ+=("perfbench smoke exited $2 $3 (log: $4)")
+  fi
+}
+base_smoke="$(grep '^smoke ' "$work/base-smoke.log" || true)"
+head_smoke="$(grep '^smoke ' "$work/head-smoke.log" || true)"
+check_smoke "$base_smoke" "$base_smoke_status" "at $base_ref" \
+  "$work/base-smoke.log"
+check_smoke "$head_smoke" "$head_smoke_status" "in working tree" \
+  "$work/head-smoke.log"
+workloads="$(awk '{print $2}' <<<"$base_smoke
+$head_smoke" | sort -u)"
+[[ -n $workloads ]] || differ+=("perfbench smoke printed no fingerprint")
+for workload in $workloads; do
+  if [[ "$(grep "^smoke $workload " <<<"$base_smoke" || true)" != \
+        "$(grep "^smoke $workload " <<<"$head_smoke" || true)" ]]; then
+    differ+=("perfbench smoke fingerprint differs: $workload")
+  fi
+done
 
 artifacts="$(cd "$work" && {
   for side in base-run head-run; do
@@ -123,4 +179,6 @@ if [[ ${#differ[@]} -gt 0 ]]; then
     "differ from $base_ref" >&2
   exit 1
 fi
-echo "artifact_oracle.sh: all $compared artifacts byte-identical to $base_ref"
+echo "artifact_oracle.sh: all $compared artifacts byte-identical to" \
+  "$base_ref; perfbench smoke fingerprints identical ($(wc -w <<<"$workloads")" \
+  "workloads)"

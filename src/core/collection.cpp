@@ -185,18 +185,11 @@ void CollectionObject::RefreshThenAnswer(const std::string& query_text,
   state->outstanding = stale.size();
   state->answer = std::move(answer);
   for (ChildState* child : stale) {
-    const Loid sub = child->sub;
-    kernel()->AsyncCall<DeltaBatch>(
-        loid(), sub, kSmallMessage, kLargeMessage, Duration::Seconds(5),
-        [kernel = kernel(), sub](Callback<DeltaBatch> reply) {
-          auto* collection =
-              dynamic_cast<CollectionObject*>(kernel->FindActor(sub));
-          if (collection == nullptr) {
-            reply(Status::Error(ErrorCode::kUnavailable,
-                                "no such sub-Collection: " + sub.ToString()));
-            return;
-          }
-          reply(collection->PendingDeltas());
+    CallOn<DeltaBatch, CollectionObject>(
+        kernel(), loid(), child->sub, kSmallMessage, kLargeMessage,
+        Duration::Seconds(5),
+        [](CollectionObject& sub, Callback<DeltaBatch> reply) {
+          reply(sub.PendingDeltas());
         },
         [this, state](Result<DeltaBatch> batch) {
           if (batch.ok()) {
@@ -357,17 +350,11 @@ void CollectionObject::PullFrom(const std::vector<Loid>& members,
   state->outstanding = members.size();
   state->done = std::move(done);
   for (const Loid& member : members) {
-    kernel()->AsyncCall<AttributeDatabase>(
-        loid(), member, kSmallMessage, kMediumMessage, kDefaultRpcTimeout,
-        [kernel = kernel(), member](Callback<AttributeDatabase> reply) {
-          auto* object =
-              dynamic_cast<LegionObject*>(kernel->FindActor(member));
-          if (object == nullptr) {
-            reply(Status::Error(ErrorCode::kUnavailable,
-                                "no such resource: " + member.ToString()));
-            return;
-          }
-          reply(object->attributes());
+    CallOn<AttributeDatabase, LegionObject>(
+        kernel(), loid(), member, kSmallMessage, kMediumMessage,
+        kDefaultRpcTimeout,
+        [](LegionObject& object, Callback<AttributeDatabase> reply) {
+          reply(object.attributes());
         },
         [this, member, state](Result<AttributeDatabase> attrs) {
           if (attrs.ok()) {
@@ -424,22 +411,14 @@ void CollectionObject::FlushDeltas() {
   // fires, or unacked journals would pile up in flight.
   const Duration timeout = std::max(
       Duration::Seconds(1), push_period_ - Duration::Millis(1));
-  const Loid parent = parent_;
-  // Hoisted: the invoke lambda moves `batch`, and argument evaluation
+  // Hoisted: the method lambda moves `batch`, and argument evaluation
   // order is unspecified.
   const std::size_t batch_bytes = DeltaBatchBytes(batch);
-  kernel()->AsyncCall<std::uint64_t>(
-      loid(), parent, batch_bytes, kSmallMessage, timeout,
-      [kernel = kernel(), parent,
-       batch = std::move(batch)](Callback<std::uint64_t> reply) {
-        auto* root =
-            dynamic_cast<CollectionObject*>(kernel->FindActor(parent));
-        if (root == nullptr) {
-          reply(Status::Error(ErrorCode::kUnavailable,
-                              "no federation root: " + parent.ToString()));
-          return;
-        }
-        root->ApplyDeltaBatch(batch, std::move(reply));
+  CallOn<std::uint64_t, CollectionObject>(
+      kernel(), loid(), parent_, batch_bytes, kSmallMessage, timeout,
+      [batch = std::move(batch)](CollectionObject& root,
+                                 Callback<std::uint64_t> reply) {
+        root.ApplyDeltaBatch(batch, std::move(reply));
       },
       [this](Result<std::uint64_t> acked) {
         // Lost or refused pushes leave the journal intact: the whole

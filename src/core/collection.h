@@ -180,11 +180,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
   bool is_federation_root() const { return !children_.empty(); }
   const Loid& federation_parent() const { return parent_; }
 
-  std::uint64_t delta_pushes() const { return cells_.delta_pushes->value(); }
-  std::uint64_t delta_records() const { return cells_.delta_records->value(); }
-  std::uint64_t stale_answers() const { return cells_.stale_answers->value(); }
-  std::uint64_t refresh_pulls() const { return cells_.refresh_pulls->value(); }
-
   // ---- Administration ---------------------------------------------------------
   void AddTrustedUpdater(const Loid& agent);
   query::FunctionRegistry& functions() { return functions_; }
@@ -193,21 +188,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
   std::size_t record_count() const { return records_.size(); }
   // Mean age (now - updated_at) across records; the staleness metric.
   Duration MeanRecordAge() const;
-
-  std::uint64_t queries_served() const { return cells_.queries_served->value(); }
-  std::uint64_t updates_applied() const { return cells_.updates_applied->value(); }
-  std::uint64_t updates_rejected() const { return cells_.updates_rejected->value(); }
-  // Query-engine introspection (mirrored in the metrics registry).
-  std::uint64_t index_hits() const { return cells_.index_hits->value(); }
-  std::uint64_t planner_fallbacks() const {
-    return cells_.planner_fallbacks->value();
-  }
-  std::uint64_t compile_cache_hits() const {
-    return cells_.compile_cache_hits->value();
-  }
-  std::uint64_t compile_cache_misses() const {
-    return cells_.compile_cache_misses->value();
-  }
 
  private:
   bool Authorized(const Loid& caller, const Loid& member) const;
@@ -236,7 +216,8 @@ class CollectionObject : public LegionObject, public CollectionSink {
   CollectionData EmitResults(std::vector<const CollectionRecord*>& matched,
                              const QueryOptions& options) const;
 
-  // Registry cells ({component=collection}).
+  // Registry cells ({component=collection}), shared by every Collection
+  // of the kernel.
   struct Cells {
     obs::Counter* queries_served;
     obs::Counter* updates_applied;

@@ -41,17 +41,11 @@ void DataCollectionDaemon::Stop() {
 void DataCollectionDaemon::PollNow() {
   for (const Loid& resource : resources_) {
     // Pull: one RPC to the resource for its current attributes.
-    kernel()->AsyncCall<AttributeDatabase>(
-        loid(), resource, kSmallMessage, kMediumMessage, kDefaultRpcTimeout,
-        [kernel = kernel(), resource](Callback<AttributeDatabase> reply) {
-          auto* object =
-              dynamic_cast<LegionObject*>(kernel->FindActor(resource));
-          if (object == nullptr) {
-            reply(Status::Error(ErrorCode::kUnavailable,
-                                "resource gone: " + resource.ToString()));
-            return;
-          }
-          reply(object->attributes());
+    CallOn<AttributeDatabase, LegionObject>(
+        kernel(), loid(), resource, kSmallMessage, kMediumMessage,
+        kDefaultRpcTimeout,
+        [](LegionObject& object, Callback<AttributeDatabase> reply) {
+          reply(object.attributes());
         },
         [this, resource](Result<AttributeDatabase> attrs) {
           if (!attrs.ok()) return;

@@ -112,45 +112,6 @@ EnactorObject::EnactorObject(SimKernel* kernel, Loid loid,
       "batch_size", labels, {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
 }
 
-const EnactorStats& EnactorObject::stats() const {
-  stats_view_.negotiations = cells_.negotiations->value();
-  stats_view_.reservations_requested = cells_.reservations_requested->value();
-  stats_view_.reservations_granted = cells_.reservations_granted->value();
-  stats_view_.reservations_failed = cells_.reservations_failed->value();
-  stats_view_.reservations_cancelled = cells_.reservations_cancelled->value();
-  stats_view_.rereservations = cells_.rereservations->value();
-  stats_view_.enactments = cells_.enactments->value();
-  stats_view_.enact_failures = cells_.enact_failures->value();
-  stats_view_.retries = cells_.retries->value();
-  stats_view_.breaker_open = cells_.breaker_open->value();
-  stats_view_.breaker_probes = cells_.breaker_probes->value();
-  stats_view_.partial_recoveries = cells_.partial_recoveries->value();
-  stats_view_.batches_sent = cells_.batches_sent->value();
-  stats_view_.batched_slots = cells_.batched_slots->value();
-  stats_view_.requests_parked = cells_.requests_parked->value();
-  return stats_view_;
-}
-
-void EnactorObject::ResetStats() {
-  cells_.negotiations->Reset();
-  cells_.reservations_requested->Reset();
-  cells_.reservations_granted->Reset();
-  cells_.reservations_failed->Reset();
-  cells_.reservations_cancelled->Reset();
-  cells_.rereservations->Reset();
-  cells_.enactments->Reset();
-  cells_.enact_failures->Reset();
-  cells_.negotiation_rounds->Reset();
-  cells_.retries->Reset();
-  cells_.breaker_open->Reset();
-  cells_.breaker_probes->Reset();
-  cells_.partial_recoveries->Reset();
-  cells_.batches_sent->Reset();
-  cells_.batched_slots->Reset();
-  cells_.requests_parked->Reset();
-  cells_.batch_size->Reset();
-}
-
 void EnactorObject::MakeReservations(const ScheduleRequestList& request,
                                      Callback<ScheduleFeedback> done) {
   cells_.negotiations->Add();

@@ -85,39 +85,6 @@ struct EnactorOptions {
   HealthOptions health;
 };
 
-// Negotiation statistics.  The registry cells (labels
-// {component=enactor}) are the source of truth; this struct is the thin
-// view stats() refreshes from them.
-struct EnactorStats {
-  std::uint64_t negotiations = 0;
-  std::uint64_t reservations_requested = 0;
-  std::uint64_t reservations_granted = 0;
-  std::uint64_t reservations_failed = 0;
-  std::uint64_t reservations_cancelled = 0;
-  // Thrash metric: a reservation requested for an (index, mapping) pair
-  // that was already granted and then cancelled within the same
-  // negotiation -- the "canceling and subsequent remaking of the same
-  // reservation" the paper's bitmap design avoids.
-  std::uint64_t rereservations = 0;
-  std::uint64_t enactments = 0;
-  std::uint64_t enact_failures = 0;
-  // Resilience metrics: reservation retries issued for transient
-  // failures, attempts short-circuited because the target's breaker was
-  // open, reservation RPCs sent as half-open probes, and mappings that
-  // recovered in place (granted after at least one transient failure).
-  std::uint64_t retries = 0;
-  std::uint64_t breaker_open = 0;
-  std::uint64_t breaker_probes = 0;
-  std::uint64_t partial_recoveries = 0;
-  // Batch pipeline: ReserveBatch RPCs sent, slots across them (their
-  // ratio is the realized batch size; the batch_size histogram keeps the
-  // distribution), and slots that waited in the bounded admission queue
-  // because max_outstanding_batches was reached.
-  std::uint64_t batches_sent = 0;
-  std::uint64_t batched_slots = 0;
-  std::uint64_t requests_parked = 0;
-};
-
 class EnactorObject : public LegionObject {
  public:
   EnactorObject(SimKernel* kernel, Loid loid, EnactorOptions options = {});
@@ -138,8 +105,6 @@ class EnactorObject : public LegionObject {
                      Callback<EnactResult> done);
 
   EnactorOptions& options() { return options_; }
-  const EnactorStats& stats() const;
-  void ResetStats();
 
   // The shared host/domain health view.  Schedulers consult it when
   // building candidate pools; constructed from options().health.
@@ -222,21 +187,31 @@ class EnactorObject : public LegionObject {
     kernel()->audit().Record(kernel()->Now(), kind, std::move(fields));
   }
 
-  // Pre-resolved metrics cells; hot-path updates are one atomic add.
+  // Registry cells ({component=enactor}), shared by every Enactor of the
+  // kernel; hot-path updates are one atomic add.
   struct Cells {
     obs::Counter* negotiations;
     obs::Counter* reservations_requested;
     obs::Counter* reservations_granted;
     obs::Counter* reservations_failed;
     obs::Counter* reservations_cancelled;
+    // Thrash metric: a reservation requested for an (index, mapping) pair
+    // that was already granted and then cancelled within the same
+    // negotiation -- the "canceling and subsequent remaking of the same
+    // reservation" the paper's bitmap design avoids.
     obs::Counter* rereservations;
     obs::Counter* enactments;
     obs::Counter* enact_failures;
     obs::Counter* negotiation_rounds;
+    // Resilience: retries of transient failures, attempts short-circuited
+    // by an open breaker, half-open probes, and mappings granted after at
+    // least one transient failure.
     obs::Counter* retries;
     obs::Counter* breaker_open;
     obs::Counter* breaker_probes;
     obs::Counter* partial_recoveries;
+    // Batch pipeline: ReserveBatch RPCs, slots across them, and slots
+    // that waited because max_outstanding_batches was reached.
     obs::Counter* batches_sent;
     obs::Counter* batched_slots;
     obs::Counter* requests_parked;
@@ -247,7 +222,6 @@ class EnactorObject : public LegionObject {
   HealthTracker health_;
   Rng rng_;  // backoff jitter; seeded from the sim's network seed
   Cells cells_;
-  mutable EnactorStats stats_view_;
   // Backpressure state shared across negotiations.
   std::deque<Batch> parked_;
   std::size_t outstanding_batches_ = 0;

@@ -47,9 +47,6 @@ class MonitorObject : public LegionObject {
     handler_ = std::move(handler);
   }
 
-  std::uint64_t events_received() const { return events_cell_->value(); }
-  std::uint64_t events_suppressed() const { return suppressed_cell_->value(); }
-
  private:
   void OnEvent(const RgeEvent& event);
 
@@ -64,7 +61,8 @@ class MonitorObject : public LegionObject {
   RescheduleHandler handler_;
   // Last handler dispatch per (source host, event name).
   std::map<std::pair<Loid, std::string>, SimTime> last_dispatch_;
-  // Registry cells ({component=monitor}).
+  // Registry cells monitor_events and monitor_events_suppressed
+  // ({component=monitor}), shared by every Monitor of the kernel.
   obs::Counter* events_cell_ = nullptr;
   obs::Counter* suppressed_cell_ = nullptr;
 };

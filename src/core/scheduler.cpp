@@ -164,7 +164,6 @@ void SchedulerObject::QueryPool(const Loid& class_loid, QueryOptions bounds,
                                 std::size_t min_keep,
                                 Callback<CollectionData> done) {
   bounds.domain_scope = domain_scope_;
-  bounds.max_staleness = max_staleness_;
   // "query the class for available implementations"
   GetImplementations(
       class_loid,

@@ -85,19 +85,12 @@ class SchedulerObject : public LegionObject {
     collection_ = collection;
     domain_scope_ = domain_scope;
   }
-  // Bounds the staleness this scheduler tolerates from a federation
-  // root: queries carry the bound, and the root refresh-pulls any domain
-  // whose deltas are older.  Infinite (default) accepts the aggregate
-  // as-is.
-  void SetMaxStaleness(Duration max_staleness) {
-    max_staleness_ = max_staleness;
-  }
 
  protected:
   // One class's candidate pool.  `bounds` carries the policy's
-  // max_results/order_by; the routing scope and staleness bound are set
-  // here.  An empty reply fails with kNoResources; suspects are demoted
-  // keeping at least `min_keep` candidates (see FilterSuspects).
+  // max_results/order_by; the routing scope is set here.  An empty reply
+  // fails with kNoResources; suspects are demoted keeping at least
+  // `min_keep` candidates (see FilterSuspects).
   void QueryPool(const Loid& class_loid, QueryOptions bounds,
                  std::size_t min_keep, Callback<CollectionData> done);
 
@@ -191,7 +184,6 @@ class SchedulerObject : public LegionObject {
   Loid collection_;
   Loid enactor_;
   std::int64_t domain_scope_ = -1;
-  Duration max_staleness_ = Duration::Infinite();
   std::uint64_t collection_lookups_ = 0;
   // Registry cells ({component=scheduler, scheduler=<name>}).
   obs::Counter* runs_cell_ = nullptr;

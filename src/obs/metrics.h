@@ -121,8 +121,10 @@ class MetricsRegistry {
 
   // Resolve-or-create.  The returned pointer is stable for the registry's
   // lifetime; equal (name, labels) -- in any label order -- return the
-  // same cell.  A name registered as one kind must not be re-requested as
-  // another (asserts in debug builds, returns a detached cell otherwise).
+  // same cell.  Each kind has its own namespace: one name requested as a
+  // counter and as a gauge yields two independent cells, each exported
+  // under its own kind.  A histogram keeps the bounds of its first
+  // registration.
   Counter* GetCounter(std::string_view name, const Labels& labels = {});
   Gauge* GetGauge(std::string_view name, const Labels& labels = {});
   Histogram* GetHistogram(std::string_view name, const Labels& labels,

@@ -39,7 +39,7 @@ void TimeSeriesRecorder::SampleAt(SimTime ts) {
     if (!s.has_last) {
       sample.delta = value;
     } else if (s.cumulative && value < s.last) {
-      // The cell was reset mid-window (ResetAllStats / ResetStats): the
+      // The cell was reset mid-window (MetricsRegistry::Reset): the
       // window's growth is everything accumulated since the reset, not a
       // negative jump.
       sample.delta = value;

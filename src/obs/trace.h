@@ -14,9 +14,8 @@
 // oracle.
 //
 // Cost model: tracing is off by default.  `enabled()` is an inline flag
-// test (and compiles to `false` when LEGION_TRACE_LEVEL=0); every
-// recording site guards with it, so a disabled sink records nothing and
-// allocates nothing in the hot path.
+// test; every recording site guards with it, so a disabled sink records
+// nothing and allocates nothing in the hot path.
 //
 // Exports: Chrome trace_event JSON (load in chrome://tracing or
 // https://ui.perfetto.dev) and JSONL (one event per line, for diffing
@@ -30,12 +29,6 @@
 #include <vector>
 
 #include "base/sim_time.h"
-
-// Compile-time gate: 0 removes tracing entirely (enabled() folds to
-// false and dead-code elimination strips the recording branches).
-#ifndef LEGION_TRACE_LEVEL
-#define LEGION_TRACE_LEVEL 1
-#endif
 
 namespace legion::obs {
 
@@ -63,10 +56,8 @@ struct TraceEvent {
 
 class TraceLog {
  public:
-  static constexpr bool CompiledIn() { return LEGION_TRACE_LEVEL > 0; }
-
-  bool enabled() const { return CompiledIn() && enabled_; }
-  void Enable() { enabled_ = CompiledIn(); }
+  bool enabled() const { return enabled_; }
+  void Enable() { enabled_ = true; }
   void Disable() { enabled_ = false; }
 
   // The span currently being executed on behalf of; new spans default to

@@ -25,30 +25,6 @@ SimKernel::SimKernel(NetworkParams net_params, std::uint64_t seed)
       obs::LatencyBucketsUs());
 }
 
-const KernelStats& SimKernel::stats() const {
-  stats_view_.events_run = cells_.events_run->value();
-  stats_view_.messages_sent = cells_.messages_sent->value();
-  stats_view_.messages_dropped = cells_.messages_dropped->value();
-  stats_view_.bytes_sent = cells_.bytes_sent->value();
-  stats_view_.rpcs_started = cells_.rpcs_started->value();
-  stats_view_.rpcs_completed = cells_.rpcs_completed->value();
-  stats_view_.rpcs_timed_out = cells_.rpcs_timed_out->value();
-  return stats_view_;
-}
-
-void SimKernel::ResetStats() {
-  cells_.events_run->Reset();
-  cells_.messages_sent->Reset();
-  cells_.messages_dropped->Reset();
-  cells_.bytes_sent->Reset();
-  cells_.rpcs_started->Reset();
-  cells_.rpcs_completed->Reset();
-  cells_.rpcs_timed_out->Reset();
-  cells_.rpc_latency_ok->Reset();
-  cells_.rpc_latency_timeout->Reset();
-  cells_.rpc_latency_error->Reset();
-}
-
 EventId SimKernel::ScheduleAt(SimTime when, EventQueue::EventFn fn,
                               const char* label) {
   assert(when >= now_ && "cannot schedule in the past");

@@ -5,8 +5,8 @@
 // owns the virtual clock and the event queue, routes messages, implements
 // the asynchronous RPC pattern used throughout the RMI (Scheduler ->
 // Collection queries, Enactor -> Host reservation calls, Class ->
-// Host StartObject, Monitor outcalls), and keeps global statistics that
-// the benchmark harnesses report (message counts, RPC timeouts).
+// Host StartObject, Monitor outcalls), and counts messages, events and
+// RPCs in its metrics registry for the benchmark harnesses.
 //
 // The kernel is deliberately single-threaded and deterministic: given the
 // same seed and workload, every experiment reproduces exactly.  Objects
@@ -59,19 +59,6 @@ class Actor {
 template <typename T>
 using Callback = std::function<void(Result<T>)>;
 
-// Kernel-wide statistics, exposed to benchmarks.  The registry cells in
-// metrics() are the source of truth; this struct is the thin view
-// stats() refreshes from them (reads its fields right after the call).
-struct KernelStats {
-  std::uint64_t events_run = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t rpcs_started = 0;
-  std::uint64_t rpcs_completed = 0;
-  std::uint64_t rpcs_timed_out = 0;
-};
-
 class SimKernel {
  public:
   explicit SimKernel(NetworkParams net_params = {}, std::uint64_t seed = 1);
@@ -79,14 +66,12 @@ class SimKernel {
   SimTime Now() const { return now_; }
   NetworkModel& network() { return network_; }
   LoidMinter& minter() { return minter_; }
-  const KernelStats& stats() const;
-  // Zeroes the kernel's own cells (messages, events, RPCs + latency
-  // histograms); other components' registry cells are untouched.
-  void ResetStats();
 
   // ---- Observability ----------------------------------------------------
   // Every component of this simulated world reports into this registry /
-  // trace log; see DESIGN.md "Observability".
+  // trace log; see DESIGN.md "Observability".  Counters are read from a
+  // metrics().Snapshot(), and metrics().Reset() starts a measurement
+  // window for every component at once.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::TraceLog& trace() { return trace_; }
@@ -186,7 +171,6 @@ class SimKernel {
   obs::DecisionLog audit_;
   obs::WallClock wallclock_;
   Cells cells_;
-  mutable KernelStats stats_view_;
   std::unordered_map<Loid, std::unique_ptr<Actor>> actors_;
   std::unordered_map<PeriodicId, EventId> periodic_;
   PeriodicId next_periodic_ = 1;

@@ -16,10 +16,8 @@
 // wall_us fields are zero (and the profile dump deterministic) unless a
 // caller opts into real time.
 //
-// Cost model: like LEGION_TRACE_LEVEL.  enabled() is an inline flag test
-// that compiles to `false` under -DLEGION_PROFILE=0, removing the
-// accounting branches entirely; at the default level the cost of a
-// disabled profiler is one predictable branch per event.
+// Cost model: like the TraceLog.  enabled() is an inline flag test, so a
+// disabled profiler costs one predictable branch per event.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +26,6 @@
 #include <string_view>
 
 #include "base/sim_time.h"
-
-// Compile-time gate: 0 removes the profiler entirely.
-#ifndef LEGION_PROFILE
-#define LEGION_PROFILE 1
-#endif
 
 namespace legion {
 
@@ -46,10 +39,8 @@ struct ProfileEntry {
 
 class KernelProfiler {
  public:
-  static constexpr bool CompiledIn() { return LEGION_PROFILE > 0; }
-
-  bool enabled() const { return CompiledIn() && enabled_; }
-  void Enable() { enabled_ = CompiledIn(); }
+  bool enabled() const { return enabled_; }
+  void Enable() { enabled_ = true; }
   void Disable() { enabled_ = false; }
 
   // One handler execution under `label` ("component/kind"): `queue_lag`

@@ -185,9 +185,4 @@ void Metacomputer::PopulateCollection() {
   kernel_->RunFor(settle);
 }
 
-void Metacomputer::ResetAllStats() {
-  kernel_->ResetStats();
-  enactor_->ResetStats();
-}
-
 }  // namespace legion

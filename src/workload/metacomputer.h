@@ -102,12 +102,6 @@ class Metacomputer {
   // Runs the kernel for the given simulated span.
   void Settle(Duration d) { kernel_->RunFor(d); }
 
-  // Resets the kernel's and the enactor's stats views together, so
-  // measurement windows (benchmarks, steady-state experiments) start
-  // from a consistent zero instead of each caller remembering which
-  // components to reset.
-  void ResetAllStats();
-
  private:
   SimKernel* kernel_;
   MetacomputerConfig config_;

@@ -31,10 +31,6 @@ void WorkloadSession::ScopeToDomain(DomainId domain) {
                            static_cast<std::int64_t>(domain));
 }
 
-void WorkloadSession::BoundStaleness(Duration max_staleness) {
-  scheduler_->SetMaxStaleness(max_staleness);
-}
-
 void WorkloadSession::Submit(const ApplicationSpec& app) {
   SimKernel* kernel = metacomputer_->kernel();
   const std::size_t app_index = results_.size();

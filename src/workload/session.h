@@ -66,9 +66,6 @@ class WorkloadSession {
   // metacomputer is federated, or to the flat Collection with a
   // domain_scope filter otherwise.
   void ScopeToDomain(DomainId domain);
-  // Bounds the staleness tolerated from the federation root for global
-  // placements (no-op on flat topologies, where answers are push-fresh).
-  void BoundStaleness(Duration max_staleness);
 
  private:
   void RunApplication(std::size_t app_index, const ApplicationSpec& app,

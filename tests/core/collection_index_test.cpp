@@ -17,6 +17,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 Loid M(std::uint64_t serial) { return Loid(LoidSpace::kHost, 0, serial); }
@@ -321,7 +322,7 @@ TEST_F(CollectionIndexTest, JoinUpdateLeaveKeepIndexConsistent) {
                                     joined.Sink());
   auto x86 = world_.collection->QueryLocal("$host_arch == \"x86\"");
   ASSERT_EQ(x86->size(), 1u);
-  EXPECT_GE(world_.collection->index_hits(), 1u);
+  EXPECT_GE(Count(world_.kernel, "index_hits", "collection"), 1u);
 
   // Update flips the arch; the old index entry must be gone.
   Await<bool> updated;
@@ -341,15 +342,17 @@ TEST_F(CollectionIndexTest, IndexAndScanCountersSplitTraffic) {
   Await<bool> joined;
   world_.collection->JoinCollection(M(1), HostRecord("x86", 0.5),
                                     joined.Sink());
-  const auto hits = world_.collection->index_hits();
-  const auto fallbacks = world_.collection->planner_fallbacks();
+  const auto hits = Count(world_.kernel, "index_hits", "collection");
+  const auto fallbacks =
+      Count(world_.kernel, "planner_fallbacks", "collection");
   (void)world_.collection->QueryLocal("$host_arch == \"x86\"");  // sargable
   (void)world_.collection->QueryLocal("match($host_arch, \"x\")");  // not
   QueryOptions force;
   force.force_scan = true;
   (void)world_.collection->QueryLocal("$host_arch == \"x86\"", force);
-  EXPECT_EQ(world_.collection->index_hits(), hits + 1);
-  EXPECT_EQ(world_.collection->planner_fallbacks(), fallbacks + 2);
+  EXPECT_EQ(Count(world_.kernel, "index_hits", "collection"), hits + 1);
+  EXPECT_EQ(Count(world_.kernel, "planner_fallbacks", "collection"),
+            fallbacks + 2);
 }
 
 TEST_F(CollectionIndexTest, CompileCacheCountsHitsAndMisses) {
@@ -360,8 +363,8 @@ TEST_F(CollectionIndexTest, CompileCacheCountsHitsAndMisses) {
   (void)world_.collection->QueryLocal(text);
   (void)world_.collection->QueryLocal(text);
   (void)world_.collection->QueryLocal(text);
-  EXPECT_EQ(world_.collection->compile_cache_misses(), 1u);
-  EXPECT_EQ(world_.collection->compile_cache_hits(), 2u);
+  EXPECT_EQ(Count(world_.kernel, "compile_cache_misses", "collection"), 1u);
+  EXPECT_EQ(Count(world_.kernel, "compile_cache_hits", "collection"), 2u);
 }
 
 TEST_F(CollectionIndexTest, MaxResultsAndOrderByPrune) {

@@ -10,6 +10,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class CollectionTest : public ::testing::Test {
@@ -89,7 +90,7 @@ TEST_F(CollectionTest, AuthRejectsUntrustedThirdParty) {
   world_.collection->UpdateEntryAs(stranger, Member(1),
                                    HostRecord("x86", 0.0), rejected.Sink());
   EXPECT_EQ(rejected.Get().code(), ErrorCode::kRefused);
-  EXPECT_EQ(world_.collection->updates_rejected(), 1u);
+  EXPECT_EQ(Count(world_.kernel, "updates_rejected", "collection"), 1u);
   // Trusting the agent fixes it.
   world_.collection->AddTrustedUpdater(stranger);
   Await<bool> accepted;
@@ -241,8 +242,8 @@ TEST_F(CollectionTest, StatsCount) {
                                     joined.Sink());
   world_.collection->QueryLocal("true");
   world_.collection->QueryLocal("false");
-  EXPECT_EQ(world_.collection->queries_served(), 2u);
-  EXPECT_EQ(world_.collection->updates_applied(), 1u);
+  EXPECT_EQ(Count(world_.kernel, "queries_served", "collection"), 2u);
+  EXPECT_EQ(Count(world_.kernel, "updates_applied", "collection"), 1u);
 }
 
 }  // namespace

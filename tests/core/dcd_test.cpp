@@ -10,6 +10,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class DcdTest : public ::testing::Test {
@@ -41,8 +42,9 @@ TEST_F(DcdTest, DaemonIsTrustedThirdParty) {
   // The DCD's pushes are third-party updates; AddCollection trusted it.
   dcd_->PollNow();
   world_.Run();
-  EXPECT_EQ(world_.collection->updates_rejected(), 0u);
-  EXPECT_GE(world_.collection->updates_applied(), world_.hosts.size());
+  EXPECT_EQ(Count(world_.kernel, "updates_rejected", "collection"), 0u);
+  EXPECT_GE(Count(world_.kernel, "updates_applied", "collection"),
+            world_.hosts.size());
 }
 
 TEST_F(DcdTest, PeriodicPollingRefreshes) {

@@ -10,6 +10,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class EnactorTest : public ::testing::Test {
@@ -75,8 +76,8 @@ TEST_F(EnactorTest, MasterSucceedsWhenAllHostsGrant) {
     world_.hosts[i]->CheckReservation(feedback.tokens[i], check.Sink());
     EXPECT_TRUE(*check.Get());
   }
-  EXPECT_EQ(world_.enactor->stats().reservations_granted, 3u);
-  EXPECT_EQ(world_.enactor->stats().rereservations, 0u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_granted", "enactor"), 3u);
+  EXPECT_EQ(Count(world_.kernel, "rereservations", "enactor"), 0u);
 }
 
 TEST_F(EnactorTest, MalformedScheduleReportedAsSuch) {
@@ -102,8 +103,8 @@ TEST_F(EnactorTest, VariantRepairsSingleFailure) {
             (std::vector<std::size_t>{0}));
   EXPECT_EQ(feedback.reserved_mappings[1].host, world_.hosts[3]->loid());
   // The reservation on host 0 was kept, not remade: no thrashing.
-  EXPECT_EQ(world_.enactor->stats().rereservations, 0u);
-  EXPECT_EQ(world_.enactor->stats().reservations_cancelled, 0u);
+  EXPECT_EQ(Count(world_.kernel, "rereservations", "enactor"), 0u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_cancelled", "enactor"), 0u);
 }
 
 TEST_F(EnactorTest, VariantReplacingSucceededMappingCancelsIt) {
@@ -122,9 +123,9 @@ TEST_F(EnactorTest, VariantReplacingSucceededMappingCancelsIt) {
   EXPECT_EQ(feedback.reserved_mappings[0].host, world_.hosts[2]->loid());
   EXPECT_EQ(feedback.reserved_mappings[1].host, world_.hosts[3]->loid());
   // Host 0's reservation was cancelled when the variant replaced it.
-  EXPECT_EQ(world_.enactor->stats().reservations_cancelled, 1u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_cancelled", "enactor"), 1u);
   // But the new mapping differs, so it is not a *re*-reservation.
-  EXPECT_EQ(world_.enactor->stats().rereservations, 0u);
+  EXPECT_EQ(Count(world_.kernel, "rereservations", "enactor"), 0u);
 }
 
 TEST_F(EnactorTest, MultipleVariantsComposeToCoverMultipleFailures) {
@@ -192,8 +193,8 @@ TEST_F(EnactorTest, NaiveModeThrashes) {
   ASSERT_TRUE(feedback.success);
   // The mapping for index 0 was granted, cancelled, and remade at least
   // once: thrashing observed.
-  EXPECT_GT(world_.enactor->stats().rereservations, 0u);
-  EXPECT_GT(world_.enactor->stats().reservations_cancelled, 0u);
+  EXPECT_GT(Count(world_.kernel, "rereservations", "enactor"), 0u);
+  EXPECT_GT(Count(world_.kernel, "reservations_cancelled", "enactor"), 0u);
 }
 
 TEST_F(EnactorTest, BitmapModeSameScenarioDoesNotThrash) {
@@ -207,7 +208,7 @@ TEST_F(EnactorTest, BitmapModeSameScenarioDoesNotThrash) {
 
   ScheduleFeedback feedback = Negotiate(request);
   ASSERT_TRUE(feedback.success);
-  EXPECT_EQ(world_.enactor->stats().rereservations, 0u);
+  EXPECT_EQ(Count(world_.kernel, "rereservations", "enactor"), 0u);
 }
 
 TEST_F(EnactorTest, EnactScheduleStartsInstances) {
@@ -282,10 +283,10 @@ TEST_F(EnactorTest, BatchingGroupsRequestsByHost) {
 
   ScheduleFeedback feedback = Negotiate(request);
   ASSERT_TRUE(feedback.success);
-  EXPECT_EQ(world_.enactor->stats().batches_sent, 4u);
-  EXPECT_EQ(world_.enactor->stats().batched_slots, 8u);
-  EXPECT_EQ(world_.enactor->stats().reservations_granted, 8u);
-  EXPECT_EQ(world_.enactor->stats().reservations_requested, 8u);
+  EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), 4u);
+  EXPECT_EQ(Count(world_.kernel, "batched_slots", "enactor"), 8u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_granted", "enactor"), 8u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_requested", "enactor"), 8u);
 }
 
 TEST_F(EnactorTest, BatchingChunksAtTheCap) {
@@ -298,8 +299,8 @@ TEST_F(EnactorTest, BatchingChunksAtTheCap) {
 
   ScheduleFeedback feedback = Negotiate(request);
   ASSERT_TRUE(feedback.success);
-  EXPECT_EQ(world_.enactor->stats().batches_sent, 3u);
-  EXPECT_EQ(world_.enactor->stats().batched_slots, 5u);
+  EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), 3u);
+  EXPECT_EQ(Count(world_.kernel, "batched_slots", "enactor"), 5u);
 }
 
 TEST_F(EnactorTest, BackpressureParksOverflowAndStillSucceeds) {
@@ -316,8 +317,8 @@ TEST_F(EnactorTest, BackpressureParksOverflowAndStillSucceeds) {
   ASSERT_TRUE(feedback.success);
   ASSERT_EQ(feedback.tokens.size(), 4u);
   // Only one batch may be in flight: the other three parked first.
-  EXPECT_EQ(world_.enactor->stats().requests_parked, 3u);
-  EXPECT_EQ(world_.enactor->stats().batches_sent, 4u);
+  EXPECT_EQ(Count(world_.kernel, "requests_parked", "enactor"), 3u);
+  EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), 4u);
 }
 
 TEST_F(EnactorTest, PartialBatchFailureFeedsVariantMachinery) {
@@ -332,12 +333,12 @@ TEST_F(EnactorTest, PartialBatchFailureFeedsVariantMachinery) {
   ScheduleFeedback feedback = Negotiate(request);
   ASSERT_TRUE(feedback.success);
   EXPECT_EQ(feedback.reserved_mappings[8].host, world_.hosts[1]->loid());
-  EXPECT_EQ(world_.enactor->stats().reservations_granted, 9u);
-  EXPECT_EQ(world_.enactor->stats().reservations_failed, 1u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_granted", "enactor"), 9u);
+  EXPECT_EQ(Count(world_.kernel, "reservations_failed", "enactor"), 1u);
   // Round 1: one batch of 9 to host 0.  Round 2: one batch of 1 to
   // host 1.  No thrashing.
-  EXPECT_EQ(world_.enactor->stats().batches_sent, 2u);
-  EXPECT_EQ(world_.enactor->stats().rereservations, 0u);
+  EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), 2u);
+  EXPECT_EQ(Count(world_.kernel, "rereservations", "enactor"), 0u);
 }
 
 TEST_F(EnactorTest, FailedIndicesReportedOnTotalFailure) {

@@ -11,6 +11,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class KOfNSchedulerTest : public ::testing::Test {
@@ -118,7 +119,7 @@ TEST_F(KOfNSchedulerTest, AnyKOfNHostsSatisfyTheSchedule) {
   EXPECT_FALSE(feedback.Get()->reserved_mappings[1].host ==
                master.mappings[1].host);
   // No thrashing: position 2's reservation survived.
-  EXPECT_EQ(world_.enactor->stats().rereservations, 0u);
+  EXPECT_EQ(Count(world_.kernel, "rereservations", "enactor"), 0u);
 }
 
 TEST_F(KOfNSchedulerTest, EndToEndReplicaPlacement) {

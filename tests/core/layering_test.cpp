@@ -11,6 +11,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class LayeringTest : public ::testing::Test {
@@ -68,10 +69,10 @@ TEST_F(LayeringTest, SeparationCostsMessages) {
   // C1: "cost that scales with capability" -- each extra module adds
   // messages for the same logical placement.
   auto messages_for = [&](Layering layering) -> std::uint64_t {
-    world_.kernel.ResetStats();
+    world_.kernel.metrics().Reset();
     PlacementTrace trace = Place(layering);
     EXPECT_TRUE(trace.success) << ToString(layering);
-    return world_.kernel.stats().messages_sent;
+    return Count(world_.kernel, "messages_sent", "kernel");
   };
   const std::uint64_t does_all =
       messages_for(Layering::kApplicationDoesAll);
@@ -85,18 +86,18 @@ TEST_F(LayeringTest, SeparationCostsMessages) {
 }
 
 TEST_F(LayeringTest, DoesAllNegotiatesDirectlyWithHosts) {
-  world_.enactor->ResetStats();
+  world_.kernel.metrics().Reset();
   PlacementTrace trace = Place(Layering::kApplicationDoesAll);
   EXPECT_TRUE(trace.success);
   // The Enactor was never involved.
-  EXPECT_EQ(world_.enactor->stats().negotiations, 0u);
+  EXPECT_EQ(Count(world_.kernel, "negotiations", "enactor"), 0u);
 }
 
 TEST_F(LayeringTest, PlusRmDelegatesNegotiationToEnactor) {
-  world_.enactor->ResetStats();
+  world_.kernel.metrics().Reset();
   PlacementTrace trace = Place(Layering::kApplicationPlusRm);
   EXPECT_TRUE(trace.success);
-  EXPECT_EQ(world_.enactor->stats().negotiations, 1u);
+  EXPECT_EQ(Count(world_.kernel, "negotiations", "enactor"), 1u);
 }
 
 TEST_F(LayeringTest, SeparateModulesGoThroughScheduler) {

@@ -10,6 +10,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class MonitorTest : public ::testing::Test {
@@ -34,12 +35,12 @@ TEST_F(MonitorTest, LoadThresholdTriggerFiresOutcall) {
   // Below the threshold: nothing.
   world_.hosts[0]->ReassessState();
   world_.Run();
-  EXPECT_EQ(monitor_->events_received(), 0u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 0u);
   // Load spike above the threshold: the outcall crosses the network and
   // the monitor notifies its handler.
   world_.hosts[0]->SpikeLoad(3.0);
   world_.Run();
-  EXPECT_EQ(monitor_->events_received(), 1u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 1u);
   EXPECT_EQ(reschedules, 1);
   EXPECT_EQ(last.source, world_.hosts[0]->loid());
   EXPECT_GT(last.payload.Get("host_load")->as_double(), 2.0);
@@ -55,7 +56,7 @@ TEST_F(MonitorTest, EdgeTriggerDoesNotStorm) {
     world_.hosts[0]->EvaluateTriggers();
   }
   world_.Run();
-  EXPECT_EQ(monitor_->events_received(), 1u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 1u);
 }
 
 TEST_F(MonitorTest, RearmsAfterLoadDrops) {
@@ -66,7 +67,7 @@ TEST_F(MonitorTest, RearmsAfterLoadDrops) {
   world_.Run();
   world_.hosts[0]->SpikeLoad(3.5);  // spike again
   world_.Run();
-  EXPECT_EQ(monitor_->events_received(), 2u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 2u);
 }
 
 TEST_F(MonitorTest, WatchesSeveralHostsIndependently) {
@@ -105,7 +106,7 @@ TEST_F(MonitorTest, CustomEventWatch) {
   ASSERT_TRUE(placed.Get().ok());
   world_.hosts[0]->ReassessState();
   world_.Run();
-  EXPECT_EQ(monitor_->events_received(), 1u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 1u);
 }
 
 TEST_F(MonitorTest, SustainedFlappingSpikeDispatchesOnce) {
@@ -126,9 +127,9 @@ TEST_F(MonitorTest, SustainedFlappingSpikeDispatchesOnce) {
     world_.hosts[0]->SpikeLoad(0.1);
     world_.kernel.RunFor(Duration::Millis(500));
   }
-  EXPECT_EQ(monitor_->events_received(), 5u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 5u);
   EXPECT_EQ(reschedules, 1);
-  EXPECT_EQ(monitor_->events_suppressed(), 4u);
+  EXPECT_EQ(Count(world_.kernel, "monitor_events_suppressed", "monitor"), 4u);
   // Once the interval elapses the next crossing dispatches again.
   world_.Run();  // two sim minutes >> 30s debounce
   world_.hosts[0]->SpikeLoad(4.0);
@@ -140,7 +141,8 @@ TEST_F(MonitorTest, NoHandlerIsHarmless) {
   monitor_->WatchLoadThreshold(world_.hosts[0], 2.0);
   world_.hosts[0]->SpikeLoad(3.0);
   world_.Run();
-  EXPECT_EQ(monitor_->events_received(), 1u);  // no crash without handler
+  // No crash without a handler.
+  EXPECT_EQ(Count(world_.kernel, "monitor_events", "monitor"), 1u);
 }
 
 }  // namespace

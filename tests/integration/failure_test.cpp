@@ -14,6 +14,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class FailureTest : public ::testing::Test {
@@ -230,8 +231,8 @@ TEST_P(FailureCapTest, TransientTimeoutRecoveredWithinMaxAttempts) {
   ASSERT_TRUE(feedback.Get()->success);
   EXPECT_EQ(feedback.Get()->reserved_mappings[0].host,
             world.hosts[1]->loid());
-  EXPECT_GE(world.enactor->stats().retries, 1u);
-  EXPECT_GE(world.enactor->stats().partial_recoveries, 1u);
+  EXPECT_GE(Count(world.kernel, "retries", "enactor"), 1u);
+  EXPECT_GE(Count(world.kernel, "partial_recoveries", "enactor"), 1u);
 }
 
 TEST_P(FailureCapTest,
@@ -288,14 +289,15 @@ TEST_P(FailureCapTest,
   }
   // Further negotiations fail fast (no RPC round trip) while open.
   const std::uint64_t failed_before =
-      world.enactor->stats().reservations_failed;
+      Count(world.kernel, "reservations_failed", "enactor");
   Await<ScheduleFeedback> fast;
   world.enactor->MakeReservations(request, fast.Sink());
   world.kernel.RunFor(Duration::Seconds(1));
   ASSERT_TRUE(fast.Ready());
   EXPECT_FALSE(fast.Get()->success);
-  EXPECT_GE(world.enactor->stats().breaker_open, 1u);
-  EXPECT_EQ(world.enactor->stats().reservations_failed, failed_before);
+  EXPECT_GE(Count(world.kernel, "breaker_open", "enactor"), 1u);
+  EXPECT_EQ(Count(world.kernel, "reservations_failed", "enactor"),
+            failed_before);
 }
 
 TEST_P(FailureCapTest, BreakerReProbeRestoresPartitionedHost) {
@@ -340,7 +342,7 @@ TEST_P(FailureCapTest, BreakerReProbeRestoresPartitionedHost) {
   world.Run();
   ASSERT_TRUE(probe.Ready());
   EXPECT_TRUE(probe.Get()->success);
-  EXPECT_GE(world.enactor->stats().breaker_probes, 1u);
+  EXPECT_GE(Count(world.kernel, "breaker_probes", "enactor"), 1u);
   EXPECT_EQ(world.enactor->health().HostState(target), BreakerState::kClosed);
 }
 

@@ -154,7 +154,7 @@ ChaosArtifacts RunChaos(bool observe) {
   if (outcome.Ready() && outcome.Get().ok()) {
     result.nid = outcome.Get()->feedback.negotiation_id;
   }
-  result.events = kernel.stats().events_run;
+  result.events = Count(kernel, "events_run", "kernel");
   result.metrics = kernel.metrics().SnapshotJson();
   result.timeline = kernel.recorder().ToJson();
   result.trace = kernel.recorder().ToChromeJson();

@@ -14,11 +14,14 @@
 #include "core/monitor.h"
 #include "core/schedulers/irs_scheduler.h"
 #include "core/schedulers/ranked_scheduler.h"
+#include "test_world.h"
 #include "workload/executor.h"
 #include "workload/metacomputer.h"
 
 namespace legion {
 namespace {
+
+using testing::Count;
 
 NetworkParams QuietNet() {
   NetworkParams params;
@@ -129,7 +132,7 @@ TEST_F(RmiProtocolTest, Steps12And13RescheduleOnTrigger) {
   });
   origin_host->SpikeLoad(3.0);
   kernel_.RunFor(Duration::Minutes(2));
-  EXPECT_GE(monitor->events_received(), 1u);
+  EXPECT_GE(Count(kernel_, "monitor_events", "monitor"), 1u);
   EXPECT_TRUE(migrated);
   auto* moved = dynamic_cast<LegionObject*>(kernel_.FindActor(object));
   ASSERT_NE(moved, nullptr);
@@ -169,7 +172,7 @@ TEST_F(RmiProtocolTest, SurvivesMessageLoss) {
     if (success) ++successes;
   }
   EXPECT_GE(successes, 3);
-  EXPECT_GT(kernel.stats().messages_dropped, 0u);
+  EXPECT_GT(Count(kernel, "messages_dropped", "kernel"), 0u);
 }
 
 TEST_F(RmiProtocolTest, PartitionHealsAndPlacementProceeds) {

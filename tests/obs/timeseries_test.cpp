@@ -41,7 +41,7 @@ TEST(TimeSeriesRecorder, CounterResetClampsDeltaToValue) {
 
   c.Add(100);
   recorder.SampleAt(At(1));
-  c.Reset();   // mid-window reset (e.g. Metacomputer::ResetAllStats)
+  c.Reset();   // mid-window reset (e.g. MetricsRegistry::Reset)
   c.Add(3);
   recorder.SampleAt(At(2));
 

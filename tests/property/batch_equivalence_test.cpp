@@ -21,6 +21,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 using testing::TestWorldConfig;
 
@@ -104,11 +105,13 @@ std::string NegotiationFingerprint(std::size_t batch_cap) {
     fingerprint << i << ": " << result.reserved_mappings[i].ToString()
                 << " token " << TokenFingerprint(result.tokens[i]) << '\n';
   }
-  const EnactorStats& stats = world.enactor->stats();
-  fingerprint << "granted:" << stats.reservations_granted
-              << " failed:" << stats.reservations_failed
-              << " cancelled:" << stats.reservations_cancelled
-              << " rereservations:" << stats.rereservations << '\n';
+  auto enactor = [&](const char* name) {
+    return Count(world.kernel, name, "enactor");
+  };
+  fingerprint << "granted:" << enactor("reservations_granted")
+              << " failed:" << enactor("reservations_failed")
+              << " cancelled:" << enactor("reservations_cancelled")
+              << " rereservations:" << enactor("rereservations") << '\n';
   for (std::size_t h = 0; h < world.hosts.size(); ++h) {
     const ReservationTable& table = world.hosts[h]->reservations();
     fingerprint << "host" << h << " admitted:" << table.admitted()
@@ -184,7 +187,7 @@ TEST(BatchEquivalence, LostReplyRetransmitsWithoutDoubleAdmit) {
   ASSERT_EQ(feedback.Get()->tokens.size(), 3u);
 
   // The retry happened, and the host decided each slot exactly once.
-  EXPECT_GE(world.enactor->stats().retries, 3u);
+  EXPECT_GE(Count(world.kernel, "retries", "enactor"), 3u);
   const ReservationTable& table = world.hosts[1]->reservations();
   EXPECT_EQ(table.admitted(), 3u);
   EXPECT_EQ(table.live_count(), 3u);

@@ -5,11 +5,14 @@
 #include <sstream>
 
 #include "core/schedulers/irs_scheduler.h"
+#include "test_world.h"
 #include "workload/executor.h"
 #include "workload/metacomputer.h"
 
 namespace legion {
 namespace {
+
+using testing::Count;
 
 NetworkParams Net(std::uint64_t seed) {
   NetworkParams params;
@@ -57,11 +60,10 @@ std::string RunScenario(std::uint64_t seed) {
                 << ",running:" << host->running_count()
                 << ",reservations:" << host->reservations().size() << '\n';
   }
-  const KernelStats& stats = kernel.stats();
-  fingerprint << "events:" << stats.events_run
-              << " msgs:" << stats.messages_sent
-              << " bytes:" << stats.bytes_sent
-              << " rpcs:" << stats.rpcs_started << '\n';
+  fingerprint << "events:" << Count(kernel, "events_run", "kernel")
+              << " msgs:" << Count(kernel, "messages_sent", "kernel")
+              << " bytes:" << Count(kernel, "bytes_sent", "kernel")
+              << " rpcs:" << Count(kernel, "rpcs_started", "kernel") << '\n';
   return fingerprint.str();
 }
 

@@ -9,6 +9,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 struct Scenario {
@@ -60,7 +61,7 @@ TEST_P(EnactorPropertyTest, NegotiationInvariants) {
   // and plain IRS does not; see k_of_n_scheduler_test for the
   // zero-thrash guarantee on structured variants.)
   if (scenario.nsched == 1) {
-    EXPECT_EQ(world.enactor->stats().rereservations, 0u);
+    EXPECT_EQ(Count(world.kernel, "rereservations", "enactor"), 0u);
   }
 
   if (result.success) {
@@ -84,9 +85,9 @@ TEST_P(EnactorPropertyTest, NegotiationInvariants) {
       }
     }
     // Accounting: granted = held + cancelled-along-the-way.
-    const EnactorStats& stats = world.enactor->stats();
-    EXPECT_EQ(stats.reservations_granted,
-              scenario.instances + stats.reservations_cancelled);
+    EXPECT_EQ(Count(world.kernel, "reservations_granted", "enactor"),
+              scenario.instances +
+                  Count(world.kernel, "reservations_cancelled", "enactor"));
   } else {
     // INVARIANT: failure leaks no reservations anywhere.
     for (auto* host : world.hosts) {

@@ -7,10 +7,13 @@
 #include <sstream>
 #include <string>
 
+#include "test_world.h"
 #include "workload/metacomputer.h"
 
 namespace legion {
 namespace {
+
+using testing::Count;
 
 NetworkParams Net(std::uint64_t seed) {
   NetworkParams params;
@@ -94,14 +97,14 @@ std::string RunFederatedScenario(std::uint64_t seed) {
   for (const auto& [domain, sub] : federation->subs()) {
     fingerprint << "sub" << domain << ":\n" << Render(*sub->QueryLocal("true"));
   }
-  fingerprint << "pushes:" << federation->root()->delta_pushes()
-              << " records:" << federation->root()->delta_records()
-              << " pulls:" << federation->root()->refresh_pulls()
-              << " stale:" << federation->root()->stale_answers() << '\n';
-  const KernelStats& stats = kernel.stats();
-  fingerprint << "events:" << stats.events_run
-              << " msgs:" << stats.messages_sent
-              << " bytes:" << stats.bytes_sent << '\n';
+  fingerprint << "pushes:" << Count(kernel, "delta_pushes", "collection")
+              << " records:" << Count(kernel, "delta_records", "collection")
+              << " pulls:" << Count(kernel, "refresh_pulls", "collection")
+              << " stale:" << Count(kernel, "stale_answers", "collection")
+              << '\n';
+  fingerprint << "events:" << Count(kernel, "events_run", "kernel")
+              << " msgs:" << Count(kernel, "messages_sent", "kernel")
+              << " bytes:" << Count(kernel, "bytes_sent", "kernel") << '\n';
   return fingerprint.str();
 }
 

@@ -9,6 +9,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class HostObjectTest : public ::testing::Test {
@@ -569,11 +570,11 @@ TEST_F(HostObjectTest, SpikeRaisesExportedLoad) {
 
 TEST_F(HostObjectTest, PeriodicReassessmentPushesUpdates) {
   world_.Populate();
-  const auto before = world_.collection->updates_applied();
+  const auto before = Count(world_.kernel, "updates_applied", "collection");
   host_->StartReassessment();
   world_.kernel.RunFor(Duration::Minutes(1));
   host_->StopReassessment();
-  EXPECT_GT(world_.collection->updates_applied(), before + 3);
+  EXPECT_GT(Count(world_.kernel, "updates_applied", "collection"), before + 3);
 }
 
 }  // namespace

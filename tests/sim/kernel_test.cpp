@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "test_world.h"
+
 namespace legion {
 namespace {
+
+using testing::Count;
 
 NetworkParams QuietNet() {
   NetworkParams params;
@@ -97,8 +101,8 @@ TEST(KernelTest, SendPaysNetworkLatency) {
   kernel.Send(a, b, 100, [&] { delivered = kernel.Now(); });
   kernel.Run();
   EXPECT_GE(delivered, SimTime(1000));
-  EXPECT_EQ(kernel.stats().messages_sent, 1u);
-  EXPECT_EQ(kernel.stats().bytes_sent, 100u);
+  EXPECT_EQ(Count(kernel, "messages_sent", "kernel"), 1u);
+  EXPECT_EQ(Count(kernel, "bytes_sent", "kernel"), 100u);
 }
 
 TEST(KernelTest, AsyncCallDeliversReply) {
@@ -113,9 +117,9 @@ TEST(KernelTest, AsyncCallDeliversReply) {
   kernel.Run();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 42);
-  EXPECT_EQ(kernel.stats().rpcs_started, 1u);
-  EXPECT_EQ(kernel.stats().rpcs_completed, 1u);
-  EXPECT_EQ(kernel.stats().rpcs_timed_out, 0u);
+  EXPECT_EQ(Count(kernel, "rpcs_started", "kernel"), 1u);
+  EXPECT_EQ(Count(kernel, "rpcs_completed", "kernel"), 1u);
+  EXPECT_EQ(Count(kernel, "rpcs_timed_out", "kernel"), 0u);
 }
 
 TEST(KernelTest, AsyncCallTimesOutWhenCalleeSilent) {
@@ -135,7 +139,7 @@ TEST(KernelTest, AsyncCallTimesOutWhenCalleeSilent) {
   EXPECT_TRUE(fired);
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(kernel.stats().rpcs_timed_out, 1u);
+  EXPECT_EQ(Count(kernel, "rpcs_timed_out", "kernel"), 1u);
 }
 
 TEST(KernelTest, AsyncCallTimesOutOnDroppedRequest) {
@@ -158,7 +162,7 @@ TEST(KernelTest, AsyncCallTimesOutOnDroppedRequest) {
   kernel.Run();
   EXPECT_FALSE(callee_ran);
   EXPECT_EQ(got.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(kernel.stats().messages_dropped, 1u);
+  EXPECT_EQ(Count(kernel, "messages_dropped", "kernel"), 1u);
 }
 
 TEST(KernelTest, AsyncCallDoneFiresExactlyOnce) {
@@ -182,9 +186,9 @@ TEST(KernelTest, StatsResetWorks) {
   SimKernel kernel(QuietNet());
   kernel.ScheduleAfter(Duration::Millis(1), [] {});
   kernel.Run();
-  EXPECT_GT(kernel.stats().events_run, 0u);
-  kernel.ResetStats();
-  EXPECT_EQ(kernel.stats().events_run, 0u);
+  EXPECT_GT(Count(kernel, "events_run", "kernel"), 0u);
+  kernel.metrics().Reset();
+  EXPECT_EQ(Count(kernel, "events_run", "kernel"), 0u);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ TEST(KernelProfiler, DisabledByDefaultAndTogglable) {
   KernelProfiler profiler;
   EXPECT_FALSE(profiler.enabled());
   profiler.Enable();
-  EXPECT_EQ(profiler.enabled(), KernelProfiler::CompiledIn());
+  EXPECT_TRUE(profiler.enabled());
   profiler.Disable();
   EXPECT_FALSE(profiler.enabled());
   EXPECT_TRUE(profiler.entries().empty());
@@ -22,10 +22,6 @@ TEST(KernelProfiler, DisabledByDefaultAndTogglable) {
 TEST(KernelProfiler, AccumulatesByLabel) {
   KernelProfiler profiler;
   profiler.Enable();
-  if (!KernelProfiler::CompiledIn()) {
-    EXPECT_FALSE(profiler.enabled());  // LEGION_PROFILE=0: Enable is a no-op
-    return;
-  }
   profiler.RecordHandler("net/msg", Duration::Millis(5), 3);
   profiler.RecordHandler("net/msg", Duration::Millis(7), 2);
   profiler.RecordHandler("enactor/backoff", Duration::Seconds(1), 0);
@@ -43,7 +39,6 @@ TEST(KernelProfiler, AccumulatesByLabel) {
 TEST(KernelProfiler, RpcAccountsSimOccupancy) {
   KernelProfiler profiler;
   profiler.Enable();
-  if (!KernelProfiler::CompiledIn()) return;
   profiler.RecordRpc("make_reservation", Duration::Millis(40));
   const ProfileEntry* rpc = profiler.Find("rpc/make_reservation");
   ASSERT_NE(rpc, nullptr);
@@ -67,7 +62,6 @@ TEST(KernelProfiler, HighWaterMarks) {
 TEST(KernelProfiler, JsonIsDeterministicAndReset) {
   KernelProfiler profiler;
   profiler.Enable();
-  if (!KernelProfiler::CompiledIn()) return;
   profiler.RecordHandler("z/last", Duration::Zero(), 0);
   profiler.RecordHandler("a/first", Duration::Zero(), 0);
   profiler.RecordQueueDepth(4);
@@ -106,17 +100,15 @@ TEST(KernelProfiler, ObserverDoesNotPerturbKernel) {
 
   EXPECT_EQ(profiled_events, plain_events);
   EXPECT_EQ(profiled.metrics().SnapshotJson(), plain_metrics);
-  if (KernelProfiler::CompiledIn()) {
-    // The kernel labeled its events: messages under net/msg, the rest
-    // under the unlabeled bucket.
-    const ProfileEntry* msg = profiled.profiler().Find("net/msg");
-    ASSERT_NE(msg, nullptr);
-    EXPECT_EQ(msg->count, 20u);
-    EXPECT_NE(profiled.profiler().Find("kernel/event"), nullptr);
-    EXPECT_GT(profiled.profiler().queue_depth_high_water(), 0u);
-    // Pinned wall clock: profiling must not leak real time into the dump.
-    EXPECT_EQ(msg->wall_us, 0);
-  }
+  // The kernel labeled its events: messages under net/msg, the rest
+  // under the unlabeled bucket.
+  const ProfileEntry* msg = profiled.profiler().Find("net/msg");
+  ASSERT_NE(msg, nullptr);
+  EXPECT_EQ(msg->count, 20u);
+  EXPECT_NE(profiled.profiler().Find("kernel/event"), nullptr);
+  EXPECT_GT(profiled.profiler().queue_depth_high_water(), 0u);
+  // Pinned wall clock: profiling must not leak real time into the dump.
+  EXPECT_EQ(msg->wall_us, 0);
 }
 
 TEST(WallClock, PinnedByDefaultAndOptInRealTime) {

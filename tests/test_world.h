@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "core/collection.h"
 #include "core/enactor.h"
 #include "objects/class_object.h"
@@ -103,6 +106,21 @@ class TestWorld {
   TestWorldConfig config_;
   std::uint64_t next_class_serial_ = 100;
 };
+
+// Reads the registry counter `name{component=<component>}`.  A cell that
+// does not exist fails the test, so a misspelt name cannot read as 0.
+inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
+                           const std::string& component) {
+  const obs::MetricsSnapshot snapshot = kernel.metrics().Snapshot();
+  const auto it = snapshot.counters.find(
+      obs::MetricsRegistry::CellKey(name, {{"component", component}}));
+  if (it == snapshot.counters.end()) {
+    ADD_FAILURE() << "no counter " << name << "{component=" << component
+                  << "}";
+    return 0;
+  }
+  return it->second;
+}
 
 // Synchronously drains a callback-style call: runs the kernel until the
 // callback fires or the horizon passes.

@@ -134,7 +134,7 @@ TEST(MetacomputerTest, UniversalClassMatchesEveryHost) {
   }
 }
 
-TEST(MetacomputerTest, ResetAllStatsWithLiveRecorderWindows) {
+TEST(MetacomputerTest, RegistryResetWithLiveRecorderWindows) {
   SimKernel kernel(QuietNet());
   MetacomputerConfig config;
   config.domains = 2;
@@ -163,7 +163,7 @@ TEST(MetacomputerTest, ResetAllStatsWithLiveRecorderWindows) {
       recorder.samples("kernel/messages_sent").size();
   ASSERT_GT(windows_before, 0u);
 
-  metacomputer.ResetAllStats();  // mid-window: counter drops to zero
+  kernel.metrics().Reset();  // mid-window: counter drops to zero
   EXPECT_EQ(messages->value(), 0u);
   metacomputer.PopulateCollection();
   metacomputer.Settle(Duration::Seconds(3));

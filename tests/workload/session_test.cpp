@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/schedulers/ranked_scheduler.h"
+#include "test_world.h"
 #include "workload/arrivals.h"
 
 namespace legion {
 namespace {
+
+using testing::Count;
 
 NetworkParams QuietNet() {
   NetworkParams params;
@@ -56,6 +59,52 @@ TEST_F(SessionTest, SingleAppRunsAndCompletes) {
   for (auto* host : metacomputer_->hosts()) {
     EXPECT_EQ(host->running_count(), 0u);
   }
+}
+
+// The wall-clock benchmark reads these registry cells by name and takes a
+// missing one as 0, so a renamed cell would silently zero its metric.
+// The fixture has the benchmark's shape: a Metacomputer, a load-aware
+// scheduler and a session.
+TEST_F(SessionTest, RegistryHoldsEveryCellTheBenchmarkReads) {
+  session_->Submit(MakeParameterStudy(4, /*work=*/1000.0));
+  kernel_.RunFor(Duration::Hours(1));
+  const SessionStats stats = session_->Stats(Duration::Hours(1));
+  ASSERT_EQ(stats.completed, 1u);
+
+  // Count fails the test when a cell does not exist.
+  for (const char* name : {"events_run", "messages_sent", "messages_dropped",
+                           "bytes_sent", "rpcs_started", "rpcs_timed_out"}) {
+    Count(kernel_, name, "kernel");
+  }
+  for (const char* name :
+       {"reservations_requested", "reservations_granted", "reservations_failed",
+        "reservations_cancelled", "rereservations", "batches_sent",
+        "batched_slots", "retries", "requests_parked"}) {
+    Count(kernel_, name, "enactor");
+  }
+  for (const char* name :
+       {"updates_applied", "queries_served", "index_hits", "planner_fallbacks",
+        "compile_cache_hits", "compile_cache_misses"}) {
+    Count(kernel_, name, "collection");
+  }
+  const obs::MetricsSnapshot snapshot = kernel_.metrics().Snapshot();
+  const obs::Labels scheduler = {{"component", "scheduler"},
+                                 {"scheduler", "load-aware"}};
+  for (const char* name : {"scheduler_runs", "collection_lookups",
+                           "mappings_unplaced", "suspects_skipped"}) {
+    const std::string key = obs::MetricsRegistry::CellKey(name, scheduler);
+    EXPECT_EQ(snapshot.counters.count(key), 1u) << key;
+  }
+  for (const char* name :
+       {"collection_query_wall_us", "collection_staleness_ms"}) {
+    const auto it = snapshot.histograms.find(
+        obs::MetricsRegistry::CellKey(name, {{"component", "collection"}}));
+    ASSERT_NE(it, snapshot.histograms.end()) << name;
+    EXPECT_GT(it->second.count, 0u) << name;
+  }
+  EXPECT_EQ(Count(kernel_, "apps_offered", "session"), stats.offered);
+  EXPECT_EQ(Count(kernel_, "apps_placed", "session"), stats.placed);
+  EXPECT_EQ(Count(kernel_, "apps_completed", "session"), stats.completed);
 }
 
 TEST_F(SessionTest, CompletionFreesCapacityForLaterArrivals) {
