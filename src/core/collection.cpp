@@ -4,16 +4,12 @@
 #include <cmath>
 #include <utility>
 
+#include "objects/core_hierarchy.h"
+
 namespace legion {
 
-namespace {
-// Well-known serial for the Collection service class.
-constexpr std::uint64_t kCollectionClassSerial = 4;
-}  // namespace
-
 CollectionObject::CollectionObject(SimKernel* kernel, Loid loid)
-    : LegionObject(kernel, loid, Loid(LoidSpace::kClass, loid.domain(),
-                                      kCollectionClassSerial)) {
+    : LegionObject(kernel, loid, CollectionClassLoid(loid.domain())) {
   kernel->network().RegisterEndpoint(loid, loid.domain());
   (void)Activate(loid, Loid());
   mutable_attributes().Set("service", "collection");
@@ -223,9 +219,9 @@ CollectionData CollectionObject::EmitResults(
     std::vector<const CollectionRecord*>& matched,
     const QueryOptions& options) const {
   if (!options.order_by.empty()) {
-    // Rank by the stored attribute: numeric keys first (ascending or
-    // descending), then records without one, both tiers member-ordered
-    // so the result order is total and deterministic.
+    // Rank by the stored attribute: numeric keys first, ascending, then
+    // records without one, both tiers member-ordered so the result order
+    // is total and deterministic.
     struct Keyed {
       int missing;
       double key;
@@ -240,10 +236,9 @@ CollectionData CollectionObject::EmitResults(
       keyed.push_back(Keyed{numeric ? 0 : 1,
                             numeric ? value->as_double() : 0.0, record});
     }
-    const bool descending = options.descending;
-    auto before = [descending](const Keyed& a, const Keyed& b) {
+    auto before = [](const Keyed& a, const Keyed& b) {
       if (a.missing != b.missing) return a.missing < b.missing;
-      if (a.key != b.key) return descending ? a.key > b.key : a.key < b.key;
+      if (a.key != b.key) return a.key < b.key;
       return a.record->member < b.record->member;
     };
     if (options.max_results != 0 && options.max_results < keyed.size()) {

@@ -97,7 +97,6 @@ struct QueryOptions {
   // order.  Derived (injected-function) attributes are not orderable:
   // they materialize after pruning.
   std::string order_by;
-  bool descending = false;
   // Bypass the index path and evaluate by full scan.  For the
   // scan-vs-index ablation and the planner-equivalence tests; results
   // are identical by contract.

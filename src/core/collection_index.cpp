@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 namespace legion {
 
@@ -127,105 +128,70 @@ void AttributeIndexes::EraseValue(PerAttribute& index, const AttrValue& value,
   }
 }
 
-void AttributeIndexes::PredicateInto(const query::SargablePredicate& pred,
-                                     std::vector<Loid>* out) const {
+template <typename Visit>
+void AttributeIndexes::ForEachSet(const query::SargablePredicate& pred,
+                                  Visit&& visit) const {
   auto it = attrs_.find(pred.attr);
   if (it == attrs_.end()) return;  // attribute never seen: no candidates
   const PerAttribute& index = it->second;
 
+  // Numeric predicates select the key range [begin, end).
+  auto begin = index.by_number.begin();
+  auto end = index.by_number.end();
   switch (pred.op) {
     case query::PredicateOp::kDefined:
-      out->insert(out->end(), index.present.begin(), index.present.end());
+      visit(index.present);
       return;
-    case query::PredicateOp::kEq: {
+    case query::PredicateOp::kEq:
       if (pred.literal.is_string()) {
         auto set = index.by_string.find(pred.literal.as_string());
-        if (set != index.by_string.end()) {
-          out->insert(out->end(), set->second.begin(), set->second.end());
-        }
-      } else if (pred.literal.is_bool()) {
-        const auto& set = index.by_bool[pred.literal.as_bool() ? 1 : 0];
-        out->insert(out->end(), set.begin(), set.end());
-      } else if (pred.literal.is_numeric()) {
-        auto [begin, end] =
-            index.by_number.equal_range(pred.literal.as_double());
-        for (auto key = begin; key != end; ++key) {
-          out->insert(out->end(), key->second.begin(), key->second.end());
-        }
+        if (set != index.by_string.end()) visit(set->second);
+        return;
       }
-      return;
-    }
+      if (pred.literal.is_bool()) {
+        visit(index.by_bool[pred.literal.as_bool() ? 1 : 0]);
+        return;
+      }
+      if (!pred.literal.is_numeric()) return;
+      std::tie(begin, end) =
+          index.by_number.equal_range(pred.literal.as_double());
+      break;
+    // Ranges are inclusive at the boundary in both directions; the
+    // residual pass trims the edge (planner.h explains why this must stay
+    // a superset).
     case query::PredicateOp::kLt:
     case query::PredicateOp::kLe:
+      end = index.by_number.upper_bound(pred.literal.as_double());
+      break;
     case query::PredicateOp::kGt:
-    case query::PredicateOp::kGe: {
-      // Inclusive at the boundary in both directions; the residual pass
-      // trims the edge (planner.h explains why this must stay a
-      // superset).
-      const double bound = pred.literal.as_double();
-      auto begin = index.by_number.begin();
-      auto end = index.by_number.end();
-      if (pred.op == query::PredicateOp::kLt ||
-          pred.op == query::PredicateOp::kLe) {
-        end = index.by_number.upper_bound(bound);
-      } else {
-        begin = index.by_number.lower_bound(bound);
-      }
-      for (auto key = begin; key != end; ++key) {
-        out->insert(out->end(), key->second.begin(), key->second.end());
-      }
-      return;
-    }
+    case query::PredicateOp::kGe:
+      begin = index.by_number.lower_bound(pred.literal.as_double());
+      break;
   }
+  for (auto key = begin; key != end; ++key) {
+    if (!visit(key->second)) return;
+  }
+}
+
+void AttributeIndexes::PredicateInto(const query::SargablePredicate& pred,
+                                     std::vector<Loid>* out) const {
+  ForEachSet(pred, [out](const std::set<Loid>& set) {
+    out->insert(out->end(), set.begin(), set.end());
+    return true;
+  });
 }
 
 std::size_t AttributeIndexes::EstimatePredicate(
     const query::SargablePredicate& pred, std::size_t cap) const {
-  auto it = attrs_.find(pred.attr);
-  if (it == attrs_.end()) return 0;
-  const PerAttribute& index = it->second;
-
-  switch (pred.op) {
-    case query::PredicateOp::kDefined:
-      return index.present.size();
-    case query::PredicateOp::kEq: {
-      if (pred.literal.is_string()) {
-        auto set = index.by_string.find(pred.literal.as_string());
-        return set == index.by_string.end() ? 0 : set->second.size();
-      }
-      if (pred.literal.is_bool()) {
-        return index.by_bool[pred.literal.as_bool() ? 1 : 0].size();
-      }
-      if (pred.literal.is_numeric()) {
-        auto [begin, end] =
-            index.by_number.equal_range(pred.literal.as_double());
-        std::size_t n = 0;
-        for (auto key = begin; key != end; ++key) n += key->second.size();
-        return n;
-      }
-      return 0;
-    }
-    default: {
-      // Ranges: walk the matching keys summing set sizes, but stop at
-      // the cap -- an unselective range is about to lose to the scan (or
-      // to a cheaper `and` sibling) anyway, so an exact count of a huge
-      // range is money down the drain.
-      const double bound = pred.literal.as_double();
-      auto begin = index.by_number.begin();
-      auto end = index.by_number.end();
-      if (pred.op == query::PredicateOp::kLt ||
-          pred.op == query::PredicateOp::kLe) {
-        end = index.by_number.upper_bound(bound);
-      } else {
-        begin = index.by_number.lower_bound(bound);
-      }
-      std::size_t n = 0;
-      for (auto key = begin; key != end && n <= cap; ++key) {
-        n += key->second.size();
-      }
-      return n;
-    }
-  }
+  // Stops at the cap: an unselective range is about to lose to the scan
+  // (or to a cheaper `and` sibling) anyway, so an exact count of a huge
+  // range is money down the drain.
+  std::size_t n = 0;
+  ForEachSet(pred, [&n, cap](const std::set<Loid>& set) {
+    n += set.size();
+    return n <= cap;
+  });
+  return n;
 }
 
 std::size_t AttributeIndexes::Estimate(const query::IndexPlan& plan,

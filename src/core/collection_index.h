@@ -90,6 +90,11 @@ class AttributeIndexes {
                          const Loid& member);
 
   void EvalInto(const query::IndexPlan& plan, std::vector<Loid>* out) const;
+  // Calls visit(set) for each member set `pred` selects, in key order,
+  // until visit returns false.  PredicateInto appends the members;
+  // EstimatePredicate sums the set sizes up to its cap.
+  template <typename Visit>
+  void ForEachSet(const query::SargablePredicate& pred, Visit&& visit) const;
   void PredicateInto(const query::SargablePredicate& pred,
                      std::vector<Loid>* out) const;
   std::size_t EstimatePredicate(const query::SargablePredicate& pred,

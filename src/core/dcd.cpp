@@ -1,15 +1,12 @@
 #include "core/dcd.h"
 
-namespace legion {
+#include "objects/core_hierarchy.h"
 
-namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
-}  // namespace
+namespace legion {
 
 DataCollectionDaemon::DataCollectionDaemon(SimKernel* kernel, Loid loid,
                                            DcdOptions options)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(), kServiceClassSerial)),
+    : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())),
       options_(options) {
   kernel->network().RegisterEndpoint(loid, loid.domain());
   (void)Activate(loid, Loid());
@@ -72,7 +69,7 @@ void DataCollectionDaemon::PollNow() {
 void DataCollectionDaemon::RecordSample(const Loid& host, double load) {
   auto& samples = history_[host];
   samples.push_back(load);
-  while (samples.size() > options_.history_length) samples.pop_front();
+  if (samples.size() > kHistoryLength) samples.pop_front();
 }
 
 const std::deque<double>* DataCollectionDaemon::HistoryFor(

@@ -21,11 +21,12 @@ namespace legion {
 
 struct DcdOptions {
   Duration poll_period = Duration::Seconds(30);
-  std::size_t history_length = 32;  // load samples kept per host
 };
 
 class DataCollectionDaemon : public LegionObject {
  public:
+  static constexpr std::size_t kHistoryLength = 32;  // load samples per host
+
   DataCollectionDaemon(SimKernel* kernel, Loid loid, DcdOptions options = {});
   ~DataCollectionDaemon() override;
 

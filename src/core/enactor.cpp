@@ -1,14 +1,15 @@
 #include "core/enactor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 #include "objects/class_object.h"
+#include "objects/core_hierarchy.h"
 
 namespace legion {
 
 namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
 // Every reservation the Enactor requests is an instantaneous (starting
 // now) one-shot timesharing window of this length.
 constexpr Duration kReservationDuration = Duration::Hours(1);
@@ -34,6 +35,9 @@ struct EnactorObject::Negotiation {
   // Transient failures of the *current* mapping per index; reset when a
   // variant installs a new mapping there.
   std::vector<int> attempts;
+  // Cap 1: the at-most-once id of each index's one-slot batch, minted on
+  // the current mapping's first send and resent by its retries.
+  std::vector<std::uint64_t> batch_ids;
   std::size_t outstanding = 0;
   ErrorCode last_code = ErrorCode::kNoResources;
   std::string last_error;
@@ -76,8 +80,7 @@ struct EnactorObject::Negotiation {
 
 EnactorObject::EnactorObject(SimKernel* kernel, Loid loid,
                              EnactorOptions options)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(), kServiceClassSerial)),
+    : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())),
       options_(options),
       health_(kernel, options.health),
       rng_(kernel->network().params().seed ^ 0xE7AC70Full) {
@@ -130,9 +133,8 @@ void EnactorObject::MakeReservations(const ScheduleRequestList& request,
   n->request = request;
   n->done = std::move(done);
   if (AuditOn()) {
-    Audit("negotiation_begin",
-          {{"nid", std::to_string(n->id)},
-           {"masters", std::to_string(request.masters.size())}});
+    AuditNegotiation("negotiation_begin", *n,
+                     {{"masters", std::to_string(request.masters.size())}});
   }
   StartMaster(n);
 }
@@ -144,16 +146,16 @@ void EnactorObject::StartMaster(const std::shared_ptr<Negotiation>& n) {
   }
   const MasterSchedule& master = n->request.masters[n->master];
   if (AuditOn()) {
-    Audit("master_start",
-          {{"nid", std::to_string(n->id)},
-           {"master", std::to_string(n->master)},
-           {"mappings", std::to_string(master.mappings.size())},
-           {"variants", std::to_string(master.variants.size())}});
+    AuditNegotiation("master_start", *n,
+                     {{"master", std::to_string(n->master)},
+                      {"mappings", std::to_string(master.mappings.size())},
+                      {"variants", std::to_string(master.variants.size())}});
   }
   n->current = master.mappings;
   n->tokens.assign(master.mappings.size(), std::nullopt);
   n->cancelled_history.assign(master.mappings.size(), {});
   n->attempts.assign(master.mappings.size(), 0);
+  n->batch_ids.assign(master.mappings.size(), 0);
   n->applied_variants.clear();
   n->next_variant = 0;
   n->chunk_queues.clear();
@@ -246,20 +248,9 @@ void EnactorObject::DispatchBatch(Batch batch) {
     // Backpressure: park instead of flooding the event queue; the slots
     // stay accounted in the negotiation's outstanding set.
     cells_.requests_parked->Add(batch.wanted.size());
-    if (kernel()->trace().enabled()) {
-      kernel()->trace().Instant(
-          kernel()->Now(), "batch_parked", "enactor",
-          kernel()->trace().current(),
-          {{"host", batch.host.ToString()},
-           {"slots", std::to_string(batch.wanted.size())}});
-    }
     if (AuditOn()) {
-      const std::string nid = std::to_string(batch.negotiation->id);
-      const std::string host = batch.host.ToString();
       for (std::size_t index : batch.wanted) {
-        Audit("reserve_parked", {{"nid", nid},
-                                 {"slot", std::to_string(index)},
-                                 {"host", host}});
+        AuditSlot("reserve_parked", *batch.negotiation, index, batch.host);
       }
     }
     parked_.push_back(std::move(batch));
@@ -313,13 +304,6 @@ void EnactorObject::SendBatch(Batch batch) {
   cells_.batches_sent->Add();
   cells_.batched_slots->Add(batch.indices.size());
   cells_.batch_size->Observe(static_cast<double>(batch.indices.size()));
-  if (kernel()->trace().enabled()) {
-    kernel()->trace().Instant(
-        kernel()->Now(), "reserve_batch", "enactor",
-        kernel()->trace().current(),
-        {{"host", batch.host.ToString()},
-         {"slots", std::to_string(batch.indices.size())}});
-  }
   // Size-cost the RPC on the wire: one envelope plus a marginal cost per
   // slot, both ways, so NetworkModel charges real transfer time.
   const std::size_t request_bytes =
@@ -387,12 +371,7 @@ void EnactorObject::OnBatchReply(const Batch& batch,
         auto it = by_index.find(index);
         if (it != by_index.end() && it->second->status.ok()) {
           cells_.reservations_cancelled->Add();
-          if (AuditOn()) {
-            Audit("stray_grant_cancelled",
-                  {{"nid", std::to_string(n->id)},
-                   {"slot", std::to_string(index)},
-                   {"host", target.ToString()}});
-          }
+          AuditSlot("stray_grant_cancelled", *n, index, target);
           CancelToken(it->second->token);
         }
       }
@@ -421,20 +400,11 @@ void EnactorObject::OnBatchReply(const Batch& batch,
       for (std::size_t index : retryable) {
         attempt = std::max(attempt, n->attempts[index]);
       }
-      const Duration delay = BackoffDelay(attempt);
-      if (kernel()->trace().enabled()) {
-        kernel()->trace().Instant(
-            kernel()->Now(), "batch_retry", "enactor",
-            kernel()->trace().current(),
-            {{"host", target.ToString()},
-             {"slots", std::to_string(retryable.size())},
-             {"delay", delay.ToString()}});
-      }
       Batch retry = batch;
       retry.wanted = std::move(retryable);
       retry.retransmit = true;
       kernel()->ScheduleAfter(
-          delay,
+          BackoffDelay(attempt),
           [this, retry = std::move(retry)] {
             if (retry.negotiation->finished) return;
             DispatchBatch(retry);
@@ -476,18 +446,7 @@ Duration EnactorObject::BackoffDelay(int retry_number) {
 void EnactorObject::FailIndexFast(const std::shared_ptr<Negotiation>& n,
                                   std::size_t index) {
   cells_.breaker_open->Add();
-  if (kernel()->trace().enabled()) {
-    kernel()->trace().Instant(kernel()->Now(), "breaker_fastfail", "enactor",
-                              kernel()->trace().current(),
-                              {{"host", n->current[index].host.ToString()},
-                               {"index", std::to_string(index)}});
-  }
-  if (AuditOn()) {
-    Audit("breaker_fastfail",
-          {{"nid", std::to_string(n->id)},
-           {"slot", std::to_string(index)},
-           {"host", n->current[index].host.ToString()}});
-  }
+  AuditSlot("breaker_fastfail", *n, index, n->current[index].host);
   kernel()->ScheduleAfter(
       Duration::Zero(),
       [this, n, index] {
@@ -501,8 +460,11 @@ void EnactorObject::FailIndexFast(const std::shared_ptr<Negotiation>& n,
 }
 
 // Cap 1: one make_reservation RPC per mapping, outside the batch window
-// and the batch counters.  Replies settle through the same per-slot code
-// as a batch reply.
+// and the batch counters.  The slot travels as a one-slot batch whose id
+// is minted on the mapping's first send and resent by every retry, so the
+// host replays a retry whose first reply was lost instead of admitting
+// it twice.  Replies settle through the same per-slot code as a batch
+// reply.
 void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
                                  std::size_t index) {
   const Loid host = n->current[index].host;
@@ -514,33 +476,27 @@ void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
     cells_.breaker_probes->Add();
   }
   CountAttempt(*n, index, /*batch_id=*/0);
-  CallOn<ReservationToken, HostInterface>(
+  if (n->attempts[index] == 0) n->batch_ids[index] = next_batch_id_++;
+  ReservationBatchRequest request;
+  request.requester = loid();
+  request.batch_id = n->batch_ids[index];
+  request.retransmit = n->attempts[index] > 0;
+  request.slots.push_back(BatchSlotRequest{index, SlotRequest(*n, index)});
+  CallOn<ReservationBatchReply, HostInterface>(
       kernel(), loid(), host, kSmallMessage, kSmallMessage,
       options_.rpc_timeout,
-      [request = SlotRequest(*n, index)](HostInterface& host_iface,
-                                         Callback<ReservationToken> reply) {
-        host_iface.MakeReservation(request, std::move(reply));
+      [request = std::move(request)](HostInterface& host_iface,
+                                     Callback<ReservationBatchReply> reply) {
+        host_iface.MakeReservationBatch(request, std::move(reply));
       },
-      [this, n, index, host](Result<ReservationToken> result) {
+      [this, n, index, host](Result<ReservationBatchReply> result) {
         if (n->finished) return;
-        const ErrorCode code = result.code();
-        if (code != ErrorCode::kTimeout && code != ErrorCode::kUnavailable) {
+        if (result.ok()) {
           // The host answered: a grant or its own refusal.
-          ApplySlotAnswer(*n, host,
-                          {index, result.status(), result.value_or({})});
+          ApplySlotAnswer(*n, host, result->outcomes.front());
         } else if (ApplyRpcFailure(*n, index, host, result.status())) {
-          const Duration delay = BackoffDelay(n->attempts[index]);
-          if (kernel()->trace().enabled()) {
-            kernel()->trace().Instant(
-                kernel()->Now(), "reserve_retry", "enactor",
-                kernel()->trace().current(),
-                {{"host", host.ToString()},
-                 {"index", std::to_string(index)},
-                 {"attempt", std::to_string(n->attempts[index] + 1)},
-                 {"delay", delay.ToString()}});
-          }
           kernel()->ScheduleAfter(
-              delay,
+              BackoffDelay(n->attempts[index]),
               [this, n, index] {
                 if (n->finished) return;
                 ReserveIndex(n, index);
@@ -562,21 +518,13 @@ void EnactorObject::CountAttempt(const Negotiation& n, std::size_t index,
   const auto& history = n.cancelled_history[index];
   if (std::find(history.begin(), history.end(), mapping) != history.end()) {
     cells_.rereservations->Add();
-    if (kernel()->trace().enabled()) {
-      kernel()->trace().Instant(kernel()->Now(), "rereservation", "enactor",
-                                kernel()->trace().current(),
-                                {{"host", mapping.host.ToString()},
-                                 {"index", std::to_string(index)}});
-    }
   }
   cells_.reservations_requested->Add();
   if (AuditOn()) {
-    obs::TraceArgs fields = {{"nid", std::to_string(n.id)},
-                             {"slot", std::to_string(index)},
-                             {"host", mapping.host.ToString()}};
-    if (batch_id != 0) fields.push_back({"batch", std::to_string(batch_id)});
-    fields.push_back({"attempt", std::to_string(n.attempts[index] + 1)});
-    Audit("reserve_requested", std::move(fields));
+    obs::TraceArgs extra;
+    if (batch_id != 0) extra.push_back({"batch", std::to_string(batch_id)});
+    extra.push_back({"attempt", std::to_string(n.attempts[index] + 1)});
+    AuditSlot("reserve_requested", n, index, mapping.host, std::move(extra));
   }
 }
 
@@ -607,20 +555,8 @@ ReservationRequest EnactorObject::SlotRequest(const Negotiation& n,
 void EnactorObject::ApplySlotAnswer(Negotiation& n, const Loid& host,
                                     const BatchSlotOutcome& outcome) {
   const std::size_t index = outcome.index;
-  if (AuditOn()) {
-    if (outcome.status.ok()) {
-      Audit("reserve_granted", {{"nid", std::to_string(n.id)},
-                                {"slot", std::to_string(index)},
-                                {"host", host.ToString()}});
-    } else {
-      Audit("reserve_failed",
-            {{"nid", std::to_string(n.id)},
-             {"slot", std::to_string(index)},
-             {"host", host.ToString()},
-             {"code", legion::ToString(outcome.status.code())}});
-    }
-  }
   if (outcome.status.ok()) {
+    AuditSlot("reserve_granted", n, index, host);
     if (options_.use_health) health_.RecordSuccess(host);
     cells_.reservations_granted->Add();
     if (n.attempts[index] > 0) cells_.partial_recoveries->Add();
@@ -629,15 +565,13 @@ void EnactorObject::ApplySlotAnswer(Negotiation& n, const Loid& host,
     // Slot-level refusals and capacity shortfalls are the host's
     // prerogative, not sickness -- no health signal, no retry; the
     // variant machinery takes over per mapping.
+    if (AuditOn()) {
+      AuditSlot("reserve_failed", n, index, host,
+                {{"code", legion::ToString(outcome.status.code())}});
+    }
     cells_.reservations_failed->Add();
     n.last_code = outcome.status.code();
     n.last_error = outcome.status.message();
-  }
-  if (kernel()->trace().enabled()) {
-    kernel()->trace().Instant(
-        kernel()->Now(), outcome.status.ok() ? "reserve_ok" : "reserve_fail",
-        "enactor", kernel()->trace().current(),
-        {{"host", host.ToString()}, {"index", std::to_string(index)}});
   }
 }
 
@@ -662,19 +596,14 @@ bool EnactorObject::ApplyRpcFailure(Negotiation& n, std::size_t index,
     ++n.attempts[index];
     cells_.retries->Add();
     if (AuditOn()) {
-      Audit("reserve_retry",
-            {{"nid", std::to_string(n.id)},
-             {"slot", std::to_string(index)},
-             {"host", host.ToString()},
-             {"attempt", std::to_string(n.attempts[index] + 1)}});
+      AuditSlot("reserve_retry", n, index, host,
+                {{"attempt", std::to_string(n.attempts[index] + 1)}});
     }
     return true;
   }
   if (AuditOn()) {
-    Audit("reserve_failed", {{"nid", std::to_string(n.id)},
-                             {"slot", std::to_string(index)},
-                             {"host", host.ToString()},
-                             {"code", legion::ToString(code)}});
+    AuditSlot("reserve_failed", n, index, host,
+              {{"code", legion::ToString(code)}});
   }
   return false;
 }
@@ -686,12 +615,7 @@ void EnactorObject::CancelHeld(const std::shared_ptr<Negotiation>& n,
   n->cancelled_history[index].push_back(n->current[index]);
   n->tokens[index].reset();
   cells_.reservations_cancelled->Add();
-  if (AuditOn()) {
-    Audit("reservation_cancelled",
-          {{"nid", std::to_string(n->id)},
-           {"slot", std::to_string(index)},
-           {"host", n->current[index].host.ToString()}});
-  }
+  AuditSlot("reservation_cancelled", *n, index, n->current[index].host);
   CancelToken(token);
 }
 
@@ -703,6 +627,23 @@ void EnactorObject::CancelToken(const ReservationToken& token) {
         host.CancelReservation(token, std::move(reply));
       },
       [](Result<bool>) { /* best effort */ }, "cancel_reservation");
+}
+
+void EnactorObject::AuditSlot(const char* kind, const Negotiation& n,
+                              std::size_t index, const Loid& host,
+                              obs::TraceArgs extra) {
+  if (!AuditOn()) return;
+  obs::TraceArgs fields = {{"nid", std::to_string(n.id)},
+                           {"slot", std::to_string(index)},
+                           {"host", host.ToString()}};
+  std::move(extra.begin(), extra.end(), std::back_inserter(fields));
+  kernel()->audit().Record(kernel()->Now(), kind, std::move(fields));
+}
+
+void EnactorObject::AuditNegotiation(const char* kind, const Negotiation& n,
+                                     obs::TraceArgs fields) {
+  fields.insert(fields.begin(), {"nid", std::to_string(n.id)});
+  kernel()->audit().Record(kernel()->Now(), kind, std::move(fields));
 }
 
 void EnactorObject::OnRoundComplete(const std::shared_ptr<Negotiation>& n) {
@@ -738,23 +679,16 @@ void EnactorObject::OnRoundComplete(const std::shared_ptr<Negotiation>& n) {
     }
     for (std::size_t v : chosen) {
       n->applied_variants.push_back(v);
-      if (kernel()->trace().enabled()) {
-        kernel()->trace().Instant(kernel()->Now(), "variant_applied",
-                                  "enactor", kernel()->trace().current(),
-                                  {{"variant", std::to_string(v)}});
-      }
       if (AuditOn()) {
-        Audit("variant_applied", {{"nid", std::to_string(n->id)},
-                                  {"variant", std::to_string(v)}});
+        AuditNegotiation("variant_applied", *n,
+                         {{"variant", std::to_string(v)}});
       }
       for (const auto& [index, mapping] : master.variants[v].mappings) {
         // Cancel only the reservations the variant actually replaces.
         CancelHeld(n, index);
         if (AuditOn()) {
-          Audit("slot_remapped", {{"nid", std::to_string(n->id)},
-                                  {"slot", std::to_string(index)},
-                                  {"host", mapping.host.ToString()},
-                                  {"variant", std::to_string(v)}});
+          AuditSlot("slot_remapped", *n, index, mapping.host,
+                    {{"variant", std::to_string(v)}});
         }
         n->current[index] = mapping;
         n->attempts[index] = 0;  // new mapping, fresh retry budget
@@ -774,8 +708,7 @@ void EnactorObject::OnRoundComplete(const std::shared_ptr<Negotiation>& n) {
   const std::size_t v = n->next_variant++;
   n->applied_variants.push_back(v);
   if (AuditOn()) {
-    Audit("variant_applied", {{"nid", std::to_string(n->id)},
-                              {"variant", std::to_string(v)}});
+    AuditNegotiation("variant_applied", *n, {{"variant", std::to_string(v)}});
   }
   n->current = master.WithVariant(v);
   n->attempts.assign(n->current.size(), 0);
@@ -790,10 +723,10 @@ void EnactorObject::AbandonMaster(const std::shared_ptr<Negotiation>& n) {
     if (!n->tokens[i].has_value()) n->last_failed_indices.push_back(i);
   }
   if (AuditOn()) {
-    Audit("master_abandoned",
-          {{"nid", std::to_string(n->id)},
-           {"master", std::to_string(n->master)},
-           {"unplaced", std::to_string(n->last_failed_indices.size())}});
+    AuditNegotiation(
+        "master_abandoned", *n,
+        {{"master", std::to_string(n->master)},
+         {"unplaced", std::to_string(n->last_failed_indices.size())}});
   }
   for (std::size_t i = 0; i < n->tokens.size(); ++i) CancelHeld(n, i);
   ++n->master;
@@ -803,10 +736,10 @@ void EnactorObject::AbandonMaster(const std::shared_ptr<Negotiation>& n) {
 void EnactorObject::Succeed(const std::shared_ptr<Negotiation>& n) {
   n->finished = true;
   if (AuditOn()) {
-    Audit("negotiation_success",
-          {{"nid", std::to_string(n->id)},
-           {"master", std::to_string(n->master)},
-           {"variants", std::to_string(n->applied_variants.size())}});
+    AuditNegotiation(
+        "negotiation_success", *n,
+        {{"master", std::to_string(n->master)},
+         {"variants", std::to_string(n->applied_variants.size())}});
   }
   ScheduleFeedback feedback;
   feedback.original = n->request;
@@ -825,9 +758,8 @@ void EnactorObject::Succeed(const std::shared_ptr<Negotiation>& n) {
 void EnactorObject::Fail(const std::shared_ptr<Negotiation>& n) {
   n->finished = true;
   if (AuditOn()) {
-    Audit("negotiation_failed",
-          {{"nid", std::to_string(n->id)},
-           {"code", legion::ToString(n->last_code)}});
+    AuditNegotiation("negotiation_failed", *n,
+                     {{"code", legion::ToString(n->last_code)}});
   }
   ScheduleFeedback feedback;
   feedback.original = n->request;

@@ -61,9 +61,10 @@ struct EnactorOptions {
   // Batched negotiation (DESIGN.md §11): a round's requests are grouped
   // by target host and sent as ReserveBatch RPCs of at most
   // max_batch_size slots.  1 = one make_reservation RPC per mapping,
-  // outside the batch window; its replies settle through the same
-  // per-slot code, so placements are byte-identical either way and the
-  // batch path only saves round trips and wire bytes.
+  // outside the batch window, each a one-slot batch with its own replay
+  // id; its replies settle through the same per-slot code, so placements
+  // are byte-identical either way and the batch path only saves round
+  // trips and wire bytes.
   std::size_t max_batch_size = 64;
   // Backpressure: at most this many batches in flight at once; overflow
   // parks in a FIFO admission queue instead of flooding the event queue
@@ -136,7 +137,8 @@ class EnactorObject : public LegionObject {
 
   void StartMaster(const std::shared_ptr<Negotiation>& n);
   void RequestMissing(const std::shared_ptr<Negotiation>& n);
-  // Cap 1: one make_reservation RPC for one mapping.
+  // Cap 1: one make_reservation RPC for one mapping, sent as a one-slot
+  // batch whose id the mapping's retries resend.
   void ReserveIndex(const std::shared_ptr<Negotiation>& n, std::size_t index);
   void FailIndexFast(const std::shared_ptr<Negotiation>& n, std::size_t index);
   // Per-slot settlement, shared by make_reservation (cap 1) and
@@ -180,12 +182,16 @@ class EnactorObject : public LegionObject {
 
   // Decision audit (obs/audit.h): every reservation-slot lifecycle
   // transition is recorded keyed by the negotiation id when the kernel's
-  // audit log is enabled.  Sites guard with AuditOn() so a disabled log
-  // costs one branch and no allocations.
+  // audit log is enabled.  AuditSlot writes nid, slot, host, then
+  // `extra`; AuditNegotiation writes nid, then `fields`.  A disabled log
+  // costs one branch and no allocations: AuditSlot checks AuditOn()
+  // itself, and every site that builds `extra` or `fields` checks it
+  // first.
   bool AuditOn() const { return kernel()->audit().enabled(); }
-  void Audit(const char* kind, obs::TraceArgs fields) {
-    kernel()->audit().Record(kernel()->Now(), kind, std::move(fields));
-  }
+  void AuditSlot(const char* kind, const Negotiation& n, std::size_t index,
+                 const Loid& host, obs::TraceArgs extra = {});
+  void AuditNegotiation(const char* kind, const Negotiation& n,
+                        obs::TraceArgs fields);
 
   // Registry cells ({component=enactor}), shared by every Enactor of the
   // kernel; hot-path updates are one atomic add.

@@ -18,11 +18,10 @@ void HealthTracker::Trip(Breaker* breaker, Duration base_cooldown) {
   // cooldown (a failed probe re-trips with a longer window), capped so a
   // flapping host is never exiled forever.
   Duration cooldown = base_cooldown;
-  for (int i = 0; i < breaker->openings && cooldown < options_.max_cooldown;
-       ++i) {
-    cooldown = cooldown * options_.cooldown_multiplier;
+  for (int i = 0; i < breaker->openings && cooldown < kMaxCooldown; ++i) {
+    cooldown = cooldown * kCooldownMultiplier;
   }
-  cooldown = std::min(cooldown, options_.max_cooldown);
+  cooldown = std::min(cooldown, kMaxCooldown);
   breaker->open = true;
   ++breaker->openings;
   breaker->suspect_until = kernel_->Now() + cooldown;

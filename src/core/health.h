@@ -43,14 +43,15 @@ struct HealthOptions {
   // Suspect window after the first opening.
   Duration host_cooldown = Duration::Seconds(60);
   Duration domain_cooldown = Duration::Seconds(120);
-  // Each re-opening (a failed probe) escalates the cooldown by this
-  // factor, capped at max_cooldown.
-  double cooldown_multiplier = 2.0;
-  Duration max_cooldown = Duration::Minutes(15);
 };
 
 class HealthTracker {
  public:
+  // Each re-opening (a failed probe) escalates the cooldown by this
+  // factor, capped at kMaxCooldown.
+  static constexpr double kCooldownMultiplier = 2.0;
+  static constexpr Duration kMaxCooldown = Duration::Minutes(15);
+
   explicit HealthTracker(SimKernel* kernel, HealthOptions options = {});
 
   // Reservation outcome reporting.  Callers report only failures that

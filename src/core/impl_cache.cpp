@@ -1,16 +1,13 @@
 #include "core/impl_cache.h"
 
-namespace legion {
+#include "objects/core_hierarchy.h"
 
-namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
-}  // namespace
+namespace legion {
 
 ImplementationCacheObject::ImplementationCacheObject(SimKernel* kernel,
                                                      Loid loid,
                                                      std::uint32_t domain)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, domain, kServiceClassSerial)) {
+    : LegionObject(kernel, loid, ServiceClassLoid(domain)) {
   kernel->network().RegisterEndpoint(loid, domain);
   (void)Activate(loid, Loid());
   mutable_attributes().Set("service", "implementation-cache");

@@ -1,12 +1,9 @@
 #include "core/layering.h"
 
 #include "objects/class_object.h"
+#include "objects/core_hierarchy.h"
 
 namespace legion {
-
-namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
-}  // namespace
 
 const char* ToString(Layering layering) {
   switch (layering) {
@@ -26,8 +23,7 @@ ApplicationCoordinator::ApplicationCoordinator(SimKernel* kernel, Loid loid,
                                                Layering layering,
                                                Wiring wiring,
                                                std::uint64_t seed)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(), kServiceClassSerial)),
+    : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())),
       layering_(layering),
       wiring_(wiring),
       rng_(seed) {

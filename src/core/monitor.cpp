@@ -1,14 +1,11 @@
 #include "core/monitor.h"
 
+#include "objects/core_hierarchy.h"
+
 namespace legion {
 
-namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
-}  // namespace
-
 MonitorObject::MonitorObject(SimKernel* kernel, Loid loid)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(), kServiceClassSerial)) {
+    : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())) {
   kernel->network().RegisterEndpoint(loid, loid.domain());
   (void)Activate(loid, Loid());
   mutable_attributes().Set("service", "monitor");
@@ -53,11 +50,6 @@ std::string MonitorObject::WatchLoadThreshold(HostObject* host,
 
 void MonitorObject::OnEvent(const RgeEvent& event) {
   events_cell_->Add();
-  obs::TraceLog& trace = kernel()->trace();
-  if (trace.enabled()) {
-    trace.Instant(kernel()->Now(), "monitor_event", "monitor", trace.current(),
-                  {{"event", event.name}});
-  }
   if (!handler_) return;
   // Debounce per (source, event): a flapping guard re-fires the outcall on
   // every threshold crossing, but a second reschedule request within the

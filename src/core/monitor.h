@@ -55,7 +55,7 @@ class MonitorObject : public LegionObject {
   // threshold; without a floor between dispatches one sustained spike can
   // request a migration per evaluation tick while the first migration is
   // still in flight (a reschedule storm).  Events arriving inside the
-  // window are still counted and traced, but the handler is not invoked.
+  // window are still counted, but the handler is not invoked.
   static constexpr Duration kMinRescheduleInterval = Duration::Seconds(30);
 
   RescheduleHandler handler_;

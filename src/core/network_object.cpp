@@ -1,14 +1,11 @@
 #include "core/network_object.h"
 
+#include "objects/core_hierarchy.h"
+
 namespace legion {
 
-namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
-}  // namespace
-
 NetworkObject::NetworkObject(SimKernel* kernel, Loid loid)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(), kServiceClassSerial)) {
+    : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())) {
   kernel->network().RegisterEndpoint(loid, loid.domain());
   (void)Activate(loid, Loid());
   mutable_attributes().Set("service", "network-object");

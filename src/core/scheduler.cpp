@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <sstream>
 
-namespace legion {
+#include "objects/core_hierarchy.h"
 
-namespace {
-constexpr std::uint64_t kServiceClassSerial = 5;
-}  // namespace
+namespace legion {
 
 SchedulerObject::SchedulerObject(SimKernel* kernel, Loid loid,
                                  std::string name, Loid collection,
                                  Loid enactor)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, loid.domain(), kServiceClassSerial)),
+    : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())),
       name_(std::move(name)),
       collection_(collection),
       enactor_(enactor) {

@@ -10,7 +10,8 @@
 // VaultClass are the guardian classes whose instances are the Host and
 // Vault objects.  Every other object's class chain terminates at
 // LegionClass.  The well-known serials here are what HostObject,
-// VaultObject, and the service objects stamp into their class_loid.
+// VaultObject, CollectionObject and the service objects stamp into
+// their class_loid, through the *ClassLoid helpers below.
 #pragma once
 
 #include "objects/class_object.h"
@@ -32,6 +33,12 @@ inline Loid HostClassLoid(std::uint32_t domain) {
 }
 inline Loid VaultClassLoid(std::uint32_t domain) {
   return Loid(LoidSpace::kClass, domain, kVaultClassSerial);
+}
+inline Loid CollectionClassLoid(std::uint32_t domain) {
+  return Loid(LoidSpace::kClass, domain, kCollectionClassSerial);
+}
+inline Loid ServiceClassLoid(std::uint32_t domain) {
+  return Loid(LoidSpace::kClass, domain, kServiceClassSerial);
 }
 
 // The instantiated core hierarchy for one naming domain: actual class

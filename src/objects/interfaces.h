@@ -120,7 +120,10 @@ class HostInterface {
   virtual ~HostInterface() = default;
 
   // Reservation management.  MakeReservation is the single-request form
-  // of MakeReservationBatch: hosts answer it as a one-slot batch.
+  // of MakeReservationBatch: hosts answer it as a one-slot batch with
+  // batch id 0, so a resent request is admitted again.  A requester that
+  // retries (the Enactor at cap 1) sends its one-slot batch itself, under
+  // an id of its own.
   virtual void MakeReservation(const ReservationRequest& request,
                                Callback<ReservationToken> done) = 0;
   // Batched admission: slots are evaluated in slot order within one

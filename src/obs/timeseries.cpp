@@ -50,10 +50,7 @@ void TimeSeriesRecorder::SampleAt(SimTime ts) {
     s.last = value;
     s.has_last = true;
     s.samples.push_back(sample);
-    while (options_.ring_capacity > 0 &&
-           s.samples.size() > options_.ring_capacity) {
-      s.samples.pop_front();
-    }
+    if (s.samples.size() > kRingCapacity) s.samples.pop_front();
   }
 }
 
@@ -68,8 +65,7 @@ std::string TimeSeriesRecorder::ToJson() const {
   std::string out = "{\"sample_period_us\":" +
                     JsonNumber(options_.sample_period.micros()) +
                     ",\"ring_capacity\":" +
-                    JsonNumber(static_cast<std::uint64_t>(
-                        options_.ring_capacity)) +
+                    JsonNumber(static_cast<std::uint64_t>(kRingCapacity)) +
                     ",\"series\":{";
   bool first_series = true;
   for (const auto& [name, s] : series_) {

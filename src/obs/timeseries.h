@@ -37,8 +37,6 @@ namespace legion::obs {
 struct RecorderOptions {
   // Sim-time distance between samples.
   Duration sample_period = Duration::Seconds(1);
-  // Ring capacity per series; the oldest window falls off when full.
-  std::size_t ring_capacity = 1024;
 };
 
 struct TimeSeriesSample {
@@ -50,6 +48,9 @@ struct TimeSeriesSample {
 
 class TimeSeriesRecorder {
  public:
+  // Ring capacity per series; the oldest window falls off when full.
+  static constexpr std::size_t kRingCapacity = 1024;
+
   explicit TimeSeriesRecorder(RecorderOptions options = {})
       : options_(options) {}
 

@@ -27,14 +27,6 @@ void TraceLog::EndSpan(SimTime ts, SpanId span, TraceArgs args) {
                                std::move(name), category, std::move(args)});
 }
 
-void TraceLog::Instant(SimTime ts, std::string name, const char* category,
-                       SpanId parent, TraceArgs args) {
-  if (!enabled()) return;
-  events_.push_back(TraceEvent{TraceEvent::Phase::kInstant, ts, kNoSpan,
-                               parent, std::move(name), category,
-                               std::move(args)});
-}
-
 void TraceLog::Clear() {
   events_.clear();
   events_.shrink_to_fit();
@@ -77,23 +69,9 @@ std::string TraceLog::ToChromeJson() const {
     if (i != 0) out += ",\n";
     out += "{\"name\":" + JsonString(event.name) +
            ",\"cat\":" + JsonString(event.category);
-    switch (event.phase) {
-      case TraceEvent::Phase::kBegin:
-        out += ",\"ph\":\"b\",\"id\":" + JsonString(HexId(event.span));
-        break;
-      case TraceEvent::Phase::kEnd:
-        out += ",\"ph\":\"e\",\"id\":" + JsonString(HexId(event.span));
-        break;
-      case TraceEvent::Phase::kInstant:
-        // Instants inside a span render as async-instants on that span's
-        // track; free-floating ones as plain thread instants.
-        if (event.parent != kNoSpan) {
-          out += ",\"ph\":\"n\",\"id\":" + JsonString(HexId(event.parent));
-        } else {
-          out += ",\"ph\":\"i\",\"s\":\"t\"";
-        }
-        break;
-    }
+    out += event.phase == TraceEvent::Phase::kBegin ? ",\"ph\":\"b\""
+                                                    : ",\"ph\":\"e\"";
+    out += ",\"id\":" + JsonString(HexId(event.span));
     out += ",\"pid\":1,\"tid\":1,\"ts\":" +
            JsonNumber(static_cast<std::int64_t>(event.ts.micros())) + ",";
     AppendArgs(out, event, /*include_parent=*/true);
@@ -106,14 +84,11 @@ std::string TraceLog::ToChromeJson() const {
 std::string TraceLog::ToJsonl() const {
   std::string out;
   for (const TraceEvent& event : events_) {
-    const char* phase = event.phase == TraceEvent::Phase::kBegin ? "B"
-                        : event.phase == TraceEvent::Phase::kEnd ? "E"
-                                                                 : "I";
-    out += "{\"ph\":\"";
-    out += phase;
-    out += "\",\"ts\":" +
-           JsonNumber(static_cast<std::int64_t>(event.ts.micros()));
-    if (event.span != kNoSpan) out += ",\"span\":" + JsonNumber(event.span);
+    out += event.phase == TraceEvent::Phase::kBegin ? "{\"ph\":\"B\""
+                                                    : "{\"ph\":\"E\"";
+    out += ",\"ts\":" +
+           JsonNumber(static_cast<std::int64_t>(event.ts.micros())) +
+           ",\"span\":" + JsonNumber(event.span);
     if (event.parent != kNoSpan) {
       out += ",\"parent\":" + JsonNumber(event.parent);
     }

@@ -6,7 +6,9 @@
 // cancel/re-reserve -> enact -- is reconstructable from the parent
 // links.  The kernel threads the "current span" through its async-RPC
 // path (see SimKernel::Send / AsyncCall), so components get causal
-// attribution without passing IDs around by hand.
+// attribution without passing IDs around by hand.  The trace holds
+// spans only: decisions (a slot granted, a retry, a variant applied)
+// are recorded once, in the audit log (obs/audit.h).
 //
 // Determinism: span IDs are minted sequentially and timestamps are
 // simulated time, so two runs with the same seed produce byte-identical
@@ -44,7 +46,7 @@ struct TraceArg {
 using TraceArgs = std::vector<TraceArg>;
 
 struct TraceEvent {
-  enum class Phase : std::uint8_t { kBegin, kEnd, kInstant };
+  enum class Phase : std::uint8_t { kBegin, kEnd };
   Phase phase;
   SimTime ts;
   SpanId span = kNoSpan;    // the span this event belongs to / creates
@@ -70,8 +72,6 @@ class TraceLog {
   SpanId BeginSpan(SimTime ts, std::string name, const char* category,
                    SpanId parent, TraceArgs args = {});
   void EndSpan(SimTime ts, SpanId span, TraceArgs args = {});
-  void Instant(SimTime ts, std::string name, const char* category,
-               SpanId parent, TraceArgs args = {});
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-namespace legion {
+#include "objects/core_hierarchy.h"
 
-namespace {
-// Well-known serial for the HostClass core object (figure 1).
-constexpr std::uint64_t kHostClassSerial = 2;
-}  // namespace
+namespace legion {
 
 HostObject::HostObject(SimKernel* kernel, Loid loid, HostSpec spec,
                        std::uint64_t secret_seed)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, spec.domain, kHostClassSerial)),
+    : LegionObject(kernel, loid, HostClassLoid(spec.domain)),
       spec_(std::move(spec)),
       authority_(secret_seed),
       table_(HostCapacity{spec_.cpus, spec_.memory_mb, spec_.oversubscription}),
@@ -199,8 +195,7 @@ void HostObject::EvictStaleBatchReplies(SimTime now) {
   // retention window is safe to drop -- no matter how many requesters
   // are talking to this host in the meantime.
   while (!completed_batch_order_.empty() &&
-         now - completed_batch_order_.front().second >
-             spec_.batch_replay_retention) {
+         now - completed_batch_order_.front().second > kBatchReplayRetention) {
     completed_batches_.erase(completed_batch_order_.front().first);
     completed_batch_order_.pop_front();
   }

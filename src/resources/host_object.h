@@ -48,16 +48,17 @@ struct HostSpec {
   std::uint32_t domain = 0;
   double oversubscription = 4.0;   // timesharing headroom
   Duration reassess_period = Duration::Seconds(10);
-  // How long a completed batch reply stays replayable for retransmitted
-  // batch ids.  Must comfortably exceed any requester's retry horizon
-  // (rpc timeout x attempts + backoff); an evicted entry makes a
-  // retransmission re-admit, which is exactly what the cache prevents.
-  Duration batch_replay_retention = Duration::Minutes(10);
   LoadModelParams load;
 };
 
 class HostObject : public LegionObject, public HostInterface {
  public:
+  // How long a completed batch reply stays replayable for retransmitted
+  // batch ids.  Must comfortably exceed any requester's retry horizon
+  // (rpc timeout x attempts + backoff); an evicted entry makes a
+  // retransmission re-admit, which is exactly what the cache prevents.
+  static constexpr Duration kBatchReplayRetention = Duration::Minutes(10);
+
   HostObject(SimKernel* kernel, Loid loid, HostSpec spec,
              std::uint64_t secret_seed);
 
@@ -136,7 +137,7 @@ class HostObject : public LegionObject, public HostInterface {
   // retransmissions (request.retransmit set) that found neither -- either
   // the original request was lost (benign re-admission) or the reply aged
   // out of the cache (a possible double-admit; widen
-  // batch_replay_retention).
+  // kBatchReplayRetention).
   std::uint64_t batch_replay_hits() const { return batch_replay_hits_; }
   std::uint64_t batch_replay_misses() const { return batch_replay_misses_; }
 
@@ -229,7 +230,7 @@ class HostObject : public LegionObject, public HostInterface {
   // At-most-once admission: remembers the reply for (requester, batch_id)
   // so a retransmitted batch (lost reply) replays instead of re-admitting.
   void RememberBatchReply(const std::string& key, ReservationBatchReply reply);
-  // Drops cached replies older than spec_.batch_replay_retention.
+  // Drops cached replies older than kBatchReplayRetention.
   void EvictStaleBatchReplies(SimTime now);
 
   HostSpec spec_;

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
+#include "objects/core_hierarchy.h"
+
 namespace legion {
 
-namespace {
-// Well-known serial for the VaultClass core object (figure 1).
-constexpr std::uint64_t kVaultClassSerial = 3;
-}  // namespace
-
 VaultObject::VaultObject(SimKernel* kernel, Loid loid, VaultSpec spec)
-    : LegionObject(kernel, loid,
-                   Loid(LoidSpace::kClass, spec.domain, kVaultClassSerial)),
+    : LegionObject(kernel, loid, VaultClassLoid(spec.domain)),
       spec_(std::move(spec)) {
   kernel->network().RegisterEndpoint(loid, spec_.domain);
   (void)Activate(loid, Loid());

@@ -119,10 +119,6 @@ bool SimKernel::Send(const Loid& from, const Loid& to, std::size_t bytes,
   auto latency = network_.Latency(from, to, bytes, now_);
   if (!latency) {
     cells_.messages_dropped->Add();
-    if (trace_.enabled()) {
-      trace_.Instant(now_, "msg_drop", "net", trace_.current(),
-                     {{"from", from.ToString()}, {"to", to.ToString()}});
-    }
     return false;
   }
   if (trace_.enabled()) {

@@ -384,14 +384,6 @@ TEST_F(CollectionIndexTest, MaxResultsAndOrderByPrune) {
   EXPECT_EQ((*result)[1].member, M(9));
   EXPECT_EQ((*result)[2].member, M(8));
 
-  QueryOptions worst;
-  worst.max_results = 1;
-  worst.order_by = "host_load";
-  worst.descending = true;
-  auto high = world_.collection->QueryLocal("$host_arch == \"x86\"", worst);
-  ASSERT_EQ(high->size(), 1u);
-  EXPECT_EQ((*high)[0].member, M(1));
-
   QueryOptions member_order;
   member_order.max_results = 2;
   auto first_two =

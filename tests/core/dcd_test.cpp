@@ -18,7 +18,6 @@ class DcdTest : public ::testing::Test {
   DcdTest() : world_() {
     DcdOptions options;
     options.poll_period = Duration::Seconds(10);
-    options.history_length = 16;
     dcd_ = world_.kernel.AddActor<DataCollectionDaemon>(
         world_.kernel.minter().Mint(LoidSpace::kService, 0), options);
     for (auto* host : world_.hosts) dcd_->WatchResource(host->loid());
@@ -76,13 +75,13 @@ TEST_F(DcdTest, BuildsLoadHistory) {
 }
 
 TEST_F(DcdTest, HistoryIsBounded) {
-  for (int i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < DataCollectionDaemon::kHistoryLength + 8; ++i) {
     dcd_->PollNow();
     world_.Run();
   }
   const auto* history = dcd_->HistoryFor(world_.hosts[0]->loid());
   ASSERT_NE(history, nullptr);
-  EXPECT_EQ(history->size(), 16u);  // options.history_length
+  EXPECT_EQ(history->size(), DataCollectionDaemon::kHistoryLength);
 }
 
 TEST_F(DcdTest, ForecastFallsBackGracefully) {

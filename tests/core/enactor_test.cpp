@@ -9,6 +9,7 @@
 namespace legion {
 namespace {
 
+using testing::AuditKeys;
 using testing::Await;
 using testing::Count;
 using testing::TestWorld;
@@ -319,6 +320,34 @@ TEST_F(EnactorTest, BackpressureParksOverflowAndStillSucceeds) {
   // Only one batch may be in flight: the other three parked first.
   EXPECT_EQ(Count(world_.kernel, "requests_parked", "enactor"), 3u);
   EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), 4u);
+}
+
+TEST_F(EnactorTest, AuditRecordsKeepTheirFieldOrder) {
+  // Three record kinds that no byte-compared artifact holds.  A batch
+  // parks behind a one-deep in-flight window; a lone master that its only
+  // host refuses is abandoned, and its negotiation fails.
+  world_.kernel.audit().Enable();
+  world_.enactor->options().max_outstanding_batches = 1;
+  BlockHost(3);
+  ScheduleRequestList parks;
+  MasterSchedule two_hosts;
+  two_hosts.mappings = {MappingTo(0), MappingTo(1)};
+  parks.masters.push_back(two_hosts);
+  EXPECT_TRUE(Negotiate(parks).success);
+  ScheduleRequestList fails;
+  MasterSchedule lone;
+  lone.mappings = {MappingTo(3)};
+  fails.masters.push_back(lone);
+  EXPECT_FALSE(Negotiate(fails).success);
+
+  using Keys = std::vector<std::string>;
+  const obs::DecisionLog& log = world_.kernel.audit();
+  EXPECT_EQ(AuditKeys(log, "reserve_parked"),
+            (std::vector<Keys>{{"nid", "slot", "host"}}));
+  EXPECT_EQ(AuditKeys(log, "master_abandoned"),
+            (std::vector<Keys>{{"nid", "master", "unplaced"}}));
+  EXPECT_EQ(AuditKeys(log, "negotiation_failed"),
+            (std::vector<Keys>{{"nid", "code"}}));
 }
 
 TEST_F(EnactorTest, PartialBatchFailureFeedsVariantMachinery) {

@@ -81,12 +81,13 @@ TEST_F(HealthTest, FailedProbeReopensWithEscalatedCooldown) {
   ASSERT_TRUE(tracker_.SuspectUntil(host).has_value());
   EXPECT_EQ(*tracker_.SuspectUntil(host),
             kernel_.Now() + tracker_.options().host_cooldown *
-                                tracker_.options().cooldown_multiplier);
+                                HealthTracker::kCooldownMultiplier);
 }
 
 TEST_F(HealthTest, EscalationIsCappedAtMaxCooldown) {
   const Loid host = Host(0, 1);
-  tracker_.options().max_cooldown = Duration::Seconds(90);
+  // Seven openings: uncapped, the 60 s host cooldown would double to
+  // 64 min; every window here expires within the 20 min between rounds.
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < tracker_.options().host_failure_threshold; ++i) {
       tracker_.RecordFailure(host);
@@ -97,8 +98,8 @@ TEST_F(HealthTest, EscalationIsCappedAtMaxCooldown) {
     tracker_.RecordFailure(host);
   }
   ASSERT_TRUE(tracker_.SuspectUntil(host).has_value());
-  EXPECT_LE(*tracker_.SuspectUntil(host),
-            kernel_.Now() + Duration::Seconds(90));
+  EXPECT_EQ(*tracker_.SuspectUntil(host),
+            kernel_.Now() + HealthTracker::kMaxCooldown);
 }
 
 TEST_F(HealthTest, SuccessfulProbeClosesTheBreaker) {

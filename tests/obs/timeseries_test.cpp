@@ -72,20 +72,19 @@ TEST(TimeSeriesRecorder, GaugeReportsSignedDeltas) {
 
 TEST(TimeSeriesRecorder, RingCapacityDropsOldestWindow) {
   Counter c;
-  RecorderOptions options;
-  options.ring_capacity = 3;
-  TimeSeriesRecorder recorder(options);
+  TimeSeriesRecorder recorder;
   recorder.WatchCounter("c", &c);
   recorder.Start(SimTime::Zero());
 
-  for (int i = 1; i <= 5; ++i) {
+  const int kWindows = static_cast<int>(TimeSeriesRecorder::kRingCapacity) + 2;
+  for (int i = 1; i <= kWindows; ++i) {
     c.Add(1);
     recorder.SampleAt(At(i));
   }
   const auto& samples = recorder.samples("c");
-  ASSERT_EQ(samples.size(), 3u);
+  ASSERT_EQ(samples.size(), TimeSeriesRecorder::kRingCapacity);
   EXPECT_EQ(samples.front().ts, At(3));  // windows 1 and 2 fell off
-  EXPECT_EQ(samples.back().ts, At(5));
+  EXPECT_EQ(samples.back().ts, At(kWindows));
   // Deltas stay correct across the drop: last_ is per-series state, not
   // derived from the ring.
   EXPECT_DOUBLE_EQ(samples.back().delta, 1.0);

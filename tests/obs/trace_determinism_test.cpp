@@ -60,7 +60,7 @@ TEST(TraceDeterminism, DisabledSinkRecordsNothing) {
 TEST(TraceDeterminism, DisabledSinkNeverAllocates) {
   obs::TraceLog log;  // never enabled
   (void)log.BeginSpan(SimTime(), "x", "t", obs::kNoSpan);
-  log.Instant(SimTime(), "y", "t", obs::kNoSpan);
+  log.EndSpan(SimTime(), /*span=*/1);
   EXPECT_TRUE(log.events().empty());
   EXPECT_EQ(log.events().capacity(), 0u);
 }

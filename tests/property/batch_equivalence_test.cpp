@@ -20,6 +20,7 @@
 namespace legion {
 namespace {
 
+using testing::AuditKeys;
 using testing::Await;
 using testing::Count;
 using testing::TestWorld;
@@ -141,7 +142,18 @@ TEST(BatchEquivalence, SameSeedSameBatchedNegotiation) {
   EXPECT_EQ(NegotiationFingerprint(8), NegotiationFingerprint(8));
 }
 
-TEST(BatchEquivalence, LostReplyRetransmitsWithoutDoubleAdmit) {
+// At-most-once retransmission holds at cap 1 (one make_reservation RPC
+// per mapping, each a one-slot batch with its own id) as at a batched
+// cap.
+class BatchCapTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Caps, BatchCapTest, ::testing::Values(std::size_t{1}, std::size_t{64}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "Cap" + std::to_string(info.param);
+    });
+
+TEST_P(BatchCapTest, LostReplyRetransmitsWithoutDoubleAdmit) {
   // Enactor (domain 0) negotiates with a host across a WAN that eats the
   // batch reply: the request lands and admits, the reply dies in a
   // partition, the enactor times out and retransmits the same batch id,
@@ -153,6 +165,7 @@ TEST(BatchEquivalence, LostReplyRetransmitsWithoutDoubleAdmit) {
   TestWorld world(config);
   world.Populate();
   ClassObject* klass = world.MakeClass("app", 16, 1.0);
+  world.enactor->options().max_batch_size = GetParam();
   world.enactor->options().rpc_timeout = Duration::Seconds(2);
   // Keep the breaker out of the way: one lost reply fails all three
   // slots at once, which must not trip health (threshold 3 would).
@@ -186,11 +199,15 @@ TEST(BatchEquivalence, LostReplyRetransmitsWithoutDoubleAdmit) {
   EXPECT_TRUE(feedback.Get()->success);
   ASSERT_EQ(feedback.Get()->tokens.size(), 3u);
 
-  // The retry happened, and the host decided each slot exactly once.
+  // The retry happened, and the host decided each slot exactly once,
+  // replaying every retransmitted id: one per slot at cap 1, one for the
+  // whole batch otherwise.
   EXPECT_GE(Count(world.kernel, "retries", "enactor"), 3u);
   const ReservationTable& table = world.hosts[1]->reservations();
   EXPECT_EQ(table.admitted(), 3u);
   EXPECT_EQ(table.live_count(), 3u);
+  EXPECT_EQ(world.hosts[1]->batch_replay_hits(), GetParam() == 1 ? 3u : 1u);
+  EXPECT_EQ(world.hosts[1]->batch_replay_misses(), 0u);
   // Every returned token is the one the first (lost-reply) admission
   // created: serials 1..3, all verifiable at the host.
   for (const ReservationToken& token : feedback.Get()->tokens) {
@@ -266,6 +283,8 @@ TEST(BatchEquivalence, PartialRetryRetransmitsOriginalBatchAndCancelsStrays) {
   world.enactor->health().options().host_failure_threshold = 3;
   world.enactor->health().options().host_cooldown = Duration::Millis(500);
   world.enactor->health().options().domain_failure_threshold = 100;
+  // An observer: the audit log must not change what is decided.
+  world.kernel.audit().Enable();
 
   const SimTime t0 = world.kernel.Now();
   // The request (sent at t0) lands and admits; the reply dies in the
@@ -314,6 +333,12 @@ TEST(BatchEquivalence, PartialRetryRetransmitsOriginalBatchAndCancelsStrays) {
   EXPECT_EQ(table.cancelled(), 3u);
   EXPECT_EQ(table.live_count(), 2u);
   EXPECT_EQ(world.hosts[0]->reservations().live_count(), 3u);
+  // Each stray cancel is audited as a slot record.
+  const auto strays = AuditKeys(world.kernel.audit(), "stray_grant_cancelled");
+  ASSERT_EQ(strays.size(), 3u);
+  for (const auto& keys : strays) {
+    EXPECT_EQ(keys, (std::vector<std::string>{"nid", "slot", "host"}));
+  }
 }
 
 }  // namespace

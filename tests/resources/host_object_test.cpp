@@ -284,7 +284,7 @@ TEST_F(HostObjectTest, BatchReplayCacheEvictsByAgeAndCountsMisses) {
   // Age the entry past the retention horizon: the cached reply is gone,
   // so the retransmission re-admits (a second serial for the same slot)
   // and the miss counter records that it happened.
-  world_.kernel.RunFor(host_->spec().batch_replay_retention +
+  world_.kernel.RunFor(HostObject::kBatchReplayRetention +
                        Duration::Seconds(1));
   Await<ReservationBatchReply> after;
   host_->MakeReservationBatch(batch, after.Sink());

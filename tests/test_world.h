@@ -7,6 +7,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/collection.h"
 #include "core/enactor.h"
@@ -120,6 +121,20 @@ inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
     return 0;
   }
   return it->second;
+}
+
+// The field keys, in order, of every audit record of `kind`.
+inline std::vector<std::vector<std::string>> AuditKeys(
+    const obs::DecisionLog& log, std::string_view kind) {
+  std::vector<std::vector<std::string>> keys;
+  for (const obs::AuditRecord& record : log.records()) {
+    if (record.kind != kind) continue;
+    keys.emplace_back();
+    for (const obs::TraceArg& field : record.fields) {
+      keys.back().push_back(field.key);
+    }
+  }
+  return keys;
 }
 
 // Synchronously drains a callback-style call: runs the kernel until the
