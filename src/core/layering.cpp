@@ -137,6 +137,18 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
 
   auto instantiate = [this, state] {
     if (state->failed) {
+      // Release the holds the other hosts granted, best effort, as the
+      // Enactor does when it abandons a master.
+      for (const ReservationToken& token : state->tokens) {
+        if (!token.valid()) continue;
+        CallOn<bool, HostInterface>(
+            kernel(), loid(), token.host, kSmallMessage, kSmallMessage,
+            kDefaultRpcTimeout,
+            [token](HostInterface& host, Callback<bool> reply) {
+              host.CancelReservation(token, std::move(reply));
+            },
+            [](Result<bool>) { /* best effort */ }, "cancel_reservation");
+      }
       PlacementTrace trace;
       trace.success = false;
       trace.latency = kernel()->Now() - state->started;

@@ -1,15 +1,17 @@
 // The discrete-event queue.
 //
-// A binary heap of (time, sequence) ordered events.  The sequence number
-// makes execution order total and deterministic: two events scheduled for
-// the same instant run in scheduling order, independent of heap internals.
-// Events can be cancelled by id; cancellation is lazy (tombstoned).
+// Events run in (time, scheduling sequence) order: two events scheduled
+// for the same instant run in scheduling order, independent of heap
+// internals.  Closures live in a slot table; the binary heap holds only
+// small keys naming a slot and its generation.  Cancel destroys the
+// closure at once and frees the slot; the key left behind is stale and
+// is skipped when it reaches the head, or dropped by a rebuild once stale
+// keys outnumber live ones, so the heap stays proportional to the live
+// events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "base/sim_time.h"
@@ -30,11 +32,13 @@ class EventQueue {
   EventId Schedule(SimTime when, EventFn fn, const char* label = nullptr,
                    SimTime enqueued = SimTime::Zero());
 
-  // Cancels a pending event.  Returns false if already run or cancelled.
+  // Cancels a pending event and destroys its closure before returning.
+  // Returns false if the event already ran or was cancelled, or the id
+  // was never issued.  The closure's destructor may schedule or cancel.
   bool Cancel(EventId id);
 
-  bool empty() const { return pending_.empty(); }
-  std::size_t size() const { return pending_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
 
   // Time of the earliest live event; SimTime::Max() when empty.
   SimTime NextTime();
@@ -42,7 +46,6 @@ class EventQueue {
   // Pops and returns the earliest live event.  Pre: !empty().
   struct Popped {
     SimTime when;
-    EventId id;
     EventFn fn;
     const char* label;  // nullptr when the scheduler left it unlabeled
     SimTime enqueued;
@@ -50,26 +53,35 @@ class EventQueue {
   Popped Pop();
 
  private:
-  struct Entry {
+  // An id is (generation << 32 | slot + 1), so no id is 0 and an id whose
+  // slot has since been freed or reused no longer matches it (until the
+  // slot's 32-bit generation wraps, after 2^32 reuses).
+  struct Key {
     SimTime when;
-    EventId id;  // doubles as the deterministic tie-breaker
+    std::uint64_t seq;  // the deterministic tie-breaker
+    EventId id;
+  };
+  struct Slot {
     EventFn fn;
-    const char* label;
+    const char* label = nullptr;
     SimTime enqueued;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
-    }
+    std::uint32_t gen = 0;
+    bool live = false;
   };
 
-  void DropCancelledHead();
+  // Whether `id` names a scheduled event that has not run or been
+  // cancelled.
+  bool Pending(EventId id) const;
+  // Frees the slot and returns its closure.
+  EventFn Release(std::uint32_t index);
+  void DropStaleHead();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> pending_;    // scheduled, not yet run/cancelled
-  std::unordered_set<EventId> cancelled_;  // tombstones awaiting heap removal
-  EventId next_id_ = 1;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
+  std::size_t stale_ = 0;  // heap keys whose event was cancelled
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace legion

@@ -2,9 +2,8 @@
 
 namespace legion {
 
-SimKernel::SimKernel(NetworkParams net_params, std::uint64_t seed)
+SimKernel::SimKernel(NetworkParams net_params)
     : now_(SimTime::Zero()), network_(net_params) {
-  (void)seed;  // reserved for future kernel-level randomness
   const obs::Labels kernel_labels = {{"component", "kernel"}};
   cells_.events_run = metrics_.GetCounter("events_run", kernel_labels);
   cells_.messages_sent = metrics_.GetCounter("messages_sent", kernel_labels);

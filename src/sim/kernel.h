@@ -61,7 +61,7 @@ using Callback = std::function<void(Result<T>)>;
 
 class SimKernel {
  public:
-  explicit SimKernel(NetworkParams net_params = {}, std::uint64_t seed = 1);
+  explicit SimKernel(NetworkParams net_params = {});
 
   SimTime Now() const { return now_; }
   NetworkModel& network() { return network_; }
@@ -177,6 +177,23 @@ class SimKernel {
 
   void RepeatPeriodic(PeriodicId id, Duration period,
                       std::shared_ptr<std::function<void()>> fn);
+
+  // One record per AsyncCall, shared by its timeout event, its reply
+  // callback and its reply message, which capture only the pointer.
+  template <typename T>
+  struct PendingCall {
+    Callback<T> done;  // empty once the call finished
+    Loid from;
+    Loid to;
+    std::size_t reply_bytes;
+    const char* op;
+    SimTime started;
+    obs::SpanId span = obs::kNoSpan;
+    obs::SpanId caller_span = obs::kNoSpan;
+    EventId timeout_event = kInvalidEventId;
+  };
+  template <typename T>
+  void FinishCall(PendingCall<T>& call, Result<T> r);
 };
 
 template <typename T>
@@ -187,88 +204,81 @@ void SimKernel::AsyncCall(const Loid& from, const Loid& to,
                           Callback<T> done, const char* op) {
   cells_.rpcs_started->Add();
   if (profiler_.enabled()) profiler_.RpcStarted();
-  const SimTime started = now_;
+  auto call = std::make_shared<PendingCall<T>>(
+      PendingCall<T>{std::move(done), from, to, reply_bytes, op, now_});
   // Causal span for the whole call; the callee runs inside it, so RPCs it
   // issues become children and the negotiation tree links up.
-  obs::SpanId span = obs::kNoSpan;
-  obs::SpanId caller_span = obs::kNoSpan;
   if (trace_.enabled()) {
-    caller_span = trace_.current();
-    span = trace_.BeginSpan(now_, op, "rpc", caller_span,
-                            {{"from", from.ToString()}, {"to", to.ToString()}});
+    call->caller_span = trace_.current();
+    call->span = trace_.BeginSpan(
+        now_, op, "rpc", call->caller_span,
+        {{"from", from.ToString()}, {"to", to.ToString()}});
   }
-  // Shared completion record: whichever of {reply, timeout} fires first
-  // wins; the loser is suppressed.
-  struct Pending {
-    bool finished = false;
-    EventId timeout_event = kInvalidEventId;
-  };
-  auto pending = std::make_shared<Pending>();
-  auto finish = [this, pending, span, caller_span, started, op,
-                 done = std::move(done)](Result<T> r) {
-    if (pending->finished) return;
-    pending->finished = true;
-    if (pending->timeout_event != kInvalidEventId) {
-      queue_.Cancel(pending->timeout_event);
-    }
-    if (profiler_.enabled()) {
-      profiler_.RpcFinished();
-      profiler_.RecordRpc(op, now_ - started);
-    }
-    const char* outcome;
-    const double latency_us = static_cast<double>((now_ - started).micros());
-    if (r.ok()) {
-      cells_.rpcs_completed->Add();
-      cells_.rpc_latency_ok->Observe(latency_us);
-      outcome = "ok";
-    } else if (r.code() == ErrorCode::kTimeout) {
-      cells_.rpcs_timed_out->Add();
-      cells_.rpc_latency_timeout->Observe(latency_us);
-      outcome = "timeout";
-    } else {
-      cells_.rpcs_completed->Add();
-      cells_.rpc_latency_error->Observe(latency_us);
-      outcome = "error";
-    }
-    if (span != obs::kNoSpan) {
-      trace_.EndSpan(now_, span, {{"outcome", outcome}});
-      // The continuation belongs to the caller's context, not the RPC's.
-      obs::ScopedCurrent ctx(trace_, caller_span);
-      done(std::move(r));
-      return;
-    }
-    done(std::move(r));
-  };
-
   if (timeout > Duration::Zero()) {
-    pending->timeout_event = ScheduleAt(
+    call->timeout_event = ScheduleAt(
         now_ + timeout,
-        [finish] {
-          finish(Status::Error(ErrorCode::kTimeout, "rpc timeout"));
+        [this, call] {
+          FinishCall<T>(*call,
+                        Status::Error(ErrorCode::kTimeout, "rpc timeout"));
         },
         "kernel/rpc_timeout");
   }
 
-  // Reply path: callee invokes this; result crosses the network back.
-  Callback<T> reply_cb = [this, from, to, reply_bytes,
-                          finish](Result<T> r) mutable {
-    // The reply is itself a message and may be dropped; the timeout then
-    // fires at the caller.
-    Send(to, from, reply_bytes,
-         [finish, r = std::move(r)]() mutable { finish(std::move(r)); });
-  };
-
-  // Request path.  The callee executes with the RPC span current.
+  // Request path.  The callee executes with the RPC span current and is
+  // handed the reply callback; the result crosses the network back, and
+  // may be dropped, in which case the timeout fires at the caller.
   Send(from, to, request_bytes,
-       [this, span, invoke = std::move(invoke),
-        reply_cb = std::move(reply_cb)]() mutable {
-         if (span != obs::kNoSpan && trace_.enabled()) {
-           obs::ScopedCurrent ctx(trace_, span);
-           invoke(std::move(reply_cb));
+       [this, call, invoke = std::move(invoke)] {
+         Callback<T> reply = [this, call](Result<T> r) {
+           Send(call->to, call->from, call->reply_bytes,
+                [this, call, r = std::move(r)]() mutable {
+                  FinishCall(*call, std::move(r));
+                });
+         };
+         if (call->span != obs::kNoSpan && trace_.enabled()) {
+           obs::ScopedCurrent ctx(trace_, call->span);
+           invoke(std::move(reply));
          } else {
-           invoke(std::move(reply_cb));
+           invoke(std::move(reply));
          }
        });
+}
+
+template <typename T>
+void SimKernel::FinishCall(PendingCall<T>& call, Result<T> r) {
+  // Whichever of {reply, timeout} lands first takes `done`; the loser
+  // finds it gone.  `done` dies when this returns, however long the
+  // reply callback is kept.
+  if (!call.done) return;
+  Callback<T> done = std::exchange(call.done, nullptr);
+  queue_.Cancel(call.timeout_event);
+  if (profiler_.enabled()) {
+    profiler_.RpcFinished();
+    profiler_.RecordRpc(call.op, now_ - call.started);
+  }
+  const char* outcome;
+  const double latency_us = static_cast<double>((now_ - call.started).micros());
+  if (r.ok()) {
+    cells_.rpcs_completed->Add();
+    cells_.rpc_latency_ok->Observe(latency_us);
+    outcome = "ok";
+  } else if (r.code() == ErrorCode::kTimeout) {
+    cells_.rpcs_timed_out->Add();
+    cells_.rpc_latency_timeout->Observe(latency_us);
+    outcome = "timeout";
+  } else {
+    cells_.rpcs_completed->Add();
+    cells_.rpc_latency_error->Observe(latency_us);
+    outcome = "error";
+  }
+  if (call.span != obs::kNoSpan) {
+    trace_.EndSpan(now_, call.span, {{"outcome", outcome}});
+    // The continuation belongs to the caller's context, not the RPC's.
+    obs::ScopedCurrent ctx(trace_, call.caller_span);
+    done(std::move(r));
+    return;
+  }
+  done(std::move(r));
 }
 
 }  // namespace legion

@@ -116,5 +116,23 @@ TEST_F(LayeringTest, FailureSurfacesAsUnsuccessfulTrace) {
   EXPECT_FALSE(trace.success);
 }
 
+TEST_F(LayeringTest, DoesAllReleasesGrantedHoldsWhenAnyHostRefuses) {
+  // Only host 0 admits the coordinator's domain, so some of the eight
+  // reservations are granted there and the rest refused.
+  for (std::size_t i = 1; i < world_.hosts.size(); ++i) {
+    world_.hosts[i]->SetPolicy(std::make_unique<DomainRefusalPolicy>(
+        std::vector<std::uint32_t>{0}));
+  }
+  PlacementTrace trace = Place(Layering::kApplicationDoesAll, 8);
+  EXPECT_FALSE(trace.success);
+  const ReservationTable& admitting = world_.hosts[0]->reservations();
+  ASSERT_GT(admitting.admitted(), 0u);
+  EXPECT_EQ(admitting.cancelled(), admitting.admitted());
+  // Well inside the holds' 5-minute confirmation window, none is left.
+  for (const HostObject* host : world_.hosts) {
+    EXPECT_EQ(host->reservations().live_count(), 0u) << host->DebugName();
+  }
+}
+
 }  // namespace
 }  // namespace legion

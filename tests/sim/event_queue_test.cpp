@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 namespace legion {
 namespace {
 
@@ -94,6 +101,173 @@ TEST(EventQueueTest, ManyInterleavedOperations) {
   }
   while (!q.empty()) q.Pop().fn();
   EXPECT_EQ(run_count + cancelled, 1000);
+}
+
+TEST(EventQueueTest, CancelDestroysClosureAtOnce) {
+  EventQueue q;
+  auto capture = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = capture;
+  EventId id = q.Schedule(SimTime(10), [capture] {});
+  q.Schedule(SimTime(20), [] {});
+  capture.reset();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(q.Cancel(id));
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueueTest, StaleIdCannotCancelReusedSlot) {
+  EventQueue q;
+  EventId cancelled = q.Schedule(SimTime(1), [] {});
+  ASSERT_TRUE(q.Cancel(cancelled));
+  EventId ran = q.Schedule(SimTime(2), [] {});
+  q.Pop().fn();
+  // Both freed slots are taken again; neither old id may touch them.
+  int runs = 0;
+  EventId a = q.Schedule(SimTime(3), [&] { ++runs; });
+  EventId b = q.Schedule(SimTime(4), [&] { ++runs; });
+  for (EventId fresh : {a, b}) {
+    EXPECT_NE(fresh, cancelled);
+    EXPECT_NE(fresh, ran);
+  }
+  EXPECT_FALSE(q.Cancel(cancelled));
+  EXPECT_FALSE(q.Cancel(ran));
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.Pop().fn();
+  EXPECT_EQ(runs, 2);
+}
+
+// Runs `fn` when the last copy of the closure holding it dies.
+struct OnDestroy {
+  std::function<void()> fn;
+  ~OnDestroy() { fn(); }
+};
+
+// The destructor of a dropped closure schedules enough events to grow the
+// slot table and cancels enough to rebuild the heap, all while the queue
+// is inside Cancel (or just after Pop).  Order and size must survive.
+void ReenterFromDestructor(bool through_cancel) {
+  EventQueue q;
+  std::vector<int> order;
+  auto guard = std::make_shared<OnDestroy>();
+  guard->fn = [&q, &order] {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 3000; ++i) {
+      ids.push_back(q.Schedule(SimTime(100 + i % 7),
+                               [&order, i] { order.push_back(i); }));
+    }
+    for (int i = 1; i < 3000; ++i) {
+      if (i % 3 != 0) {
+        EXPECT_TRUE(q.Cancel(ids[i]));
+      }
+    }
+  };
+  EventId id = q.Schedule(SimTime(10), [guard] {});
+  guard.reset();
+  if (through_cancel) {
+    EXPECT_TRUE(q.Cancel(id));
+  } else {
+    q.Pop();  // the popped closure dies here without running
+  }
+  EXPECT_EQ(q.size(), 1000u);
+  while (!q.empty()) q.Pop().fn();
+  std::vector<int> expected;
+  for (int t = 0; t < 7; ++t) {
+    for (int i = 0; i < 3000; i += 3) {
+      if (i % 7 == t) expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueTest, CancelledClosureDestructorMayReenter) {
+  ReenterFromDestructor(/*through_cancel=*/true);
+}
+
+TEST(EventQueueTest, PoppedClosureDestructorMayReenter) {
+  ReenterFromDestructor(/*through_cancel=*/false);
+}
+
+// Differential test against a reference model: a std::set of (when, seq)
+// for the live events.  Phases of heavy cancellation make stale keys
+// outnumber live ones many times over, so the heap rebuild runs often.
+TEST(EventQueueTest, MatchesReferenceModel) {
+  using Key = std::pair<std::int64_t, int>;  // (when, seq)
+  EventQueue q;
+  std::mt19937_64 rng(20261018);
+  std::set<Key> model;
+  // The live ids, for uniform picks, and each one's key.
+  std::vector<EventId> live_ids;
+  std::unordered_map<EventId, std::pair<Key, std::size_t>> live;
+  std::unordered_map<int, EventId> id_of_seq;
+  std::vector<EventId> issued;
+  std::vector<int> ran;
+  int next_seq = 0;
+  std::int64_t now = 0;
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto forget = [&](EventId id) {
+    const std::size_t pos = live.at(id).second;
+    live.at(live_ids.back()).second = pos;
+    live_ids[pos] = live_ids.back();
+    live_ids.pop_back();
+    live.erase(id);
+  };
+  for (int op = 0; op < 200000; ++op) {
+    // Alternate build-up and drain phases of 5000 operations.
+    const bool drain = (op / 5000) % 2 == 1;
+    const std::size_t roll = pick(100);
+    if (roll < (drain ? 10u : 60u)) {
+      const Key key{now + static_cast<std::int64_t>(pick(5000)), next_seq++};
+      EventId id = q.Schedule(SimTime(key.first), [&ran, seq = key.second] {
+        ran.push_back(seq);
+      });
+      ASSERT_NE(id, kInvalidEventId);
+      ASSERT_EQ(live.count(id), 0u);
+      live[id] = {key, live_ids.size()};
+      live_ids.push_back(id);
+      id_of_seq[key.second] = id;
+      model.insert(key);
+      issued.push_back(id);
+    } else if (roll < (drain ? 80u : 85u)) {
+      // Mostly live ids, also ids that ran, were cancelled, or never were.
+      EventId id;
+      const std::size_t kind = pick(10);
+      if (kind < 8 && !live_ids.empty()) {
+        id = live_ids[pick(live_ids.size())];
+      } else if (kind < 9 && !issued.empty()) {
+        id = issued[pick(issued.size())];
+      } else {
+        id = rng();
+      }
+      auto it = live.find(id);
+      const bool expected = it != live.end();
+      ASSERT_EQ(q.Cancel(id), expected) << "op " << op;
+      if (expected) {
+        model.erase(it->second.first);
+        forget(id);
+      }
+    } else if (roll < 95u) {
+      if (model.empty()) {
+        ASSERT_TRUE(q.empty());
+        continue;
+      }
+      const auto [when, seq] = *model.begin();
+      auto popped = q.Pop();
+      ASSERT_EQ(popped.when, SimTime(when)) << "op " << op;
+      popped.fn();
+      ASSERT_EQ(ran.back(), seq) << "op " << op;
+      model.erase(model.begin());
+      forget(id_of_seq.at(seq));
+      now = when;
+    } else {
+      const SimTime expected =
+          model.empty() ? SimTime::Max() : SimTime(model.begin()->first);
+      ASSERT_EQ(q.NextTime(), expected) << "op " << op;
+    }
+    ASSERT_EQ(q.size(), model.size()) << "op " << op;
+  }
+  EXPECT_GT(ran.size(), 10000u);
 }
 
 }  // namespace

@@ -182,6 +182,52 @@ TEST(KernelTest, AsyncCallDoneFiresExactlyOnce) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(KernelTest, AsyncCallReleasesCallbackWhenDone) {
+  SimKernel kernel(QuietNet());
+  const Loid a(LoidSpace::kObject, 0, 1);
+  const Loid b(LoidSpace::kObject, 0, 2);
+  int calls = 0;
+
+  // Reply path: `done` and its captures die when the reply lands, not
+  // when the cancelled 30 s timeout would have fired.
+  auto capture = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = capture;
+  kernel.AsyncCall<int>(
+      a, b, 64, 64, Duration::Seconds(30),
+      [](Callback<int> reply) { reply(1); },
+      [&calls, capture](Result<int> r) {
+        EXPECT_TRUE(r.ok());
+        ++calls;
+      });
+  capture.reset();
+  kernel.Run();
+  ASSERT_EQ(calls, 1);
+  kernel.RunFor(Duration::Seconds(1));
+  EXPECT_LT(kernel.Now(), SimTime::Zero() + Duration::Seconds(30));
+  EXPECT_TRUE(watch.expired());
+
+  // Timeout path: a callee that keeps the reply callback does not keep
+  // `done` alive once the timeout has fired, and its late reply is
+  // suppressed.
+  capture = std::make_shared<int>(0);
+  watch = capture;
+  Callback<int> kept;
+  kernel.AsyncCall<int>(
+      a, b, 64, 64, Duration::Seconds(30),
+      [&kept](Callback<int> reply) { kept = std::move(reply); },
+      [&calls, capture](Result<int> r) {
+        EXPECT_EQ(r.code(), ErrorCode::kTimeout);
+        ++calls;
+      });
+  capture.reset();
+  kernel.RunFor(Duration::Seconds(30));
+  EXPECT_EQ(calls, 2);
+  EXPECT_TRUE(watch.expired());
+  kept(7);
+  kernel.Run();
+  EXPECT_EQ(calls, 2);
+}
+
 TEST(KernelTest, StatsResetWorks) {
   SimKernel kernel(QuietNet());
   kernel.ScheduleAfter(Duration::Millis(1), [] {});
