@@ -22,6 +22,9 @@ void RunVariantDepth() {
   Table table("A1 variant depth (IRS nsched) under contention "
               "(16 hosts, 6 refusing, k=6, 25 trials)",
               "nsched  success%  reservations/run  variants_applied/run");
+  table.EnableJson("ablation_a1", {"nsched", "success_pct",
+                                   "reservations_per_run",
+                                   "variants_applied_per_run"});
   table.Begin();
   const int trials = 25;
   for (std::size_t nsched : {1UL, 2UL, 3UL, 4UL, 6UL, 10UL}) {
@@ -61,10 +64,10 @@ void RunVariantDepth() {
       reservations +=
           Count(*world.kernel, "reservations_requested", "enactor");
     }
-    table.Row("%6zu  %7.0f%%  %16.1f  %20.2f", nsched,
-              100.0 * successes / trials,
-              static_cast<double>(reservations) / trials,
-              static_cast<double>(variants_applied) / trials);
+    table.Row("%6zu  %7.0f%%  %16.1f  %20.2f",
+              {nsched, 100.0 * successes / trials,
+               static_cast<double>(reservations) / trials,
+               static_cast<double>(variants_applied) / trials});
   }
 }
 
@@ -74,6 +77,8 @@ void RunOversubscription() {
   Table table("A2 timesharing oversubscription -- admission vs effective "
               "speed (1 host, 4 CPUs, 12 one-CPU applicants)",
               "oversub  admitted  effective_speed_frac");
+  table.EnableJson("ablation_a2",
+                   {"oversub", "admitted", "effective_speed_frac"});
   table.Begin();
   for (double oversub : {1.0, 2.0, 3.0, 4.0}) {
     SimKernel kernel(QuietNet());
@@ -110,8 +115,9 @@ void RunOversubscription() {
         if (started.ok()) ++admitted;
       });
     }
-    table.Row("%7.1f  %8d  %20.2f", oversub, admitted,
-              host->EffectiveSpeedPerObject() / spec.speed_mips);
+    table.Row("%7.1f  %8d  %20.2f",
+              {oversub, admitted,
+               host->EffectiveSpeedPerObject() / spec.speed_mips});
   }
 }
 
@@ -121,6 +127,8 @@ void RunConfirmTimeout() {
   Table table("A3 confirmation timeout -- enactment delayed 3 min after "
               "make_reservations (16 hosts, k=4)",
               "confirm_timeout_s  enact_ok  capacity_held_meanwhile");
+  table.EnableJson("ablation_a3", {"confirm_timeout_s", "enact_ok",
+                                   "capacity_held_meanwhile"});
   table.Begin();
   for (double timeout_s : {30.0, 60.0, 300.0, 1800.0}) {
     MetacomputerConfig config;
@@ -149,7 +157,7 @@ void RunConfirmTimeout() {
         });
     world.kernel->RunFor(Duration::Seconds(30));
     if (!feedback.success) {
-      table.Row("%17.0f  %8s  %24s", timeout_s, "n/a", "n/a");
+      table.Row("%17.0f  %8s  %24s", {timeout_s, "n/a", "n/a"});
       continue;
     }
     // How much capacity the unconfirmed reservations hold mid-delay
@@ -167,8 +175,8 @@ void RunConfirmTimeout() {
       enact_ok = r.ok() && r->success;
     });
     world.kernel->RunFor(Duration::Minutes(2));
-    table.Row("%17.0f  %8s  %24zu", timeout_s, enact_ok ? "yes" : "NO",
-              held);
+    table.Row("%17.0f  %8s  %24zu",
+              {timeout_s, enact_ok ? "yes" : "NO", held});
   }
 }
 
@@ -178,6 +186,8 @@ void RunImplCache() {
   Table table("A4 implementation cache (8 MiB binary, LAN cache) -- start "
               "latency",
               "configuration      first_start_ms  second_start_ms");
+  table.EnableJson("ablation_a4",
+                   {"configuration", "first_start_ms", "second_start_ms"});
   table.Begin();
   for (bool cached : {false, true}) {
     SimKernel kernel(QuietNet());
@@ -229,7 +239,7 @@ void RunImplCache() {
     const double first = start_once();
     const double second = start_once();
     table.Row("%-17s  %14.1f  %15.1f",
-              cached ? "with-cache" : "no-cache", first, second);
+              {cached ? "with-cache" : "no-cache", first, second});
   }
 }
 

@@ -78,6 +78,8 @@ void RunExperiment() {
   Table table("E7 co-allocation across domains -- one reservation per "
               "domain, atomic commit (10 rounds)",
               "domains  wan_rtt_ms  loss%  success%  negotiate_ms");
+  table.EnableJson("coallocation", {"domains", "wan_rtt_ms", "loss_pct",
+                                    "success_pct", "negotiate_ms"});
   table.Begin();
   for (std::size_t span : {1UL, 2UL, 4UL, 8UL}) {
     for (double wan_ms : {10.0, 50.0, 200.0}) {
@@ -85,8 +87,9 @@ void RunExperiment() {
         CoAllocationResult cell =
             RunCell(span, Duration::Millis(static_cast<int64_t>(wan_ms)),
                     loss, rounds);
-        table.Row("%7zu  %10.0f  %5.0f  %7.0f%%  %12.1f", span, wan_ms,
-                  loss * 100.0, cell.success, cell.latency_ms);
+        table.Row("%7zu  %10.0f  %5.0f  %7.0f%%  %12.1f",
+                  {span, wan_ms, loss * 100.0, cell.success,
+                   cell.latency_ms});
       }
     }
   }

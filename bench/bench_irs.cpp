@@ -87,18 +87,20 @@ void RunExperiment() {
   Table table("E3 IRS vs repeated Random -- k=4 instances, 12 hosts, 4 "
               "refusing, 30 trials",
               "scheduler  n   success%  lookups/run  reservations/run");
+  table.EnableJson("irs", {"scheduler", "n", "success_pct", "lookups_per_run",
+                           "reservations_per_run"});
   table.Begin();
   for (std::size_t n : {1UL, 2UL, 4UL, 8UL}) {
     Outcome irs = RunIrs(n, /*refusing=*/4, trials);
     Outcome random = RunRepeatedRandom(n, /*refusing=*/4, trials);
-    table.Row("irs        %zu  %7.0f%%  %11.2f  %16.1f", n,
-              100.0 * irs.successes / trials,
-              static_cast<double>(irs.lookups) / trials,
-              static_cast<double>(irs.reservation_requests) / trials);
-    table.Row("random xN  %zu  %7.0f%%  %11.2f  %16.1f", n,
-              100.0 * random.successes / trials,
-              static_cast<double>(random.lookups) / trials,
-              static_cast<double>(random.reservation_requests) / trials);
+    table.Row("%-9s  %zu  %7.0f%%  %11.2f  %16.1f",
+              {"irs", n, 100.0 * irs.successes / trials,
+               static_cast<double>(irs.lookups) / trials,
+               static_cast<double>(irs.reservation_requests) / trials});
+    table.Row("%-9s  %zu  %7.0f%%  %11.2f  %16.1f",
+              {"random xN", n, 100.0 * random.successes / trials,
+               static_cast<double>(random.lookups) / trials,
+               static_cast<double>(random.reservation_requests) / trials});
   }
 }
 

@@ -64,13 +64,15 @@ void RunExperiment() {
   const std::size_t k = 4;
   Table table("E10 k-of-n scheduling -- k=4 replicas, 16 hosts, 20 trials",
               "n   slack  refuse%  success%  reservations/run  thrash/run");
+  table.EnableJson("k_of_n", {"n", "slack", "refuse_pct", "success_pct",
+                              "reservations_per_run", "thrash_per_run"});
   table.Begin();
   for (std::size_t n : {4UL, 5UL, 6UL, 8UL, 12UL}) {
     for (double refuse : {0.2, 0.4}) {
       KOfNResult cell = RunCell(k, n, refuse, trials);
-      table.Row("%-2zu  %5zu  %7.0f  %7.0f%%  %16.1f  %10.2f", n, n - k,
-                refuse * 100.0, cell.success, cell.reservations,
-                cell.rethrash);
+      table.Row("%-2zu  %5zu  %7.0f  %7.0f%%  %16.1f  %10.2f",
+                {n, n - k, refuse * 100.0, cell.success, cell.reservations,
+                 cell.rethrash});
     }
   }
 }

@@ -79,14 +79,17 @@ void RunExperiment() {
                     " instances, 16 hosts / 2 domains, 10 placements",
                 "layering             success%  msgs/placement  "
                 "kb/placement  latency_ms");
+    table.EnableJson("layering_k" + std::to_string(instances),
+                     {"layering", "success_pct", "msgs_per_placement",
+                      "kb_per_placement", "latency_ms"});
     table.Begin();
     for (Layering layering :
          {Layering::kApplicationDoesAll, Layering::kApplicationPlusRm,
           Layering::kCombinedModule, Layering::kSeparateModules}) {
       LayeringCost cost = RunCell(layering, instances, rounds);
       table.Row("%-19s  %7.0f%%  %14.1f  %12.1f  %10.1f",
-                ToString(layering), cost.success, cost.messages, cost.kbytes,
-                cost.latency_ms);
+                {ToString(layering), cost.success, cost.messages, cost.kbytes,
+                 cost.latency_ms});
     }
   }
 }

@@ -132,13 +132,16 @@ void RunExperiment() {
   Table table("E8 trigger-to-migration responsiveness (8 hosts, spike on "
               "host 0, 5 rounds)",
               "reassess_s  opr_kb  success%  detect_ms  migrate_ms");
+  table.EnableJson("migration", {"reassess_s", "opr_kb", "success_pct",
+                                 "detect_ms", "migrate_ms"});
   table.Begin();
   for (double reassess_s : {1.0, 5.0, 15.0, 60.0}) {
     for (std::size_t opr_kb : {4UL, 1024UL}) {
       MigrationResult cell =
           RunCell(Duration::Seconds(reassess_s), opr_kb * 1024, rounds);
-      table.Row("%10.0f  %6zu  %7.0f%%  %9.1f  %10.1f", reassess_s, opr_kb,
-                cell.success, cell.detect_ms, cell.migrate_ms);
+      table.Row("%10.0f  %6zu  %7.0f%%  %9.1f  %10.1f",
+                {reassess_s, opr_kb, cell.success, cell.detect_ms,
+                 cell.migrate_ms});
     }
   }
 }

@@ -143,12 +143,15 @@ void RunExperiment() {
   Table table("E9 reservation uniformity across host substrates "
               "(4 CPUs, 3 reservations opening at +5min)",
               "host_kind   backlog  granted  started_on_time  conflicts");
+  table.EnableJson("reservation", {"host_kind", "backlog", "granted",
+                                   "started_on_time", "conflicts"});
   table.Begin();
   for (Kind kind : {Kind::kUnix, Kind::kBatchFifo, Kind::kMaui}) {
     for (int backlog : {0, 4, 12}) {
       ReservationOutcome cell = RunCell(kind, backlog, reservations);
-      table.Row("%-10s  %7d  %7d  %15d  %9d", Name(kind), backlog,
-                cell.granted, cell.on_time, cell.conflicts);
+      table.Row("%-10s  %7d  %7d  %15d  %9d",
+                {Name(kind), backlog, cell.granted, cell.on_time,
+                 cell.conflicts});
     }
   }
 }

@@ -110,17 +110,26 @@ void RunExperiment() {
                     /*iters=*/50);
   ApplicationSpec study = MakeParameterStudy(rows * cols, /*work=*/4000.0);
 
-  for (const auto& [app, label] :
-       std::vector<std::pair<ApplicationSpec, const char*>>{
-           {stencil, "stencil 6x6 (comm-heavy)"},
-           {study, "parameter study n=36 (compute-only)"}}) {
+  struct Workload {
+    ApplicationSpec app;
+    const char* key;  // names the table's JSON mirror
+    const char* label;
+  };
+  for (const Workload& workload :
+       {Workload{stencil, "stencil", "stencil 6x6 (comm-heavy)"},
+        Workload{study, "study", "parameter study n=36 (compute-only)"}}) {
+    const ApplicationSpec& app = workload.app;
     for (std::size_t hosts : {16UL, 48UL}) {
       const std::size_t domains = 4;
-      Table table(std::string("E1 scheduler quality -- ") + label + ", " +
-                      std::to_string(hosts) + " hosts / " +
+      Table table(std::string("E1 scheduler quality -- ") + workload.label +
+                      ", " + std::to_string(hosts) + " hosts / " +
                       std::to_string(domains) + " domains",
                   "scheduler     ok  makespan_s  comm_s  xdom_edges  "
                   "max_load  dollars");
+      table.EnableJson(std::string("scheduler_quality_") + workload.key +
+                           "_" + std::to_string(hosts),
+                       {"scheduler", "ok", "makespan_s", "comm_s",
+                        "xdom_edges", "max_load", "dollars"});
       table.Begin();
       for (Policy policy :
            {Policy::kRandom, Policy::kIrs, Policy::kRoundRobin,
@@ -129,11 +138,11 @@ void RunExperiment() {
         CellResult cell =
             RunCell(policy, app, rows, cols, domains, hosts / domains);
         table.Row("%-12s  %2s  %10.2f  %6.2f  %10zu  %8.2f  %7.4f",
-                  Name(policy), cell.success ? "y" : "N",
-                  cell.breakdown.makespan.seconds(),
-                  cell.breakdown.comm_time.seconds(),
-                  cell.breakdown.inter_domain_edges,
-                  cell.breakdown.max_host_load, cell.breakdown.dollars);
+                  {Name(policy), cell.success ? "y" : "N",
+                   cell.breakdown.makespan.seconds(),
+                   cell.breakdown.comm_time.seconds(),
+                   cell.breakdown.inter_domain_edges,
+                   cell.breakdown.max_host_load, cell.breakdown.dollars});
       }
     }
   }

@@ -96,13 +96,16 @@ void RunExperiment() {
   Table table("E5 Collection staleness -- DCD poll period vs load-aware "
               "placement regret (16 hosts, volatile load)",
               "poll_period_s  forecast  mean_record_age_s  mean_regret");
+  table.EnableJson("staleness", {"poll_period_s", "forecast",
+                                 "mean_record_age_s", "mean_regret"});
   table.Begin();
   for (double period_s : {5.0, 15.0, 60.0, 180.0}) {
     for (bool forecast : {false, true}) {
       StalenessResult cell =
           RunCell(Duration::Seconds(period_s), forecast);
-      table.Row("%13.0f  %8s  %17.1f  %11.3f", period_s,
-                forecast ? "yes" : "no", cell.mean_age_s, cell.mean_regret);
+      table.Row("%13.0f  %8s  %17.1f  %11.3f",
+                {period_s, forecast ? "yes" : "no", cell.mean_age_s,
+                 cell.mean_regret});
     }
   }
 }

@@ -124,17 +124,20 @@ void RunExperiment() {
                 "naive cancel-all (IRS n=6, 16 hosts, 20 trials each)",
                 "mode    refusing  k   success%  reqs/run  cancels/run  "
                 "thrash/run");
+    table.EnableJson("thrashing_a",
+                     {"mode", "refusing", "k", "success_pct", "reqs_per_run",
+                      "cancels_per_run", "thrash_per_run"});
     table.Begin();
     for (std::size_t refusing : {2UL, 4UL, 6UL}) {
       for (std::size_t instances : {4UL, 8UL}) {
         for (bool bitmaps : {true, false}) {
           Totals totals = RunMode(bitmaps, refusing, instances, trials);
           table.Row("%-6s  %8zu  %zu  %7.0f%%  %8.1f  %11.1f  %10.2f",
-                    bitmaps ? "bitmap" : "naive", refusing, instances,
-                    100.0 * totals.successes / totals.trials,
-                    static_cast<double>(totals.requested) / totals.trials,
-                    static_cast<double>(totals.cancelled) / totals.trials,
-                    static_cast<double>(totals.rethrash) / totals.trials);
+                    {bitmaps ? "bitmap" : "naive", refusing, instances,
+                     100.0 * totals.successes / totals.trials,
+                     static_cast<double>(totals.requested) / totals.trials,
+                     static_cast<double>(totals.cancelled) / totals.trials,
+                     static_cast<double>(totals.rethrash) / totals.trials});
         }
       }
     }
@@ -144,6 +147,9 @@ void RunExperiment() {
                 "(k-of-n shape, n = k+6)",
                 "mode    refusing  k   success%  reqs/run  cancels/run  "
                 "thrash/run");
+    table.EnableJson("thrashing_b",
+                     {"mode", "refusing", "k", "success_pct", "reqs_per_run",
+                      "cancels_per_run", "thrash_per_run"});
     table.Begin();
     for (std::size_t refusing : {2UL, 4UL, 6UL}) {
       for (std::size_t instances : {4UL, 8UL}) {
@@ -151,11 +157,11 @@ void RunExperiment() {
           Totals totals =
               RunSingleBitMode(bitmaps, refusing, instances, trials);
           table.Row("%-6s  %8zu  %zu  %7.0f%%  %8.1f  %11.1f  %10.2f",
-                    bitmaps ? "bitmap" : "naive", refusing, instances,
-                    100.0 * totals.successes / totals.trials,
-                    static_cast<double>(totals.requested) / totals.trials,
-                    static_cast<double>(totals.cancelled) / totals.trials,
-                    static_cast<double>(totals.rethrash) / totals.trials);
+                    {bitmaps ? "bitmap" : "naive", refusing, instances,
+                     100.0 * totals.successes / totals.trials,
+                     static_cast<double>(totals.requested) / totals.trials,
+                     static_cast<double>(totals.cancelled) / totals.trials,
+                     static_cast<double>(totals.rethrash) / totals.trials});
         }
       }
     }

@@ -3,10 +3,10 @@
 # verifies that two same-seed runs produce byte-identical JSON mirrors
 # -- the determinism guarantee the whole simulation rests on.
 #
-# Covered: every bench that writes a BENCH_*.json mirror (chaos,
-# federation, throughput incl. the batch-cap sweep, collection, and the
-# flight-recorder overhead harness) plus the observability v2 exports
-# bench_obs_overhead writes in its full-instrumentation cell
+# Covered: every bench built from bench/bench_*.cpp.  Each must write
+# at least one mirror, BENCH_<bench>.json or one BENCH_<bench>_<table>.json
+# per table, and every mirror is compared; so are the observability
+# exports bench_obs_overhead writes in its full-instrumentation cell
 # (TIMELINE_*.json timeline, TRACE_*.json Chrome counter tracks,
 # PROFILE_*.json profiler dump, AUDIT_*.jsonl decision audit).  Wall
 # timings never enter any compared file: bench tables print them but
@@ -34,7 +34,12 @@ if [[ -f "$build/CMakeCache.txt" ]]; then
   generator_args=(-G "$generator")
 fi
 
-benches=(chaos federation throughput collection obs_overhead)
+benches=()
+for source in "$repo"/bench/bench_*.cpp; do
+  name="$(basename "$source" .cpp)"
+  benches+=("${name#bench_}")
+done
+[[ ${#benches[@]} -gt 0 ]] || die "no bench sources under $repo/bench"
 
 cmake -B "$build" -S "$repo" "${generator_args[@]}" >/dev/null
 cmake --build "$build" -j "$(nproc)" \
@@ -48,17 +53,21 @@ scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
 # Determinism check: a second same-seed run must be byte-identical, for
-# every JSON artifact each bench writes.  bench_throughput mirrors two
-# experiments (BENCH_throughput.json and BENCH_throughput_batch.json);
+# every JSON artifact each bench writes.  A bench with several tables
+# mirrors each one (bench_throughput writes BENCH_throughput.json and
+# BENCH_throughput_batch.json, bench_ablation one file per ablation);
 # bench_obs_overhead also exports the flight-recorder artifacts; all are
-# held to the same bar.
+# held to the same bar.  Mirrors left by an earlier run are removed
+# first, so a bench that stops writing one cannot pass on a stale file.
 for name in "${benches[@]}"; do
+  rm -f "BENCH_$name".json "BENCH_$name"_*.json
   "$build/bench/bench_$name"
   jsons=("BENCH_$name".json "BENCH_$name"_*.json
          "TIMELINE_$name".json "TRACE_$name".json "PROFILE_$name".json
          "AUDIT_$name".jsonl "EXPLAIN_$name".txt)
-  [[ -f "BENCH_$name.json" ]] ||
-    die "bench_$name did not write BENCH_$name.json"
+  compgen -G "BENCH_$name.json" >/dev/null ||
+    compgen -G "BENCH_${name}_*.json" >/dev/null ||
+    die "bench_$name wrote neither BENCH_$name.json nor BENCH_${name}_*.json"
   for json in "${jsons[@]}"; do
     [[ -f "$json" ]] && cp "$json" "$scratch/$json"
   done
