@@ -84,7 +84,6 @@ AttributeDatabase::Map& AttributeDatabase::Mutable() {
 
 void AttributeDatabase::Set(const std::string& name, AttrValue value) {
   Mutable()[name] = std::move(value);
-  ++version_;
 }
 
 const AttrValue* AttributeDatabase::Get(const std::string& name) const {
@@ -107,22 +106,18 @@ bool AttributeDatabase::Erase(const std::string& name) {
   // An absent name leaves a shared map shared.
   if (!Has(name)) return false;
   Mutable().erase(name);
-  ++version_;
   return true;
 }
 
 void AttributeDatabase::Clear() {
   attrs_.reset();
-  ++version_;
 }
 
 void AttributeDatabase::MergeFrom(const AttributeDatabase& other) {
   // Merging itself or nothing changes no value, so it keeps any sharing.
-  if (this != &other && !other.empty()) {
-    Map& mine = Mutable();
-    for (const auto& [name, value] : other.Attrs()) mine[name] = value;
-  }
-  ++version_;
+  if (this == &other || other.empty()) return;
+  Map& mine = Mutable();
+  for (const auto& [name, value] : other.Attrs()) mine[name] = value;
 }
 
 std::string AttributeDatabase::ToString() const {

@@ -77,9 +77,8 @@ class AttrValue {
 // across int/double.
 std::optional<int> CompareAttrValues(const AttrValue& a, const AttrValue& b);
 
-// An attribute database: named attribute values with a monotone version
-// counter so Collections can detect stale pushes.  Names are kept sorted so
-// snapshots serialize deterministically.
+// An attribute database: named attribute values.  Names are kept sorted
+// so snapshots render deterministically.
 //
 // A copy-on-write value: copies share one map until either side writes,
 // and the first write through a shared handle clones the map first.  So a
@@ -110,9 +109,6 @@ class AttributeDatabase {
   std::size_t size() const { return attrs_ ? attrs_->size() : 0; }
   bool empty() const { return size() == 0; }
 
-  // Bumped on every mutation; lets readers detect change cheaply.
-  std::uint64_t version() const { return version_; }
-
   auto begin() const { return Attrs().begin(); }
   auto end() const { return Attrs().end(); }
 
@@ -127,7 +123,6 @@ class AttributeDatabase {
   Map& Mutable();
 
   std::shared_ptr<Map> attrs_;  // null means empty
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace legion

@@ -3,16 +3,6 @@
 namespace legion {
 namespace {
 
-// AttrValue wire tags.
-enum : std::uint8_t {
-  kTagNull = 0,
-  kTagBool = 1,
-  kTagInt = 2,
-  kTagDouble = 3,
-  kTagString = 4,
-  kTagList = 5,
-};
-
 Status Truncated() {
   return Status::Error(ErrorCode::kMalformedSchedule, "truncated buffer");
 }
@@ -25,53 +15,6 @@ void ByteWriter::WriteU32(std::uint32_t v) {
 
 void ByteWriter::WriteU64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::WriteDouble(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
-void ByteWriter::WriteString(const std::string& s) {
-  WriteU32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::WriteLoid(const Loid& loid) {
-  WriteU8(static_cast<std::uint8_t>(loid.space()));
-  WriteU32(loid.domain());
-  WriteU64(loid.serial());
-}
-
-void ByteWriter::WriteAttrValue(const AttrValue& v) {
-  if (v.is_null()) {
-    WriteU8(kTagNull);
-  } else if (v.is_bool()) {
-    WriteU8(kTagBool);
-    WriteBool(v.as_bool());
-  } else if (v.is_int()) {
-    WriteU8(kTagInt);
-    WriteI64(v.as_int());
-  } else if (v.is_double()) {
-    WriteU8(kTagDouble);
-    WriteDouble(v.as_double());
-  } else if (v.is_string()) {
-    WriteU8(kTagString);
-    WriteString(v.as_string());
-  } else {
-    WriteU8(kTagList);
-    WriteU32(static_cast<std::uint32_t>(v.as_list().size()));
-    for (const auto& e : v.as_list()) WriteAttrValue(e);
-  }
-}
-
-void ByteWriter::WriteAttributes(const AttributeDatabase& db) {
-  WriteU32(static_cast<std::uint32_t>(db.size()));
-  for (const auto& [name, value] : db) {
-    WriteString(name);
-    WriteAttrValue(value);
-  }
 }
 
 Result<std::uint8_t> ByteReader::ReadU8() {
@@ -97,108 +40,6 @@ Result<std::int64_t> ByteReader::ReadI64() {
   auto v = ReadU64();
   if (!v) return v.status();
   return static_cast<std::int64_t>(*v);
-}
-
-Result<bool> ByteReader::ReadBool() {
-  auto v = ReadU8();
-  if (!v) return v.status();
-  return *v != 0;
-}
-
-Result<double> ByteReader::ReadDouble() {
-  auto bits = ReadU64();
-  if (!bits) return bits.status();
-  double d;
-  std::memcpy(&d, &*bits, sizeof(d));
-  return d;
-}
-
-Result<std::string> ByteReader::ReadString() {
-  auto len = ReadU32();
-  if (!len) return len.status();
-  if (!Need(*len)) return Truncated();
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), *len);
-  pos_ += *len;
-  return s;
-}
-
-Result<Loid> ByteReader::ReadLoid() {
-  auto space = ReadU8();
-  if (!space) return space.status();
-  auto domain = ReadU32();
-  if (!domain) return domain.status();
-  auto serial = ReadU64();
-  if (!serial) return serial.status();
-  return Loid(static_cast<LoidSpace>(*space), *domain, *serial);
-}
-
-Result<Duration> ByteReader::ReadDuration() {
-  auto v = ReadI64();
-  if (!v) return v.status();
-  return Duration(*v);
-}
-
-Result<SimTime> ByteReader::ReadTime() {
-  auto v = ReadI64();
-  if (!v) return v.status();
-  return SimTime(*v);
-}
-
-Result<AttrValue> ByteReader::ReadAttrValue() {
-  auto tag = ReadU8();
-  if (!tag) return tag.status();
-  switch (*tag) {
-    case kTagNull:
-      return AttrValue();
-    case kTagBool: {
-      auto v = ReadBool();
-      if (!v) return v.status();
-      return AttrValue(*v);
-    }
-    case kTagInt: {
-      auto v = ReadI64();
-      if (!v) return v.status();
-      return AttrValue(*v);
-    }
-    case kTagDouble: {
-      auto v = ReadDouble();
-      if (!v) return v.status();
-      return AttrValue(*v);
-    }
-    case kTagString: {
-      auto v = ReadString();
-      if (!v) return v.status();
-      return AttrValue(std::move(*v));
-    }
-    case kTagList: {
-      auto n = ReadU32();
-      if (!n) return n.status();
-      AttrList list;
-      list.reserve(*n);
-      for (std::uint32_t i = 0; i < *n; ++i) {
-        auto e = ReadAttrValue();
-        if (!e) return e.status();
-        list.push_back(std::move(*e));
-      }
-      return AttrValue(std::move(list));
-    }
-    default:
-      return Status::Error(ErrorCode::kMalformedSchedule, "bad attr tag");
-  }
-}
-
-Result<AttributeDatabase> ByteReader::ReadAttributes() {
-  auto n = ReadU32();
-  if (!n) return n.status();
-  AttributeDatabase db;
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto name = ReadString();
-    if (!name) return name.status();
-    auto value = ReadAttrValue();
-    if (!value) return value.status();
-    db.Set(*name, std::move(*value));
-  }
-  return db;
 }
 
 }  // namespace legion

@@ -1,21 +1,18 @@
-// Binary serialization for Object Persistent Representations (OPRs).
+// Byte framing for the bodies of Object Persistent Representations (OPRs).
 //
 // Every Legion object can be shut down to a passive state stored in a
 // Vault and later restarted, possibly on a different host (paper section
-// 2.1); that passive state is the OPR.  ByteWriter/ByteReader provide the
-// little bit of framing we need: varint-free fixed-width primitives,
-// length-prefixed strings, LOIDs, and attribute databases.
+// 2.1); that passive state is the OPR.  OPRs move between hosts and vaults
+// as structs (objects/opr.h); only the opaque body is bytes, framed by the
+// object itself (LegionObject::SerializeBody) with these fixed-width
+// little-endian integers.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "base/attributes.h"
-#include "base/loid.h"
 #include "base/result.h"
-#include "base/sim_time.h"
 
 namespace legion {
 
@@ -25,18 +22,9 @@ class ByteWriter {
   void WriteU32(std::uint32_t v);
   void WriteU64(std::uint64_t v);
   void WriteI64(std::int64_t v) { WriteU64(static_cast<std::uint64_t>(v)); }
-  void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
-  void WriteDouble(double v);
-  void WriteString(const std::string& s);
-  void WriteLoid(const Loid& loid);
-  void WriteDuration(Duration d) { WriteI64(d.micros()); }
-  void WriteTime(SimTime t) { WriteI64(t.micros()); }
-  void WriteAttrValue(const AttrValue& v);
-  void WriteAttributes(const AttributeDatabase& db);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> Take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -46,21 +34,11 @@ class ByteReader {
  public:
   explicit ByteReader(const std::vector<std::uint8_t>& bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
-  ByteReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
 
   Result<std::uint8_t> ReadU8();
   Result<std::uint32_t> ReadU32();
   Result<std::uint64_t> ReadU64();
   Result<std::int64_t> ReadI64();
-  Result<bool> ReadBool();
-  Result<double> ReadDouble();
-  Result<std::string> ReadString();
-  Result<Loid> ReadLoid();
-  Result<Duration> ReadDuration();
-  Result<SimTime> ReadTime();
-  Result<AttrValue> ReadAttrValue();
-  Result<AttributeDatabase> ReadAttributes();
 
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ >= size_; }

@@ -10,10 +10,80 @@
 namespace legion {
 
 namespace {
-// Every reservation the Enactor requests is an instantaneous (starting
+// Every reservation a negotiator requests is an instantaneous (starting
 // now) one-shot timesharing window of this length.
 constexpr Duration kReservationDuration = Duration::Hours(1);
 }  // namespace
+
+ReservationRequest ReservationRequestFor(SimKernel* kernel, const Loid& sender,
+                                         const ObjectMapping& mapping,
+                                         Duration confirm_timeout) {
+  ReservationRequest request;
+  request.vault = mapping.vault;
+  request.start = kernel->Now();
+  request.duration = kReservationDuration;
+  request.confirm_timeout = confirm_timeout;
+  request.type = ReservationType::OneShotTimesharing();
+  request.requester = sender;
+  request.requester_domain = sender.domain();
+  const InstanceDemand demand = InstanceDemandOf(kernel, mapping.class_loid);
+  request.memory_mb = demand.memory_mb;
+  request.cpu_fraction = demand.cpu_fraction;
+  return request;
+}
+
+void CancelToken(SimKernel* kernel, const Loid& sender,
+                 const ReservationToken& token, Duration rpc_timeout,
+                 Callback<bool> done) {
+  CallOn<bool, HostInterface>(
+      kernel, sender, token.host, kSmallMessage, kSmallMessage, rpc_timeout,
+      [token](HostInterface& host, Callback<bool> reply) {
+        host.CancelReservation(token, std::move(reply));
+      },
+      std::move(done), "cancel_reservation");
+}
+
+void CreateInstances(SimKernel* kernel, const Loid& sender,
+                     const std::vector<ObjectMapping>& mappings,
+                     const std::vector<ReservationToken>& tokens,
+                     Duration rpc_timeout,
+                     std::function<void(std::vector<Result<Loid>>)> done) {
+  struct Fanout {
+    std::size_t outstanding;
+    std::vector<Result<Loid>> instances;
+    std::function<void(std::vector<Result<Loid>>)> done;
+  };
+  if (mappings.empty()) {
+    done({});
+    return;
+  }
+  auto state = std::make_shared<Fanout>(Fanout{
+      mappings.size(),
+      std::vector<Result<Loid>>(
+          mappings.size(), Status::Error(ErrorCode::kInternal, "pending")),
+      std::move(done)});
+  for (std::size_t i = 0; i < mappings.size(); ++i) {
+    const ObjectMapping& mapping = mappings[i];
+    PlacementSuggestion suggestion;
+    suggestion.host = mapping.host;
+    suggestion.vault = mapping.vault;
+    suggestion.token = tokens[i];
+    suggestion.implementation = mapping.implementation;
+    CallOn<Loid, ClassInterface>(
+        kernel, sender, mapping.class_loid, kSmallMessage, kSmallMessage,
+        rpc_timeout,
+        [suggestion](ClassInterface& klass, Callback<Loid> reply) {
+          klass.CreateInstance(suggestion, std::move(reply));
+        },
+        [state, i](Result<Loid> instance) {
+          state->instances[i] = std::move(instance);
+          if (--state->outstanding == 0) {
+            state->done(std::move(state->instances));
+          }
+        },
+        "create_instance");
+  }
+}
 
 // The mutable state of one make_reservations() negotiation.  Kept alive
 // by shared_ptr across the asynchronous reservation rounds.
@@ -293,7 +363,9 @@ void EnactorObject::SendBatch(Batch batch) {
     request->batch_id = batch.id;
     request->slots.reserve(batch.indices.size());
     for (std::size_t index : batch.indices) {
-      request->slots.push_back(BatchSlotRequest{index, SlotRequest(*n, index)});
+      request->slots.push_back(BatchSlotRequest{
+          index, ReservationRequestFor(kernel(), loid(), n->current[index],
+                                       options_.confirm_timeout)});
     }
     batch.request = std::move(request);
   }
@@ -372,7 +444,8 @@ void EnactorObject::OnBatchReply(const Batch& batch,
         if (it != by_index.end() && it->second->status.ok()) {
           cells_.reservations_cancelled->Add();
           AuditSlot("stray_grant_cancelled", *n, index, target);
-          CancelToken(it->second->token);
+          CancelToken(kernel(), loid(), it->second->token,
+                      options_.rpc_timeout, [](Result<bool>) {});
         }
       }
     }
@@ -481,7 +554,9 @@ void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
   request.requester = loid();
   request.batch_id = n->batch_ids[index];
   request.retransmit = n->attempts[index] > 0;
-  request.slots.push_back(BatchSlotRequest{index, SlotRequest(*n, index)});
+  request.slots.push_back(BatchSlotRequest{
+      index, ReservationRequestFor(kernel(), loid(), n->current[index],
+                                   options_.confirm_timeout)});
   CallOn<ReservationBatchReply, HostInterface>(
       kernel(), loid(), host, kSmallMessage, kSmallMessage,
       options_.rpc_timeout,
@@ -526,30 +601,6 @@ void EnactorObject::CountAttempt(const Negotiation& n, std::size_t index,
     extra.push_back({"attempt", std::to_string(n.attempts[index] + 1)});
     AuditSlot("reserve_requested", n, index, mapping.host, std::move(extra));
   }
-}
-
-ReservationRequest EnactorObject::SlotRequest(const Negotiation& n,
-                                              std::size_t index) const {
-  const ObjectMapping& mapping = n.current[index];
-  ReservationRequest request;
-  request.vault = mapping.vault;
-  request.start = kernel()->Now();
-  request.duration = kReservationDuration;
-  request.confirm_timeout = options_.confirm_timeout;
-  request.type = ReservationType::OneShotTimesharing();
-  request.requester = loid();
-  request.requester_domain = loid().domain();
-  // Per-class instantiation demand, resolved from the local class object
-  // (the Enactor caches this knowledge between calls in the real system).
-  request.memory_mb = 32;
-  request.cpu_fraction = 1.0;
-  auto* klass =
-      dynamic_cast<ClassObject*>(kernel()->FindActor(mapping.class_loid));
-  if (klass != nullptr) {
-    request.memory_mb = klass->instance_memory_mb();
-    request.cpu_fraction = klass->instance_cpu_fraction();
-  }
-  return request;
 }
 
 void EnactorObject::ApplySlotAnswer(Negotiation& n, const Loid& host,
@@ -616,17 +667,8 @@ void EnactorObject::CancelHeld(const std::shared_ptr<Negotiation>& n,
   n->tokens[index].reset();
   cells_.reservations_cancelled->Add();
   AuditSlot("reservation_cancelled", *n, index, n->current[index].host);
-  CancelToken(token);
-}
-
-void EnactorObject::CancelToken(const ReservationToken& token) {
-  CallOn<bool, HostInterface>(
-      kernel(), loid(), token.host, kSmallMessage, kSmallMessage,
-      options_.rpc_timeout,
-      [token](HostInterface& host, Callback<bool> reply) {
-        host.CancelReservation(token, std::move(reply));
-      },
-      [](Result<bool>) { /* best effort */ }, "cancel_reservation");
+  CancelToken(kernel(), loid(), token, options_.rpc_timeout,
+              [](Result<bool>) { /* best effort */ });
 }
 
 void EnactorObject::AuditSlot(const char* kind, const Negotiation& n,
@@ -790,17 +832,11 @@ void EnactorObject::CancelReservations(
   state->done = std::move(done);
   for (const ReservationToken& token : tokens) {
     cells_.reservations_cancelled->Add();
-    CallOn<bool, HostInterface>(
-        kernel(), loid(), token.host, kSmallMessage, kSmallMessage,
-        options_.rpc_timeout,
-        [token](HostInterface& host, Callback<bool> reply) {
-          host.CancelReservation(token, std::move(reply));
-        },
-        [state](Result<bool> r) {
-          if (r.ok() && *r) ++state->cancelled;
-          if (--state->outstanding == 0) state->done(state->cancelled);
-        },
-        "cancel_reservation");
+    CancelToken(kernel(), loid(), token, options_.rpc_timeout,
+                [state](Result<bool> r) {
+                  if (r.ok() && *r) ++state->cancelled;
+                  if (--state->outstanding == 0) state->done(state->cancelled);
+                });
   }
 }
 
@@ -821,50 +857,20 @@ void EnactorObject::EnactSchedule(const ScheduleFeedback& feedback,
     done(std::move(result));
     return;
   }
-  struct EnactState {
-    std::size_t outstanding;
-    std::vector<Result<Loid>> instances;
-    Callback<EnactResult> done;
-  };
-  auto state = std::make_shared<EnactState>(EnactState{
-      feedback.reserved_mappings.size(),
-      std::vector<Result<Loid>>(),
-      std::move(done)});
-  state->instances.reserve(feedback.reserved_mappings.size());
-  for (std::size_t i = 0; i < feedback.reserved_mappings.size(); ++i) {
-    state->instances.emplace_back(
-        Status::Error(ErrorCode::kInternal, "pending"));
-  }
-
-  for (std::size_t i = 0; i < feedback.reserved_mappings.size(); ++i) {
-    const ObjectMapping& mapping = feedback.reserved_mappings[i];
-    PlacementSuggestion suggestion;
-    suggestion.host = mapping.host;
-    suggestion.vault = mapping.vault;
-    suggestion.token = feedback.tokens[i];
-    suggestion.implementation = mapping.implementation;
-    // Steps 7-9: the Enactor attempts to instantiate the objects through
-    // member function calls on the appropriate class objects.
-    CallOn<Loid, ClassInterface>(
-        kernel(), loid(), mapping.class_loid, kSmallMessage, kSmallMessage,
-        options_.rpc_timeout,
-        [suggestion](ClassInterface& klass, Callback<Loid> reply) {
-          klass.CreateInstance(suggestion, std::move(reply));
-        },
-        [this, state, i](Result<Loid> instance) {
-          state->instances[i] = std::move(instance);
-          if (--state->outstanding == 0) {
-            EnactResult result;
-            result.success =
-                std::all_of(state->instances.begin(), state->instances.end(),
-                            [](const Result<Loid>& r) { return r.ok(); });
-            if (!result.success) cells_.enact_failures->Add();
-            result.instances = std::move(state->instances);
-            state->done(std::move(result));
-          }
-        },
-        "create_instance");
-  }
+  // Steps 7-9: the Enactor attempts to instantiate the objects through
+  // member function calls on the appropriate class objects.
+  CreateInstances(kernel(), loid(), feedback.reserved_mappings, feedback.tokens,
+                  options_.rpc_timeout,
+                  [this, done = std::move(done)](
+                      std::vector<Result<Loid>> instances) {
+                    EnactResult result;
+                    result.success = std::all_of(
+                        instances.begin(), instances.end(),
+                        [](const Result<Loid>& r) { return r.ok(); });
+                    if (!result.success) cells_.enact_failures->Add();
+                    result.instances = std::move(instances);
+                    done(std::move(result));
+                  });
 }
 
 }  // namespace legion

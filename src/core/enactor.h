@@ -86,6 +86,33 @@ struct EnactorOptions {
   HealthOptions health;
 };
 
+// ---- Figure 3's negotiation steps, one implementation each ------------------
+// The Enactor and layering mode (a), which negotiates with the hosts
+// itself, both go through these; `sender` is the object the messages go
+// out from and, for a reservation, the requester the host sees.
+
+// The reservation request for one mapping: a one-shot timesharing window
+// of one hour starting now, sized by the class's per-instance demand.
+ReservationRequest ReservationRequestFor(SimKernel* kernel, const Loid& sender,
+                                         const ObjectMapping& mapping,
+                                         Duration confirm_timeout);
+
+// Sends cancel_reservation for `token` to its host; `done` gets the
+// host's answer (true = a hold was released).
+void CancelToken(SimKernel* kernel, const Loid& sender,
+                 const ReservationToken& token, Duration rpc_timeout,
+                 Callback<bool> done);
+
+// Steps 7-9: one create_instance call per mapping on its class, with the
+// mapping's host, vault, implementation and token as the placement
+// suggestion.  `done` runs once every call has answered, with the
+// results in mapping order.
+void CreateInstances(SimKernel* kernel, const Loid& sender,
+                     const std::vector<ObjectMapping>& mappings,
+                     const std::vector<ReservationToken>& tokens,
+                     Duration rpc_timeout,
+                     std::function<void(std::vector<Result<Loid>>)> done);
+
 class EnactorObject : public LegionObject {
  public:
   EnactorObject(SimKernel* kernel, Loid loid, EnactorOptions options = {});
@@ -143,14 +170,12 @@ class EnactorObject : public LegionObject {
   void FailIndexFast(const std::shared_ptr<Negotiation>& n, std::size_t index);
   // Per-slot settlement, shared by make_reservation (cap 1) and
   // ReserveBatch.  CountAttempt counts and audits one attempt (batch id
-  // 0 = cap 1); SlotRequest builds the slot's wire request;
+  // 0 = cap 1); ReservationRequestFor builds the slot's wire request;
   // ApplySlotAnswer applies the host's answer for one slot;
   // ApplyRpcFailure applies a failed RPC to one slot, including the
   // health signal and the retry decision (true = retry the slot).
   void CountAttempt(const Negotiation& n, std::size_t index,
                     std::uint64_t batch_id);
-  ReservationRequest SlotRequest(const Negotiation& n,
-                                 std::size_t index) const;
   void ApplySlotAnswer(Negotiation& n, const Loid& host,
                        const BatchSlotOutcome& outcome);
   bool ApplyRpcFailure(Negotiation& n, std::size_t index, const Loid& host,
@@ -176,9 +201,6 @@ class EnactorObject : public LegionObject {
   void Succeed(const std::shared_ptr<Negotiation>& n);
   void Fail(const std::shared_ptr<Negotiation>& n);
   void CancelHeld(const std::shared_ptr<Negotiation>& n, std::size_t index);
-  // Fire-and-forget cancel of a token the negotiation does not hold
-  // (e.g. a stray grant for a slot abandoned between transmissions).
-  void CancelToken(const ReservationToken& token);
 
   // Decision audit (obs/audit.h): every reservation-slot lifecycle
   // transition is recorded keyed by the negotiation id when the kernel's

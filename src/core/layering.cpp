@@ -1,6 +1,7 @@
 #include "core/layering.h"
 
-#include "objects/class_object.h"
+#include <algorithm>
+
 #include "objects/core_hierarchy.h"
 
 namespace legion {
@@ -72,17 +73,11 @@ Result<std::vector<ObjectMapping>> ApplicationCoordinator::RandomMappings(
       bool found = false;
       for (std::size_t attempt = 0; attempt < hosts.size() + 3; ++attempt) {
         const CollectionRecord& host = hosts[rng_.Index(hosts.size())];
-        const AttrValue* vaults = host.attributes.Get("compatible_vaults");
-        if (vaults == nullptr || !vaults->is_list() ||
-            vaults->as_list().empty()) {
-          continue;
-        }
-        const AttrList& list = vaults->as_list();
-        auto vault = ParseLoid(list[rng_.Index(list.size())].as_string());
-        if (!vault.has_value()) continue;
+        const std::vector<Loid> vaults = CompatibleVaultsOf(host);
+        if (vaults.empty()) continue;
         mapping.class_loid = instance_request.class_loid;
         mapping.host = host.member;
-        mapping.vault = *vault;
+        mapping.vault = vaults[rng_.Index(vaults.size())];
         found = true;
         break;
       }
@@ -125,7 +120,6 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
     std::size_t outstanding = 0;
     bool failed = false;
     SimTime started;
-    std::size_t instances = 0;
     Callback<PlacementTrace> done;
   };
   auto state = std::make_shared<State>();
@@ -141,64 +135,34 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
       // Enactor does when it abandons a master.
       for (const ReservationToken& token : state->tokens) {
         if (!token.valid()) continue;
-        CallOn<bool, HostInterface>(
-            kernel(), loid(), token.host, kSmallMessage, kSmallMessage,
-            kDefaultRpcTimeout,
-            [token](HostInterface& host, Callback<bool> reply) {
-              host.CancelReservation(token, std::move(reply));
-            },
-            [](Result<bool>) { /* best effort */ }, "cancel_reservation");
+        CancelToken(kernel(), loid(), token, kDefaultRpcTimeout,
+                    [](Result<bool>) { /* best effort */ });
       }
       PlacementTrace trace;
-      trace.success = false;
       trace.latency = kernel()->Now() - state->started;
       state->done(std::move(trace));
       return;
     }
-    state->outstanding = state->mappings.size();
-    for (std::size_t i = 0; i < state->mappings.size(); ++i) {
-      PlacementSuggestion suggestion;
-      suggestion.host = state->mappings[i].host;
-      suggestion.vault = state->mappings[i].vault;
-      suggestion.token = state->tokens[i];
-      CallOn<Loid, ClassInterface>(
-          kernel(), loid(), state->mappings[i].class_loid, kSmallMessage,
-          kSmallMessage, kDefaultRpcTimeout,
-          [suggestion](ClassInterface& klass, Callback<Loid> reply) {
-            klass.CreateInstance(suggestion, std::move(reply));
-          },
-          [this, state](Result<Loid> instance) {
-            if (instance.ok()) {
-              ++state->instances;
-            } else {
-              state->failed = true;
-            }
-            if (--state->outstanding == 0) {
-              PlacementTrace trace;
-              trace.success = !state->failed;
-              trace.latency = kernel()->Now() - state->started;
-              trace.instances_started = state->instances;
-              state->done(std::move(trace));
-            }
-          });
-    }
+    CreateInstances(
+        kernel(), loid(), state->mappings, state->tokens, kDefaultRpcTimeout,
+        [this, state](std::vector<Result<Loid>> instances) {
+          PlacementTrace trace;
+          trace.latency = kernel()->Now() - state->started;
+          trace.instances_started = static_cast<std::size_t>(
+              std::count_if(instances.begin(), instances.end(),
+                            [](const Result<Loid>& r) { return r.ok(); }));
+          trace.success = trace.instances_started == instances.size();
+          state->done(std::move(trace));
+        });
   };
 
-  // Phase 1: reservations, directly with each host.
+  // Phase 1: reservations, directly with each host through Table 1's
+  // single make_reservation, requested exactly as a default Enactor
+  // would request them.
+  const Duration confirm_timeout = EnactorOptions().confirm_timeout;
   for (std::size_t i = 0; i < state->mappings.size(); ++i) {
-    ReservationRequest reservation;
-    reservation.vault = state->mappings[i].vault;
-    reservation.start = kernel()->Now();
-    reservation.duration = Duration::Hours(1);
-    reservation.confirm_timeout = Duration::Minutes(5);
-    reservation.type = ReservationType::OneShotTimesharing();
-    reservation.requester = loid();
-    reservation.requester_domain = loid().domain();
-    if (auto* klass = dynamic_cast<ClassObject*>(
-            kernel()->FindActor(state->mappings[i].class_loid))) {
-      reservation.memory_mb = klass->instance_memory_mb();
-      reservation.cpu_fraction = klass->instance_cpu_fraction();
-    }
+    const ReservationRequest reservation = ReservationRequestFor(
+        kernel(), loid(), state->mappings[i], confirm_timeout);
     CallOn<ReservationToken, HostInterface>(
         kernel(), loid(), state->mappings[i].host, kSmallMessage,
         kSmallMessage, kDefaultRpcTimeout,

@@ -124,8 +124,7 @@ std::string SchedulerObject::HostMatchQuery(
   return os.str();
 }
 
-std::vector<Loid> SchedulerObject::CompatibleVaultsOf(
-    const CollectionRecord& record) {
+std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record) {
   std::vector<Loid> vaults;
   const AttrValue* list = record.attributes.Get("compatible_vaults");
   if (list == nullptr || !list->is_list()) return vaults;

@@ -40,6 +40,9 @@ struct InstanceRequest {
 };
 using PlacementRequest = std::vector<InstanceRequest>;
 
+// Extracts the compatible-vault LOIDs from a host's Collection record.
+std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record);
+
 // Figure 9's global limits, as per-call options.
 struct RunOptions {
   int sched_try_limit = 3;   // SchedTryLimit
@@ -117,9 +120,6 @@ class SchedulerObject : public LegionObject {
   static ObjectMapping MapOnto(const Loid& class_loid,
                                const CollectionRecord& host,
                                const Loid& vault);
-
-  // Extracts the compatible-vault LOIDs from a host's Collection record.
-  static std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record);
 
   // ---- Decision audit (obs/audit.h) -----------------------------------------
   // One chosen mapping: which class lands on which host at schedule slot

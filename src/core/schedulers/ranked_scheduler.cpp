@@ -53,11 +53,8 @@ void RankedScheduler::ComputeSchedule(const PlacementRequest& request,
       [this](const InstanceRequest& wanted, const CollectionData& hosts,
              ChoiceLists* choices) {
         // Per-instance memory demand, for the feasibility filter.
-        std::size_t memory_mb = 32;
-        if (auto* klass = dynamic_cast<ClassObject*>(
-                kernel()->FindActor(wanted.class_loid))) {
-          memory_mb = klass->instance_memory_mb();
-        }
+        const std::size_t memory_mb =
+            InstanceDemandOf(kernel(), wanted.class_loid).memory_mb;
         // Filter to feasible hosts with vaults, then rank by score.
         struct Ranked {
           double score;

@@ -17,11 +17,8 @@ void StencilScheduler::ComputeSchedule(const PlacementRequest& request,
   }
   const Loid class_loid = request[0].class_loid;
   // Per-cell CPU demand, for honest load charging while spreading.
-  double cpu_fraction = 1.0;
-  if (auto* klass =
-          dynamic_cast<ClassObject*>(kernel()->FindActor(class_loid))) {
-    cpu_fraction = klass->instance_cpu_fraction();
-  }
+  const double cpu_fraction =
+      InstanceDemandOf(kernel(), class_loid).cpu_fraction;
   // Band sizing wants broad domain coverage, so keep member order (no
   // score proxy) but still bound the pool.  Suspects are demoted before
   // capacity sizing: a suspect domain would otherwise be handed a whole

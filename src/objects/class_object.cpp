@@ -40,8 +40,8 @@ void ClassObject::GetImplementations(
 
 void ClassObject::GetResourceRequirements(Callback<AttributeDatabase> done) {
   AttributeDatabase reqs;
-  reqs.Set("memory_mb", static_cast<std::int64_t>(memory_mb_));
-  reqs.Set("cpu_fraction", cpu_fraction_);
+  reqs.Set("memory_mb", static_cast<std::int64_t>(demand_.memory_mb));
+  reqs.Set("cpu_fraction", demand_.cpu_fraction);
   AttrList arches;
   for (const auto& impl : implementations_) {
     arches.push_back(AttrValue(impl.arch));
@@ -67,8 +67,8 @@ StartObjectRequest ClassObject::BuildRequest(
   }
   request.token = suggestion.token;
   request.vault = suggestion.vault;
-  request.memory_mb = memory_mb_;
-  request.cpu_fraction = cpu_fraction_;
+  request.memory_mb = demand_.memory_mb;
+  request.cpu_fraction = demand_.cpu_fraction;
   request.estimated_runtime = estimated_runtime_;
   request.factory = factory_;
   return request;
@@ -183,6 +183,11 @@ void ClassObject::SetKnownResources(
 
 void ClassObject::ForgetInstance(const Loid& instance) {
   std::erase(instances_, instance);
+}
+
+InstanceDemand InstanceDemandOf(SimKernel* kernel, const Loid& class_loid) {
+  auto* klass = dynamic_cast<ClassObject*>(kernel->FindActor(class_loid));
+  return klass != nullptr ? klass->instance_demand() : InstanceDemand{};
 }
 
 }  // namespace legion

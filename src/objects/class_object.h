@@ -25,6 +25,12 @@
 
 namespace legion {
 
+// A class's declared per-instance demand.
+struct InstanceDemand {
+  std::size_t memory_mb = 32;
+  double cpu_fraction = 1.0;
+};
+
 class ClassObject : public LegionObject, public ClassInterface {
  public:
   ClassObject(SimKernel* kernel, Loid loid, std::string name,
@@ -63,8 +69,7 @@ class ClassObject : public LegionObject, public ClassInterface {
 
   // ---- Declared per-instance requirements ---------------------------------
   void SetInstanceRequirements(std::size_t memory_mb, double cpu_fraction) {
-    memory_mb_ = memory_mb;
-    cpu_fraction_ = cpu_fraction;
+    demand_ = {memory_mb, cpu_fraction};
   }
   void SetEstimatedRuntime(Duration runtime) { estimated_runtime_ = runtime; }
   // Declares the size of every implementation's binary (drives the
@@ -72,8 +77,7 @@ class ClassObject : public LegionObject, public ClassInterface {
   void SetBinaryBytes(std::size_t bytes) {
     for (Implementation& impl : implementations_) impl.binary_bytes = bytes;
   }
-  std::size_t instance_memory_mb() const { return memory_mb_; }
-  double instance_cpu_fraction() const { return cpu_fraction_; }
+  const InstanceDemand& instance_demand() const { return demand_; }
   Duration estimated_runtime() const { return estimated_runtime_; }
 
   // ---- Instance registry ---------------------------------------------------
@@ -95,10 +99,15 @@ class ClassObject : public LegionObject, public ClassInterface {
   std::vector<std::pair<Loid, Loid>> known_resources_;
   std::size_t round_robin_ = 0;
   PlacementValidator validator_;
-  std::size_t memory_mb_ = 32;
-  double cpu_fraction_ = 1.0;
+  InstanceDemand demand_;
   Duration estimated_runtime_ = Duration::Minutes(30);
   std::vector<Loid> instances_;
 };
+
+// The per-instance demand of `class_loid`, read from the local class
+// object (a negotiator or scheduler caches this knowledge between calls
+// in the real system); a class not found locally gets InstanceDemand's
+// defaults.
+InstanceDemand InstanceDemandOf(SimKernel* kernel, const Loid& class_loid);
 
 }  // namespace legion

@@ -1,7 +1,5 @@
 #include "objects/opr.h"
 
-#include "base/serialize.h"
-
 namespace legion {
 
 std::size_t Opr::SizeBytes() const {
@@ -11,43 +9,6 @@ std::size_t Opr::SizeBytes() const {
     attr_bytes += name.size() + value.ToString().size() + 8;
   }
   return 64 + attr_bytes + body.size();
-}
-
-std::vector<std::uint8_t> Opr::Serialize() const {
-  ByteWriter w;
-  w.WriteLoid(object);
-  w.WriteLoid(class_loid);
-  w.WriteAttributes(attributes);
-  w.WriteU32(static_cast<std::uint32_t>(body.size()));
-  for (auto b : body) w.WriteU8(b);
-  w.WriteTime(saved_at);
-  return w.Take();
-}
-
-Result<Opr> Opr::Deserialize(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  Opr opr;
-  auto object = r.ReadLoid();
-  if (!object) return object.status();
-  opr.object = *object;
-  auto class_loid = r.ReadLoid();
-  if (!class_loid) return class_loid.status();
-  opr.class_loid = *class_loid;
-  auto attrs = r.ReadAttributes();
-  if (!attrs) return attrs.status();
-  opr.attributes = std::move(*attrs);
-  auto n = r.ReadU32();
-  if (!n) return n.status();
-  opr.body.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto b = r.ReadU8();
-    if (!b) return b.status();
-    opr.body.push_back(*b);
-  }
-  auto t = r.ReadTime();
-  if (!t) return t.status();
-  opr.saved_at = *t;
-  return opr;
 }
 
 }  // namespace legion

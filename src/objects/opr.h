@@ -5,7 +5,9 @@
 // migration and for shutdown/restart purposes."
 //
 // An OPR snapshot carries the object's identity, its class, its attribute
-// database, and an opaque body produced by the object's own serializer.
+// database, and an opaque body the object frames itself
+// (LegionObject::SerializeBody).  OPRs move between hosts and vaults as
+// structs; SizeBytes() prices them.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +15,6 @@
 
 #include "base/attributes.h"
 #include "base/loid.h"
-#include "base/result.h"
 #include "base/sim_time.h"
 
 namespace legion {
@@ -28,10 +29,6 @@ struct Opr {
   // Approximate on-the-wire size; drives vault capacity accounting and
   // migration transfer times.
   std::size_t SizeBytes() const;
-
-  // Wire form, so OPRs can be shipped between Vaults during migration.
-  std::vector<std::uint8_t> Serialize() const;
-  static Result<Opr> Deserialize(const std::vector<std::uint8_t>& bytes);
 };
 
 }  // namespace legion

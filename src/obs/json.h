@@ -40,7 +40,12 @@ inline std::string JsonEscape(std::string_view s) {
 
 // Quoted JSON string.
 inline std::string JsonString(std::string_view s) {
-  return "\"" + JsonEscape(s) + "\"";
+  // Appended rather than built with operator+, which GCC 12 flags with a
+  // false -Wrestrict once inlined.
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 // Deterministic number formatting.  Integral values of doubles print

@@ -96,16 +96,11 @@ void BatchQueueHost::CancelReservation(const ReservationToken& token,
 Status BatchQueueHost::AdmitWithoutReservation(
     const StartObjectRequest& request) {
   // Batch systems accept any structurally valid submission; waiting is
-  // the queue's job.  The local policy still gets a say.
-  ReservationRequest probe;
-  probe.vault = request.vault;
-  probe.start = kernel()->Now();
-  probe.duration = request.estimated_runtime;
-  probe.requester = request.class_loid;
-  probe.requester_domain = request.class_loid.domain();
-  probe.memory_mb = request.memory_mb;
-  probe.cpu_fraction = request.cpu_fraction;
-  Status permit = policy_->Permit(probe, attributes(), kernel()->Now());
+  // the queue's job.  The local policy still gets a say, over the job's
+  // estimated runtime.
+  Status permit = PermitWithoutReservation(
+      request.class_loid, request.vault, request.memory_mb,
+      request.cpu_fraction, request.estimated_runtime);
   if (!permit.ok()) return permit;
   if (request.memory_mb > spec_.memory_mb) {
     return Status::Error(ErrorCode::kNoResources,
@@ -174,33 +169,14 @@ void BatchQueueHost::OnJobStart(const BatchJob& job) {
     }
   }
 
-  std::size_t live = 0;
-  for (const Loid& instance : job.instances) {
-    auto* object = dynamic_cast<LegionObject*>(kernel()->FindActor(instance));
-    if (object == nullptr) continue;  // killed while queued
-    if (!object->Activate(loid(), pending.request.vault.valid()
-                                       ? pending.request.vault
-                                       : pending.request.token.vault)
-             .ok()) {
-      continue;
-    }
-    RunningObject running;
-    running.object = instance;
-    running.vault = object->vault();
-    running.memory_mb = job.memory_mb;
-    running.cpu_fraction = job.cpu_fraction;
-    running.started = kernel()->Now();
-    running.reservation_serial = pending.reservation_serial;
-    running_[instance] = running;
-    ++objects_started_;
-    ++live;
-  }
-  pending.live_instances = live;
-  if (live == 0) {
+  // The job's instances, demand and vault are the submitted request's.
+  pending.live_instances =
+      ActivateCreated(pending.request, pending.reservation_serial);
+  if (pending.live_instances == 0) {
     queue_->JobFinished(job.id);
     pending_jobs_.erase(it);
+    RepopulateAttributes();
   }
-  RepopulateAttributes();
 }
 
 void BatchQueueHost::OnJobVacate(const BatchJob& job) {

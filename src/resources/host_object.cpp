@@ -6,6 +6,12 @@
 #include "objects/core_hierarchy.h"
 
 namespace legion {
+namespace {
+
+// The window a token-less start or a reactivation is judged for.
+constexpr Duration kTokenlessWindow = Duration::Hours(1);
+
+}  // namespace
 
 HostObject::HostObject(SimKernel* kernel, Loid loid, HostSpec spec,
                        std::uint64_t secret_seed)
@@ -222,27 +228,40 @@ void HostObject::CancelReservation(const ReservationToken& token,
 // ---- Process management -----------------------------------------------------
 
 Status HostObject::AdmitWithoutReservation(const StartObjectRequest& request) {
+  Status permit = PermitWithoutReservation(
+      request.class_loid, request.vault, request.memory_mb,
+      request.cpu_fraction, kTokenlessWindow);
+  if (!permit.ok()) return permit;
+  return CheckRunningCapacity(
+      request.cpu_fraction * static_cast<double>(request.instances.size()),
+      request.memory_mb * request.instances.size());
+}
+
+Status HostObject::PermitWithoutReservation(const Loid& class_loid,
+                                            const Loid& vault,
+                                            std::size_t memory_mb,
+                                            double cpu_fraction,
+                                            Duration window) const {
   // Synthesize the reservation-shaped request the policy wants to see.
   ReservationRequest probe;
-  probe.vault = request.vault;
+  probe.vault = vault;
   probe.start = kernel()->Now();
-  probe.duration = Duration::Hours(1);
-  probe.requester = request.class_loid;
-  probe.requester_domain = request.class_loid.domain();
-  probe.memory_mb = request.memory_mb;
-  probe.cpu_fraction = request.cpu_fraction;
-  Status permit = policy_->Permit(probe, attributes(), kernel()->Now());
-  if (!permit.ok()) return permit;
+  probe.duration = window;
+  probe.requester = class_loid;
+  probe.requester_domain = class_loid.domain();
+  probe.memory_mb = memory_mb;
+  probe.cpu_fraction = cpu_fraction;
+  return policy_->Permit(probe, attributes(), kernel()->Now());
+}
 
-  const double new_cpu =
-      request.cpu_fraction * static_cast<double>(request.instances.size());
+Status HostObject::CheckRunningCapacity(double cpu,
+                                        std::size_t memory_mb) const {
   const double cpu_capacity =
       static_cast<double>(spec_.cpus) * spec_.oversubscription;
-  if (RunningCpuDemand() + new_cpu > cpu_capacity + 1e-9) {
+  if (RunningCpuDemand() + cpu > cpu_capacity + 1e-9) {
     return Status::Error(ErrorCode::kNoResources, "CPUs fully committed");
   }
-  const std::size_t new_mem = request.memory_mb * request.instances.size();
-  if (RunningMemoryDemand() + new_mem > spec_.memory_mb) {
+  if (RunningMemoryDemand() + memory_mb > spec_.memory_mb) {
     return Status::Error(ErrorCode::kNoResources, "memory fully committed");
   }
   return Status::Ok();
@@ -381,32 +400,37 @@ Result<std::vector<Loid>> HostObject::CreateInstanceObjects(
   return created;
 }
 
-void HostObject::ActivateCreated(const StartObjectRequest& request,
-                                 std::uint64_t reservation_serial) {
+std::size_t HostObject::ActivateCreated(const StartObjectRequest& request,
+                                        std::uint64_t reservation_serial) {
   const Loid vault =
       request.vault.valid() ? request.vault : request.token.vault;
+  std::size_t started = 0;
   for (const Loid& instance : request.instances) {
-    auto* actor = kernel()->FindActor(instance);
-    auto* object = dynamic_cast<LegionObject*>(actor);
-    if (object == nullptr) continue;  // killed before the window opened
-    Status activated = object->Activate(loid(), vault);
-    if (!activated.ok()) continue;
-    // The instance remembers its own demand so it can be readmitted
-    // after migration or reactivation.
-    object->mutable_attributes().Set(
-        "memory_mb", static_cast<std::int64_t>(request.memory_mb));
-    object->mutable_attributes().Set("cpu_fraction", request.cpu_fraction);
-    RunningObject running;
-    running.object = instance;
-    running.vault = vault;
-    running.memory_mb = request.memory_mb;
-    running.cpu_fraction = request.cpu_fraction;
-    running.started = kernel()->Now();
-    running.reservation_serial = reservation_serial;
-    running_[instance] = running;
-    ++objects_started_;
+    auto* object = dynamic_cast<LegionObject*>(kernel()->FindActor(instance));
+    if (object == nullptr) continue;  // killed before it could start
+    if (RunObject(*object, vault, request.memory_mb, request.cpu_fraction,
+                  reservation_serial)
+            .ok()) {
+      ++started;
+    }
   }
   RepopulateAttributes();
+  return started;
+}
+
+Status HostObject::RunObject(LegionObject& object, const Loid& vault,
+                             std::size_t memory_mb, double cpu_fraction,
+                             std::uint64_t reservation_serial) {
+  Status activated = object.Activate(loid(), vault);
+  if (!activated.ok()) return activated;
+  object.mutable_attributes().Set("memory_mb",
+                                  static_cast<std::int64_t>(memory_mb));
+  object.mutable_attributes().Set("cpu_fraction", cpu_fraction);
+  running_[object.loid()] =
+      RunningObject{object.loid(), vault,           memory_mb,
+                    cpu_fraction,  kernel()->Now(), reservation_serial};
+  ++objects_started_;
+  return Status::Ok();
 }
 
 bool HostObject::ReleaseObject(const Loid& object, bool kill) {
@@ -509,28 +533,20 @@ void HostObject::ReactivateObject(const Loid& object, const Loid& vault,
             legion_object->attributes()
                 .GetOr("cpu_fraction", AttrValue(1.0))
                 .as_double();
-        // Capacity admission for the returning object.
-        const double cpu_capacity =
-            static_cast<double>(spec_.cpus) * spec_.oversubscription;
-        if (RunningCpuDemand() + cpu_fraction > cpu_capacity + 1e-9 ||
-            RunningMemoryDemand() + memory_mb > spec_.memory_mb) {
-          done(Status::Error(ErrorCode::kNoResources,
-                             "no capacity for reactivation"));
+        Status admitted = PermitWithoutReservation(
+            legion_object->class_loid(), vault, memory_mb, cpu_fraction,
+            kTokenlessWindow);
+        if (admitted.ok()) {
+          admitted = CheckRunningCapacity(cpu_fraction, memory_mb);
+        }
+        if (admitted.ok()) {
+          admitted = RunObject(*legion_object, vault, memory_mb, cpu_fraction,
+                               /*reservation_serial=*/0);
+        }
+        if (!admitted.ok()) {
+          done(admitted);
           return;
         }
-        Status activated = legion_object->Activate(loid(), vault);
-        if (!activated.ok()) {
-          done(activated);
-          return;
-        }
-        RunningObject running;
-        running.object = object;
-        running.vault = vault;
-        running.memory_mb = memory_mb;
-        running.cpu_fraction = cpu_fraction;
-        running.started = kernel()->Now();
-        running_[object] = running;
-        ++objects_started_;
         RepopulateAttributes();
         done(true);
       });

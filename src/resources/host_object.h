@@ -125,7 +125,8 @@ class HostObject : public LegionObject, public HostInterface {
   // attempt to access the object; no explicit Host Object method is
   // necessary" -- this is that implicit path, exposed for the migration
   // engine): fetch the OPR from `vault`, restore, and run the object
-  // here, subject to capacity.
+  // here.  The returning object holds no token, so it is admitted like a
+  // token-less start: the local policy and the running capacity decide.
   void ReactivateObject(const Loid& object, const Loid& vault,
                         Callback<bool> done);
 
@@ -154,6 +155,16 @@ class HostObject : public LegionObject, public HostInterface {
 
   // Admission for token-less starts (the Class's default placement path).
   virtual Status AdmitWithoutReservation(const StartObjectRequest& request);
+  // The local policy's verdict on an object that holds no reservation (a
+  // token-less start or a reactivation): the policy sees a
+  // reservation-shaped request from the object's class for `window` from
+  // now.
+  Status PermitWithoutReservation(const Loid& class_loid, const Loid& vault,
+                                  std::size_t memory_mb, double cpu_fraction,
+                                  Duration window) const;
+  // kNoResources unless `cpu` more CPU share and `memory_mb` more memory
+  // fit beside the running objects.
+  Status CheckRunningCapacity(double cpu, std::size_t memory_mb) const;
 
   // Actually places the objects on the machine.  The Unix host launches
   // immediately; batch hosts queue.  Must eventually call `done`.  The
@@ -181,9 +192,16 @@ class HostObject : public LegionObject, public HostInterface {
   // a reservation window or a batch queue slot.
   Result<std::vector<Loid>> CreateInstanceObjects(
       const StartObjectRequest& request);
-  // Activates previously created instances and registers them as running.
-  void ActivateCreated(const StartObjectRequest& request,
-                       std::uint64_t reservation_serial);
+  // Activates previously created instances and registers them as
+  // running; returns how many came up.
+  std::size_t ActivateCreated(const StartObjectRequest& request,
+                              std::uint64_t reservation_serial);
+  // Activates `object` here on `vault` and registers it as running under
+  // `reservation_serial` (0 = none).  The object records its demand so it
+  // can be readmitted after migration or reactivation.
+  Status RunObject(LegionObject& object, const Loid& vault,
+                   std::size_t memory_mb, double cpu_fraction,
+                   std::uint64_t reservation_serial);
 
   // Releases a running object's resources.  Returns false if unknown.
   bool ReleaseObject(const Loid& object, bool kill);

@@ -11,84 +11,12 @@ TEST(SerializeTest, PrimitivesRoundTrip) {
   w.WriteU32(0xDEADBEEF);
   w.WriteU64(0x0123456789ABCDEFULL);
   w.WriteI64(-42);
-  w.WriteBool(true);
-  w.WriteDouble(3.14159);
   ByteReader r(w.bytes());
   EXPECT_EQ(*r.ReadU8(), 0xAB);
   EXPECT_EQ(*r.ReadU32(), 0xDEADBEEFu);
   EXPECT_EQ(*r.ReadU64(), 0x0123456789ABCDEFULL);
   EXPECT_EQ(*r.ReadI64(), -42);
-  EXPECT_TRUE(*r.ReadBool());
-  EXPECT_DOUBLE_EQ(*r.ReadDouble(), 3.14159);
   EXPECT_TRUE(r.exhausted());
-}
-
-TEST(SerializeTest, StringsRoundTrip) {
-  ByteWriter w;
-  w.WriteString("");
-  w.WriteString("hello world");
-  w.WriteString(std::string("with\0nul", 8));
-  ByteReader r(w.bytes());
-  EXPECT_EQ(*r.ReadString(), "");
-  EXPECT_EQ(*r.ReadString(), "hello world");
-  EXPECT_EQ(*r.ReadString(), std::string("with\0nul", 8));
-}
-
-TEST(SerializeTest, LoidRoundTrip) {
-  ByteWriter w;
-  w.WriteLoid(Loid(LoidSpace::kVault, 9, 123456789));
-  ByteReader r(w.bytes());
-  EXPECT_EQ(*r.ReadLoid(), Loid(LoidSpace::kVault, 9, 123456789));
-}
-
-TEST(SerializeTest, TimeTypesRoundTrip) {
-  ByteWriter w;
-  w.WriteDuration(Duration::Seconds(1.5));
-  w.WriteTime(SimTime(987654321));
-  ByteReader r(w.bytes());
-  EXPECT_EQ(*r.ReadDuration(), Duration::Seconds(1.5));
-  EXPECT_EQ(*r.ReadTime(), SimTime(987654321));
-}
-
-TEST(SerializeTest, AttrValueAllTypesRoundTrip) {
-  ByteWriter w;
-  w.WriteAttrValue(AttrValue());
-  w.WriteAttrValue(AttrValue(true));
-  w.WriteAttrValue(AttrValue(-7));
-  w.WriteAttrValue(AttrValue(2.5));
-  w.WriteAttrValue(AttrValue("text"));
-  w.WriteAttrValue(
-      AttrValue(AttrList{AttrValue(1), AttrValue("nested"),
-                         AttrValue(AttrList{AttrValue(true)})}));
-  ByteReader r(w.bytes());
-  EXPECT_TRUE(r.ReadAttrValue()->is_null());
-  EXPECT_TRUE(r.ReadAttrValue()->as_bool());
-  EXPECT_EQ(r.ReadAttrValue()->as_int(), -7);
-  EXPECT_DOUBLE_EQ(r.ReadAttrValue()->as_double(), 2.5);
-  EXPECT_EQ(r.ReadAttrValue()->as_string(), "text");
-  auto list = *r.ReadAttrValue();
-  ASSERT_TRUE(list.is_list());
-  ASSERT_EQ(list.as_list().size(), 3u);
-  EXPECT_EQ(list.as_list()[0].as_int(), 1);
-  EXPECT_EQ(list.as_list()[1].as_string(), "nested");
-  EXPECT_TRUE(list.as_list()[2].as_list()[0].as_bool());
-}
-
-TEST(SerializeTest, AttributeDatabaseRoundTrip) {
-  AttributeDatabase db;
-  db.Set("arch", "x86");
-  db.Set("load", 0.75);
-  db.Set("cpus", 8);
-  db.Set("vaults", AttrValue(AttrList{AttrValue("vault:0/1")}));
-  ByteWriter w;
-  w.WriteAttributes(db);
-  ByteReader r(w.bytes());
-  auto restored = r.ReadAttributes();
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->size(), 4u);
-  EXPECT_EQ(restored->Get("arch")->as_string(), "x86");
-  EXPECT_DOUBLE_EQ(restored->Get("load")->as_double(), 0.75);
-  EXPECT_EQ(restored->Get("cpus")->as_int(), 8);
 }
 
 TEST(SerializeTest, TruncatedBufferFailsCleanly) {
@@ -98,21 +26,6 @@ TEST(SerializeTest, TruncatedBufferFailsCleanly) {
   bytes.pop_back();
   ByteReader r(bytes);
   EXPECT_FALSE(r.ReadU64().ok());
-}
-
-TEST(SerializeTest, TruncatedStringFailsCleanly) {
-  ByteWriter w;
-  w.WriteString("hello");
-  auto bytes = w.bytes();
-  bytes.resize(bytes.size() - 2);
-  ByteReader r(bytes);
-  EXPECT_FALSE(r.ReadString().ok());
-}
-
-TEST(SerializeTest, BadAttrTagFails) {
-  std::vector<std::uint8_t> bytes{0xFF};
-  ByteReader r(bytes);
-  EXPECT_FALSE(r.ReadAttrValue().ok());
 }
 
 TEST(SerializeTest, EmptyReaderReportsExhausted) {

@@ -93,6 +93,57 @@ TEST_F(LayeringTest, DoesAllNegotiatesDirectlyWithHosts) {
   EXPECT_EQ(Count(world_.kernel, "negotiations", "enactor"), 0u);
 }
 
+TEST_F(LayeringTest, DoesAllRequestsTheSameHoldAsTheEnactor) {
+  // Mode (a) negotiates without the Enactor, but a hold it takes for a
+  // mapping must carry what the Enactor's hold for that mapping carries.
+  ClassObject* demanding =
+      world_.MakeClass("demanding", /*memory_mb=*/96, /*cpu_fraction=*/0.25);
+  auto* app = MakeCoordinator(Layering::kApplicationDoesAll);
+  Await<PlacementTrace> trace;
+  app->Place({{demanding->loid(), 1}}, trace.Sink());
+  world_.Run();
+  ASSERT_TRUE(trace.Ready() && trace.Get().ok());
+  ASSERT_TRUE(trace.Get()->success);
+  ASSERT_EQ(demanding->instances().size(), 1u);
+  auto* object = dynamic_cast<LegionObject*>(
+      world_.kernel.FindActor(demanding->instances().front()));
+  ASSERT_NE(object, nullptr);
+  HostObject* host = nullptr;
+  for (HostObject* candidate : world_.hosts) {
+    if (candidate->loid() == object->host()) host = candidate;
+  }
+  ASSERT_NE(host, nullptr);
+
+  ScheduleRequestList schedule;
+  MasterSchedule master;
+  master.mappings.push_back(
+      ObjectMapping{demanding->loid(), object->host(), object->vault(), ""});
+  schedule.masters.push_back(master);
+  Await<ScheduleFeedback> feedback;
+  world_.enactor->MakeReservations(schedule, feedback.Sink());
+  world_.Run();
+  ASSERT_TRUE(feedback.Ready() && feedback.Get().ok());
+  ASSERT_TRUE(feedback.Get()->success);
+  const std::uint64_t enactor_serial = feedback.Get()->tokens.front().serial;
+  const ReservationRecord* by_enactor =
+      host->reservations().Find(enactor_serial);
+  // The host mints serials in order, so mode (a)'s hold came before.
+  const ReservationRecord* by_app = nullptr;
+  for (std::uint64_t serial = 1; serial < enactor_serial; ++serial) {
+    const ReservationRecord* record = host->reservations().Find(serial);
+    if (record != nullptr && record->requester == app->loid()) by_app = record;
+  }
+  ASSERT_NE(by_app, nullptr);
+  ASSERT_NE(by_enactor, nullptr);
+  EXPECT_EQ(by_app->memory_mb, 96u);
+  EXPECT_EQ(by_app->memory_mb, by_enactor->memory_mb);
+  EXPECT_DOUBLE_EQ(by_app->cpu_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(by_app->cpu_fraction, by_enactor->cpu_fraction);
+  EXPECT_EQ(by_app->token.duration, by_enactor->token.duration);
+  EXPECT_EQ(by_app->token.confirm_timeout, by_enactor->token.confirm_timeout);
+  EXPECT_EQ(by_app->token.type, by_enactor->token.type);
+}
+
 TEST_F(LayeringTest, PlusRmDelegatesNegotiationToEnactor) {
   world_.kernel.metrics().Reset();
   PlacementTrace trace = Place(Layering::kApplicationPlusRm);

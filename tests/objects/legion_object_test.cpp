@@ -85,21 +85,6 @@ TEST(LegionObjectTest, OprRoundTripsAttributesAndBody) {
   EXPECT_EQ(restored.attributes().Get("colour")->as_string(), "blue");
 }
 
-TEST(LegionObjectTest, OprSerializedFormRoundTrips) {
-  SimKernel kernel;
-  CounterObject original(&kernel, ObjLoid());
-  original.counter = 7;
-  original.mutable_attributes().Set("x", 1);
-  const Opr opr = original.SaveState();
-  auto bytes = opr.Serialize();
-  auto decoded = Opr::Deserialize(bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->object, opr.object);
-  EXPECT_EQ(decoded->class_loid, opr.class_loid);
-  EXPECT_EQ(decoded->body, opr.body);
-  EXPECT_EQ(decoded->attributes.Get("x")->as_int(), 1);
-}
-
 TEST(LegionObjectTest, RestoreRejectsWrongIdentity) {
   SimKernel kernel;
   CounterObject a(&kernel, ObjLoid());

@@ -485,6 +485,40 @@ TEST_F(HostObjectTest, ReactivateRestoresFromVault) {
   EXPECT_EQ(world_.hosts[1]->running_count(), 1u);
 }
 
+TEST_F(HostObjectTest, ReactivationHonorsLocalPolicy) {
+  // A returning object holds no token, so the target's policy judges it
+  // exactly as it judges a token-less start of the object's class.
+  HostObject* target = world_.hosts[1];
+  target->SetPolicy(std::make_unique<DomainRefusalPolicy>(
+      std::vector<std::uint32_t>{klass_->loid().domain()}));
+  Await<std::vector<Loid>> refused_start;
+  target->StartObject(StartRequest(1), refused_start.Sink());
+  ASSERT_TRUE(refused_start.Ready());
+  EXPECT_EQ(refused_start.Get().code(), ErrorCode::kRefused);
+
+  Await<std::vector<Loid>> started;
+  host_->StartObject(StartRequest(1), started.Sink());
+  const Loid instance = started.Get()->front();
+  Await<bool> deactivated;
+  host_->DeactivateObject(instance, deactivated.Sink());
+  world_.Run();
+  ASSERT_TRUE(*deactivated.Get());
+
+  const std::uint64_t started_before = target->objects_started();
+  Await<bool> reactivated;
+  target->ReactivateObject(instance, vault_->loid(), reactivated.Sink());
+  world_.Run();
+  ASSERT_TRUE(reactivated.Ready());
+  EXPECT_EQ(reactivated.Get().code(), ErrorCode::kRefused);
+  EXPECT_EQ(target->running_count(), 0u);
+  EXPECT_EQ(target->objects_started(), started_before);
+  auto* object =
+      dynamic_cast<LegionObject*>(world_.kernel.FindActor(instance));
+  ASSERT_NE(object, nullptr);
+  EXPECT_EQ(object->state(), ObjectState::kInactive);
+  EXPECT_EQ(vault_->stored_count(), 1u);
+}
+
 TEST_F(HostObjectTest, FinishObjectFreesResources) {
   Await<std::vector<Loid>> started;
   host_->StartObject(StartRequest(1), started.Sink());
