@@ -4,7 +4,7 @@
 Usage (from anywhere inside the repository):
 
   scripts/perf_pairs.py <base-ref> --workload placement --seeds 1-10 \\
-      [--work-dir DIR]
+      [--trace] [--work-dir DIR]
 
 Exports <base-ref> with `git archive` (as scripts/artifact_oracle.sh does)
 and, for every seed, runs
@@ -24,10 +24,16 @@ metric whose change median is worse than the parent's by more than its
 range (too small to tell from noise), and every seed whose simulated
 metrics or fingerprint differ between the trees.
 
+With --trace the runs use --trace 1 instead, and the same table covers
+every per_layer metric (these have no bound, and the simulated-results
+check compares fingerprints only), so a per-layer claim rests on several
+seeds rather than one traced run.
+
 Seeds are a list of numbers and ranges, e.g. 1-10 or 4,6,9-11.  With
 --work-dir the export, its build tree and a pairs-<workload>.json of every
-run are kept there (a rerun rebuilds incrementally); without it a
-temporary directory is used and removed.
+run (pairs-<workload>-trace.json with --trace) are kept there (a rerun
+rebuilds incrementally); without it a temporary directory is used and
+removed.
 
 Exit status: 0 when every run is correct, 1 if any run reports
 `correct: false`, 2 on usage, export or run errors.  Flags do not change
@@ -105,9 +111,10 @@ def sim_metric_names(spec):
             if module.KIND.get(m["name"]) == "sim"]
 
 
-def run_once(tree, workload, seed):
+def run_once(tree, workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace",
+           str(int(trace))]
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
@@ -141,12 +148,13 @@ def worse_by(base, change, better):
     return delta / abs(base)
 
 
-def summarize(spec, workload, pairs):
+def summarize(metrics, workload, pairs):
     print(f"\n== {workload}: {len(pairs)} pairs, medians with quartiles "
           f"[q1-q3] ==")
-    print(f"{'metric':22s} {'parent':28s} {'change':28s} {'ratio':>7s} "
+    width = max(len(metric["name"]) for metric in metrics)
+    print(f"{'metric':{width}s} {'parent':32s} {'change':32s} {'ratio':>7s} "
           f"{'won':>6s}  flags")
-    for metric in spec["end_to_end"]:
+    for metric in metrics:
         name, better = metric["name"], metric["better"]
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
@@ -156,13 +164,14 @@ def summarize(spec, workload, pairs):
                   for b, c in zip(base, change))
         ratio = c2 / b2 if b2 != 0 else float("nan")
         flags = []
-        if worse_by(b2, c2, better) > metric["bound"]:
+        if "bound" in metric and worse_by(b2, c2, better) > metric["bound"]:
             flags.append(f"WORSE beyond bound {metric['bound']}")
         if c2 != b2 and abs(c2 - b2) <= b3 - b1:
             flags.append("shift within parent IQR")
-        print(f"{name:22s} " + f"{b2:.4g} [{b1:.4g}-{b3:.4g}]".ljust(28) +
-              " " + f"{c2:.4g} [{c1:.4g}-{c3:.4g}]".ljust(28) +
-              f" {ratio:7.3f} {won:3d}/{len(pairs):<2d}  " + "; ".join(flags))
+        parent = f"{b2:.4g} [{b1:.4g}-{b3:.4g}]"
+        changed = f"{c2:.4g} [{c1:.4g}-{c3:.4g}]"
+        print(f"{name:{width}s} {parent:32s} {changed:32s} {ratio:7.3f} "
+              f"{won:3d}/{len(pairs):<2d}  " + "; ".join(flags))
 
 
 def main():
@@ -174,13 +183,19 @@ def main():
     parser.add_argument("--workload", required=True,
                         choices=("soak", "placement", "negotiate"))
     parser.add_argument("--seeds", default="1-10")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and compare the per_layer metrics")
     parser.add_argument("--work-dir")
     args = parser.parse_args()
     seeds = parse_seeds(args.seeds)
 
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    sim_names = sim_metric_names(spec)
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    # A traced run reports no end_to_end metric; its fingerprint remains.
+    sim_names = [] if args.trace else sim_metric_names(spec)
+    wall_names = (("kernel.self_s", "handler.msg_s") if args.trace else
+                  ("wall_s_per_sim_h", "wall_us_per_mapping"))
 
     if args.work_dir:
         work = os.path.abspath(args.work_dir)
@@ -198,7 +213,8 @@ def main():
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed)
+                pair[side] = run_once(trees[side], args.workload, seed,
+                                      args.trace)
                 if not pair[side]["correct"]:
                     incorrect += 1
                     print(f"seed {seed}: {side} run reports correct: false")
@@ -206,8 +222,7 @@ def main():
             walls = "  ".join(
                 f"{name} {pair['base']['metrics'][name]['value']:.4g} -> "
                 f"{pair['change']['metrics'][name]['value']:.4g}"
-                for name in ("wall_s_per_sim_h", "wall_us_per_mapping")
-                if name in pair["base"]["metrics"])
+                for name in wall_names if name in pair["base"]["metrics"])
             print(f"seed {seed} ({order[0]} first): {walls}", flush=True)
             differing = [n for n in sim_names
                          if pair["base"]["metrics"][n]["value"] !=
@@ -218,10 +233,11 @@ def main():
                 print(f"  FLAG seed {seed}: simulated results differ: "
                       + ", ".join(differing))
         if args.work_dir:
-            path = os.path.join(work, f"pairs-{args.workload}.json")
+            suffix = "-trace" if args.trace else ""
+            path = os.path.join(work, f"pairs-{args.workload}{suffix}.json")
             with open(path, "w") as f:
                 json.dump(pairs, f, indent=1)
-        summarize(spec, args.workload, pairs)
+        summarize(metrics, args.workload, pairs)
     finally:
         if cleanup:
             shutil.rmtree(cleanup, ignore_errors=True)

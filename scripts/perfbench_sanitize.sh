@@ -6,7 +6,8 @@
 # then each workload runs once, traced:
 #   perfbench --workload W --seed 7 --seconds 1 --trace 1
 # A `negotiate` round at this size drives thousands of event cancels
-# through slot reuse and tombstone drops, more than any unit test.
+# through slot reuse, stale-entry skips and bucket compaction, more than
+# any unit test.
 # The script fails on a sanitizer report, a non-zero exit, or a non-empty
 # `violations` list in a workload's JSON line.
 # Usage: scripts/perfbench_sanitize.sh [build-dir]

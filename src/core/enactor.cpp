@@ -257,20 +257,16 @@ void EnactorObject::RequestMissing(const std::shared_ptr<Negotiation>& n) {
   // Open breakers still fail per index -- batching never widens the
   // granularity of the health machinery.
   std::vector<std::pair<Loid, std::vector<std::size_t>>> groups;
+  std::unordered_map<Loid, std::size_t> group_of;  // host -> groups index
   for (std::size_t index : missing) {
     const Loid& host = n->current[index].host;
     if (options_.use_health && !health_.Healthy(host)) {
       FailIndexFast(n, index);
       continue;
     }
-    auto it = std::find_if(
-        groups.begin(), groups.end(),
-        [&host](const auto& group) { return group.first == host; });
-    if (it == groups.end()) {
-      groups.emplace_back(host, std::vector<std::size_t>{index});
-    } else {
-      it->second.push_back(index);
-    }
+    const auto [it, first] = group_of.try_emplace(host, groups.size());
+    if (first) groups.emplace_back(host, std::vector<std::size_t>{});
+    groups[it->second].second.push_back(index);
   }
   for (auto& [host, indices] : groups) {
     // Chunks after the first wait for their predecessor's reply

@@ -114,6 +114,14 @@ void ApplicationCoordinator::PlaceDoesAll(const PlacementRequest& request,
 void ApplicationCoordinator::NegotiateAndInstantiate(
     std::vector<ObjectMapping> mappings, SimTime started,
     Callback<PlacementTrace> done) {
+  if (mappings.empty()) {
+    // No reservation would go out, so no reply would ever answer: fail at
+    // once, as mode (b) does when the Enactor rejects the empty master.
+    PlacementTrace trace;
+    trace.latency = kernel()->Now() - started;
+    done(std::move(trace));
+    return;
+  }
   struct State {
     std::vector<ObjectMapping> mappings;
     std::vector<ReservationToken> tokens;

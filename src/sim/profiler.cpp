@@ -6,14 +6,18 @@ namespace legion {
 
 void KernelProfiler::RecordHandler(const char* label, Duration queue_lag,
                                    std::int64_t wall_us) {
-  ProfileEntry& entry = entries_[label];
+  ProfileEntry*& cached = handler_entries_[label];
+  if (cached == nullptr) cached = &entries_[label];
+  ProfileEntry& entry = *cached;
   ++entry.count;
   entry.queue_us += queue_lag.micros();
   entry.wall_us += wall_us;
 }
 
 void KernelProfiler::RecordRpc(const char* op, Duration sim_latency) {
-  ProfileEntry& entry = entries_[std::string("rpc/") + op];
+  ProfileEntry*& cached = rpc_entries_[op];
+  if (cached == nullptr) cached = &entries_[std::string("rpc/") + op];
+  ProfileEntry& entry = *cached;
   ++entry.count;
   entry.sim_busy_us += sim_latency.micros();
 }
@@ -47,6 +51,8 @@ std::string KernelProfiler::ToJson() const {
 
 void KernelProfiler::Reset() {
   entries_.clear();
+  handler_entries_.clear();
+  rpc_entries_.clear();
   queue_depth_high_water_ = 0;
   rpc_inflight_ = 0;
   rpc_inflight_high_water_ = 0;

@@ -1,7 +1,6 @@
 // The kernel profiler: event accounting by (component, handler kind).
 //
-// ROADMAP item 3 (million-object kernel) needs to know where events go
-// before the queue can be replaced: how many handler executions each
+// It says where the kernel's events go: how many handler executions each
 // component causes, how long events of each kind sit in the queue
 // (sim-time occupancy), how much wall time each handler class burns, and
 // how deep the event queue / RPC in-flight window get.  The kernel feeds
@@ -17,13 +16,16 @@
 // caller opts into real time.
 //
 // Cost model: like the TraceLog.  enabled() is an inline flag test, so a
-// disabled profiler costs one predictable branch per event.
+// disabled profiler costs one predictable branch per event.  An enabled
+// one finds an entry by its label's static pointer, without building a
+// string, after the label's first use.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "base/sim_time.h"
 
@@ -86,6 +88,11 @@ class KernelProfiler {
  private:
   bool enabled_ = false;
   std::map<std::string, ProfileEntry> entries_;
+  // entries_ nodes by the static label (handlers) or op (RPCs) that first
+  // reached them; std::map nodes never move, so these stay valid until
+  // Reset clears all three.
+  std::unordered_map<const char*, ProfileEntry*> handler_entries_;
+  std::unordered_map<const char*, ProfileEntry*> rpc_entries_;
   std::size_t queue_depth_high_water_ = 0;
   std::size_t rpc_inflight_ = 0;
   std::size_t rpc_inflight_high_water_ = 0;

@@ -185,5 +185,31 @@ TEST_F(LayeringTest, DoesAllReleasesGrantedHoldsWhenAnyHostRefuses) {
   }
 }
 
+// No instance, so no reservation goes out: the placement must still be
+// answered, as a failure (mode (b)'s answer for an empty master), with
+// neither a hang nor an RPC timeout.
+void ExpectEmptyPlacementFailsAtOnce(const PlacementTrace& trace,
+                                     const SimKernel& kernel) {
+  EXPECT_FALSE(trace.success);
+  EXPECT_EQ(trace.instances_started, 0u);
+  EXPECT_GT(trace.latency, Duration::Zero());
+  EXPECT_LT(trace.latency, Duration::Seconds(1));
+  EXPECT_EQ(Count(kernel, "rpcs_timed_out", "kernel"), 0u);
+}
+
+TEST_F(LayeringTest, DoesAllAnswersAnEmptyPlacement) {
+  world_.kernel.metrics().Reset();
+  ExpectEmptyPlacementFailsAtOnce(Place(Layering::kApplicationDoesAll, 0),
+                                  world_.kernel);
+}
+
+TEST_F(LayeringTest, CombinedAnswersAnEmptyPlacement) {
+  // The combined module runs mode (a) remotely; its caller must get that
+  // answer back, not its own RPC timeout.
+  world_.kernel.metrics().Reset();
+  ExpectEmptyPlacementFailsAtOnce(Place(Layering::kCombinedModule, 0),
+                                  world_.kernel);
+}
+
 }  // namespace
 }  // namespace legion

@@ -143,7 +143,7 @@ struct OnDestroy {
 };
 
 // The destructor of a dropped closure schedules enough events to grow the
-// slot table and cancels enough to rebuild the heap, all while the queue
+// slot table and cancels enough to compact the buckets, all while the queue
 // is inside Cancel (or just after Pop).  Order and size must survive.
 void ReenterFromDestructor(bool through_cancel) {
   EventQueue q;
@@ -188,8 +188,13 @@ TEST(EventQueueTest, PoppedClosureDestructorMayReenter) {
 }
 
 // Differential test against a reference model: a std::set of (when, seq)
-// for the live events.  Phases of heavy cancellation make stale keys
-// outnumber live ones many times over, so the heap rebuild runs often.
+// for the live events.  Times range from the current instant to four
+// hours ahead, so entries reach the high buckets, and many share an
+// instant with an earlier entry, so same-instant order must survive every
+// re-placement.  A NextTime is often followed by a Schedule before the
+// time it returned, which lowers the floor again.  Phases of heavy
+// cancellation make stale entries outnumber live ones many times over, so
+// compaction runs often.
 TEST(EventQueueTest, MatchesReferenceModel) {
   using Key = std::pair<std::int64_t, int>;  // (when, seq)
   EventQueue q;
@@ -203,9 +208,7 @@ TEST(EventQueueTest, MatchesReferenceModel) {
   std::vector<int> ran;
   int next_seq = 0;
   std::int64_t now = 0;
-  auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng() % n);
-  };
+  auto pick = [&rng](std::uint64_t n) { return rng() % n; };
   auto forget = [&](EventId id) {
     const std::size_t pos = live.at(id).second;
     live.at(live_ids.back()).second = pos;
@@ -213,22 +216,36 @@ TEST(EventQueueTest, MatchesReferenceModel) {
     live_ids.pop_back();
     live.erase(id);
   };
+  auto schedule = [&](std::int64_t when) {
+    const Key key{when, next_seq++};
+    EventId id = q.Schedule(SimTime(key.first), [&ran, seq = key.second] {
+      ran.push_back(seq);
+    });
+    ASSERT_NE(id, kInvalidEventId);
+    ASSERT_EQ(live.count(id), 0u);
+    live[id] = {key, live_ids.size()};
+    live_ids.push_back(id);
+    id_of_seq[key.second] = id;
+    model.insert(key);
+    issued.push_back(id);
+  };
+  std::size_t lowered = 0;
   for (int op = 0; op < 200000; ++op) {
     // Alternate build-up and drain phases of 5000 operations.
     const bool drain = (op / 5000) % 2 == 1;
     const std::size_t roll = pick(100);
     if (roll < (drain ? 10u : 60u)) {
-      const Key key{now + static_cast<std::int64_t>(pick(5000)), next_seq++};
-      EventId id = q.Schedule(SimTime(key.first), [&ran, seq = key.second] {
-        ran.push_back(seq);
-      });
-      ASSERT_NE(id, kInvalidEventId);
-      ASSERT_EQ(live.count(id), 0u);
-      live[id] = {key, live_ids.size()};
-      live_ids.push_back(id);
-      id_of_seq[key.second] = id;
-      model.insert(key);
-      issued.push_back(id);
+      const std::uint64_t kind = pick(10);
+      if (kind < 2) {
+        schedule(now);  // the current instant
+      } else if (kind < 3 && !live_ids.empty()) {
+        // The instant of a live event, which may sit in any bucket.
+        schedule(live.at(live_ids[pick(live_ids.size())]).first.first);
+      } else if (kind < 9) {
+        schedule(now + static_cast<std::int64_t>(pick(5000)));
+      } else {
+        schedule(now + static_cast<std::int64_t>(pick(4 * 3600000000ull)));
+      }
     } else if (roll < (drain ? 80u : 85u)) {
       // Mostly live ids, also ids that ran, were cancelled, or never were.
       EventId id;
@@ -264,10 +281,17 @@ TEST(EventQueueTest, MatchesReferenceModel) {
       const SimTime expected =
           model.empty() ? SimTime::Max() : SimTime(model.begin()->first);
       ASSERT_EQ(q.NextTime(), expected) << "op " << op;
+      // As the kernel may after RunUntil stops short of `expected`.
+      if (!model.empty() && expected.micros() > now && pick(2) == 0) {
+        const std::uint64_t gap = expected.micros() - now;
+        schedule(now + static_cast<std::int64_t>(pick(gap)));
+        ++lowered;
+      }
     }
     ASSERT_EQ(q.size(), model.size()) << "op " << op;
   }
   EXPECT_GT(ran.size(), 10000u);
+  EXPECT_GT(lowered, 500u);
 }
 
 }  // namespace

@@ -40,6 +40,24 @@ TEST(KernelTest, RunUntilStopsAtHorizon) {
   EXPECT_TRUE(late_ran);
 }
 
+TEST(KernelTest, ScheduleBetweenHorizonAndPendingEventRunsFirst) {
+  // RunUntil peeks at the event at 1000 and stops; the caller may then
+  // schedule anywhere from the horizon on, before that event too.
+  SimKernel kernel(QuietNet());
+  std::vector<int> order;
+  kernel.ScheduleAt(SimTime(100), [&] { order.push_back(0); });
+  kernel.ScheduleAt(SimTime(1000), [&] { order.push_back(3); });
+  kernel.ScheduleAt(SimTime(3600000000), [&] { order.push_back(5); });
+  kernel.RunUntil(SimTime(500));
+  EXPECT_EQ(kernel.Now(), SimTime(500));
+  kernel.ScheduleAt(SimTime(700), [&] { order.push_back(2); });
+  kernel.ScheduleAt(SimTime(500), [&] { order.push_back(1); });
+  kernel.ScheduleAt(SimTime(1000), [&] { order.push_back(4); });
+  kernel.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(kernel.Now(), SimTime(3600000000));
+}
+
 TEST(KernelTest, CancelScheduledEvent) {
   SimKernel kernel(QuietNet());
   bool ran = false;

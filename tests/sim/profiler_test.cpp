@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/kernel.h"
 
 namespace legion {
@@ -23,13 +25,17 @@ TEST(KernelProfiler, AccumulatesByLabel) {
   KernelProfiler profiler;
   profiler.Enable();
   profiler.RecordHandler("net/msg", Duration::Millis(5), 3);
-  profiler.RecordHandler("net/msg", Duration::Millis(7), 2);
+  // The same label at another address (a literal in another translation
+  // unit) accumulates into the same entry.
+  const std::string copy = "net/msg";
+  profiler.RecordHandler(copy.c_str(), Duration::Millis(7), 2);
   profiler.RecordHandler("enactor/backoff", Duration::Seconds(1), 0);
   const ProfileEntry* msg = profiler.Find("net/msg");
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(msg->count, 2u);
   EXPECT_EQ(msg->queue_us, 12000);
   EXPECT_EQ(msg->wall_us, 5);
+  EXPECT_EQ(profiler.entries().size(), 2u);
   const ProfileEntry* backoff = profiler.Find("enactor/backoff");
   ASSERT_NE(backoff, nullptr);
   EXPECT_EQ(backoff->queue_us, 1000000);
@@ -72,6 +78,15 @@ TEST(KernelProfiler, JsonIsDeterministicAndReset) {
   profiler.Reset();
   EXPECT_TRUE(profiler.entries().empty());
   EXPECT_EQ(profiler.queue_depth_high_water(), 0u);
+  // Labels seen before the reset start from fresh entries.
+  profiler.RecordHandler("a/first", Duration::Zero(), 0);
+  profiler.RecordRpc("make_reservation", Duration::Millis(1));
+  profiler.RecordRpc("make_reservation", Duration::Millis(2));
+  ASSERT_NE(profiler.Find("a/first"), nullptr);
+  EXPECT_EQ(profiler.Find("a/first")->count, 1u);
+  ASSERT_NE(profiler.Find("rpc/make_reservation"), nullptr);
+  EXPECT_EQ(profiler.Find("rpc/make_reservation")->sim_busy_us, 3000);
+  EXPECT_EQ(profiler.entries().size(), 2u);
 }
 
 // The profiler observes the kernel without perturbing it: same workload,
