@@ -102,15 +102,4 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * u * factor;
 }
 
-double Rng::Pareto(double scale, double alpha) {
-  assert(scale > 0.0 && alpha > 0.0);
-  double u;
-  do {
-    u = UniformDouble();
-  } while (u == 0.0);
-  return scale * std::pow(u, -1.0 / alpha);
-}
-
-Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }
-
 }  // namespace legion

@@ -39,9 +39,6 @@ class Rng {
   // Standard normal via polar Box-Muller (cached spare value).
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  // Pareto-ish heavy tail: scale * U^{-1/alpha}, used for job sizes.
-  double Pareto(double scale, double alpha);
-
   // Picks an index in [0, n); undefined for n == 0.
   std::size_t Index(std::size_t n) {
     return static_cast<std::size_t>(NextBelow(n));
@@ -56,9 +53,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  // Derives an independent child stream (for per-actor generators).
-  Rng Fork();
 
  private:
   std::uint64_t s_[4];

@@ -176,9 +176,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
   // acknowledged push does).  The root's refresh-pull target.
   DeltaBatch PendingDeltas() const;
 
-  bool is_federation_root() const { return !children_.empty(); }
-  const Loid& federation_parent() const { return parent_; }
-
   // ---- Administration ---------------------------------------------------------
   void AddTrustedUpdater(const Loid& agent);
   query::FunctionRegistry& functions() { return functions_; }

@@ -80,8 +80,6 @@ class HealthTracker {
   HealthOptions& options() { return options_; }
   const HealthOptions& options() const { return options_; }
 
-  std::size_t tracked_hosts() const { return hosts_.size(); }
-
  private:
   struct Breaker {
     int consecutive_failures = 0;

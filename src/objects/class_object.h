@@ -56,7 +56,6 @@ class ClassObject : public LegionObject, public ClassInterface {
   // ---- Default-placement knowledge ----------------------------------------
   // Resources the class may use when no external schedule is supplied.
   void SetKnownResources(std::vector<std::pair<Loid, Loid>> host_vault_pairs);
-  std::size_t known_resource_count() const { return known_resources_.size(); }
 
   // ---- Local placement policy ---------------------------------------------
   // The Class is the final authority: every directed placement passes this

@@ -60,7 +60,6 @@ class EventManager {
   OutcallId RegisterOutcall(const std::string& event_name,
                             std::function<void(const RgeEvent&)> outcall);
   bool RemoveOutcall(OutcallId id);
-  std::size_t outcall_count() const { return outcalls_.size(); }
 
   // Evaluates every trigger guard against `db`; dispatches outcalls for
   // each trigger that fires.  Returns the number of events raised.

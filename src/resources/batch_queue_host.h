@@ -52,7 +52,6 @@ class BatchQueueHost : public HostObject {
 
   // Jobs whose reserved window expired before the queue started them.
   std::uint64_t reservation_conflicts() const { return reservation_conflicts_; }
-  std::size_t pending_job_count() const { return pending_jobs_.size(); }
 
  protected:
   // Admission hooks: the queue's veto and calendar registration apply to

@@ -99,7 +99,6 @@ class HostObject : public LegionObject, public HostInterface {
   // ---- State -----------------------------------------------------------------
   // Load as exported in "host_load": background + per-CPU object demand.
   double CurrentLoad() const;
-  double background_load() const { return load_model_.current(); }
   // Compute rate an object sees given current multiplexing.
   double EffectiveSpeedPerObject() const;
   std::size_t running_count() const { return running_.size(); }

@@ -25,6 +25,23 @@ std::optional<DomainId> NetworkModel::DomainOf(const Loid& loid) const {
   return it->second;
 }
 
+NetworkModel::PathCost NetworkModel::Path(DomainId a, DomainId b,
+                                          std::size_t bytes) const {
+  const bool cross = a != b;
+  PathCost path;
+  path.base =
+      cross ? params_.inter_domain_latency : params_.intra_domain_latency;
+  if (cross) {
+    auto it = pair_latency_.find(PairKey(a, b));
+    if (it != pair_latency_.end()) path.base = it->second;
+  }
+  const double bandwidth = cross ? params_.inter_domain_bandwidth_bps
+                                 : params_.intra_domain_bandwidth_bps;
+  path.transfer = Duration::Seconds(static_cast<double>(bytes) * 8.0 /
+                                    std::max(bandwidth, 1.0));
+  return path;
+}
+
 Duration NetworkModel::HealthyPathLatency(const Loid& from, const Loid& to,
                                           std::size_t bytes) const {
   auto from_it = endpoints_.find(from);
@@ -33,33 +50,8 @@ Duration NetworkModel::HealthyPathLatency(const Loid& from, const Loid& to,
       from == to) {
     return Duration::Zero();
   }
-  const DomainId da = from_it->second;
-  const DomainId db = to_it->second;
-  const bool cross = da != db;
-  Duration base =
-      cross ? params_.inter_domain_latency : params_.intra_domain_latency;
-  if (cross) {
-    auto it = pair_latency_.find(PairKey(da, db));
-    if (it != pair_latency_.end()) base = it->second;
-  }
-  const double bandwidth = cross ? params_.inter_domain_bandwidth_bps
-                                 : params_.intra_domain_bandwidth_bps;
-  return base + Duration::Seconds(static_cast<double>(bytes) * 8.0 /
-                                  std::max(bandwidth, 1.0));
-}
-
-std::optional<Duration> NetworkModel::ExpectedLatency(const Loid& from,
-                                                      const Loid& to,
-                                                      std::size_t bytes,
-                                                      SimTime at) const {
-  auto from_it = endpoints_.find(from);
-  auto to_it = endpoints_.find(to);
-  if (from_it != endpoints_.end() && to_it != endpoints_.end() &&
-      from_it->second != to_it->second &&
-      Partitioned(from_it->second, to_it->second, at)) {
-    return std::nullopt;
-  }
-  return HealthyPathLatency(from, to, bytes);
+  const PathCost path = Path(from_it->second, to_it->second, bytes);
+  return path.base + path.transfer;
 }
 
 void NetworkModel::SetPairLatency(DomainId a, DomainId b, Duration latency) {
@@ -107,20 +99,11 @@ std::optional<Duration> NetworkModel::Latency(const Loid& from, const Loid& to,
     return std::nullopt;
   }
 
-  Duration base = cross ? params_.inter_domain_latency
-                        : params_.intra_domain_latency;
-  if (cross) {
-    auto it = pair_latency_.find(PairKey(da, db));
-    if (it != pair_latency_.end()) base = it->second;
-  }
-  double bandwidth = cross ? params_.inter_domain_bandwidth_bps
-                           : params_.intra_domain_bandwidth_bps;
-  Duration transfer = Duration::Seconds(
-      static_cast<double>(bytes) * 8.0 / std::max(bandwidth, 1.0));
+  const PathCost path = Path(da, db, bytes);
   Duration jitter = Duration::Zero();
   if (params_.jitter_fraction > 0.0) {
-    jitter = base * rng_.Uniform(-params_.jitter_fraction,
-                                 params_.jitter_fraction);
+    jitter = path.base * rng_.Uniform(-params_.jitter_fraction,
+                                      params_.jitter_fraction);
   }
   Duration queue_delay = Duration::Zero();
   if (params_.serialize_uplink) {
@@ -131,9 +114,9 @@ std::optional<Duration> NetworkModel::Latency(const Loid& from, const Loid& to,
     SimTime& uplink_free = uplink_free_[from];
     const SimTime depart = std::max(uplink_free, now);
     queue_delay = depart - now;
-    uplink_free = depart + transfer;
+    uplink_free = depart + path.transfer;
   }
-  Duration total = queue_delay + transfer + base + jitter;
+  Duration total = queue_delay + path.transfer + path.base + jitter;
   if (total < Duration::Zero()) total = Duration::Zero();
   return total;
 }

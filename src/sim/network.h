@@ -72,17 +72,10 @@ class NetworkModel {
   std::optional<Duration> Latency(const Loid& from, const Loid& to,
                                   std::size_t bytes, SimTime now);
 
-  // Deterministic expected delivery latency at time `at` (no jitter, no
-  // loss draw, no counters, no uplink queueing); used by rankers and
-  // analytic models.  Partition-aware, unlike the healthy-path variant
-  // below: a pair partitioned at `at` has no expected latency, so
-  // callers cannot score an unreachable host by its healthy-path ETA.
-  std::optional<Duration> ExpectedLatency(const Loid& from, const Loid& to,
-                                          std::size_t bytes, SimTime at) const;
-
-  // Healthy-path estimate ignoring transient partitions: long-horizon
-  // analytics (e.g. the workload executor's makespan model) where any
-  // partition active right now will have healed.
+  // Healthy-path estimate: base latency plus transfer time, with no
+  // jitter, loss draw, partition, uplink queueing or counters.  For
+  // long-horizon analytics (the workload executor's makespan model),
+  // where any partition active right now will have healed.
   Duration HealthyPathLatency(const Loid& from, const Loid& to,
                               std::size_t bytes) const;
 
@@ -103,6 +96,13 @@ class NetworkModel {
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
   bool Partitioned(DomainId a, DomainId b, SimTime now) const;
+  // The base latency between two domains (a pair override wins) and the
+  // time `bytes` take over their link.
+  struct PathCost {
+    Duration base;
+    Duration transfer;
+  };
+  PathCost Path(DomainId a, DomainId b, std::size_t bytes) const;
 
   NetworkParams params_;
   Rng rng_;

@@ -2,22 +2,6 @@
 
 namespace legion {
 
-ApplicationSpec MakeBagOfTasks(std::size_t tasks, double mean_work_mips_s,
-                               Rng& rng) {
-  ApplicationSpec spec;
-  spec.name = "bag-of-tasks";
-  spec.instances = tasks;
-  spec.iterations = 1;
-  spec.work.reserve(tasks);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    // Bounded Pareto: heavy tail without the occasional absurd outlier.
-    double w = rng.Pareto(mean_work_mips_s * 0.4, 1.5);
-    if (w > mean_work_mips_s * 20.0) w = mean_work_mips_s * 20.0;
-    spec.work.push_back(w);
-  }
-  return spec;
-}
-
 ApplicationSpec MakeParameterStudy(std::size_t points,
                                    double work_mips_s_per_point) {
   ApplicationSpec spec;
@@ -49,23 +33,6 @@ ApplicationSpec MakeStencil2D(std::size_t rows, std::size_t cols,
         spec.edges.push_back({cell(r, c + 1), cell(r, c), halo_bytes});
       }
     }
-  }
-  return spec;
-}
-
-ApplicationSpec MakeMasterWorker(std::size_t workers,
-                                 double work_mips_s_per_worker,
-                                 std::size_t message_bytes,
-                                 std::size_t iterations) {
-  ApplicationSpec spec;
-  spec.name = "master-worker";
-  spec.instances = workers + 1;
-  spec.iterations = iterations;
-  spec.work.assign(spec.instances, work_mips_s_per_worker);
-  spec.work[0] = work_mips_s_per_worker * 0.1;  // the master mostly waits
-  for (std::size_t w = 1; w <= workers; ++w) {
-    spec.edges.push_back({0, w, message_bytes});
-    spec.edges.push_back({w, 0, message_bytes});
   }
   return spec;
 }

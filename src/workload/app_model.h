@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "base/rng.h"
 #include "base/sim_time.h"
 
 namespace legion {
@@ -45,11 +44,6 @@ struct ApplicationSpec {
   }
 };
 
-// A bag of independent tasks (no communication); work drawn from a heavy
-// tail to exercise load balancing.
-ApplicationSpec MakeBagOfTasks(std::size_t tasks, double mean_work_mips_s,
-                               Rng& rng);
-
 // A parameter-space study: n identical independent runs.
 ApplicationSpec MakeParameterStudy(std::size_t points,
                                    double work_mips_s_per_point);
@@ -59,12 +53,5 @@ ApplicationSpec MakeParameterStudy(std::size_t points,
 ApplicationSpec MakeStencil2D(std::size_t rows, std::size_t cols,
                               double work_mips_s_per_cell,
                               std::size_t halo_bytes, std::size_t iterations);
-
-// A master/worker pipeline: instance 0 scatters to and gathers from all
-// workers each iteration.
-ApplicationSpec MakeMasterWorker(std::size_t workers,
-                                 double work_mips_s_per_worker,
-                                 std::size_t message_bytes,
-                                 std::size_t iterations);
 
 }  // namespace legion

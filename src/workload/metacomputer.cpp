@@ -156,20 +156,6 @@ ClassObject* Metacomputer::MakeClass(
       std::move(implementations));
   kernel_->network().RegisterEndpoint(klass->loid(), 0);
   klass->SetInstanceRequirements(memory_mb, cpu_fraction);
-  // Default-placement knowledge: every (host, first compatible vault).
-  std::vector<std::pair<Loid, Loid>> known;
-  for (HostObject* host : hosts_) {
-    if (host->spec().domain < config_.domains &&
-        !vaults_.empty()) {
-      // first vault of the host's domain
-      const std::size_t base =
-          host->spec().domain * config_.vaults_per_domain;
-      if (base < vaults_.size()) {
-        known.emplace_back(host->loid(), vaults_[base]->loid());
-      }
-    }
-  }
-  klass->SetKnownResources(std::move(known));
   return klass;
 }
 

@@ -84,6 +84,11 @@ class Metacomputer {
   HostObject* FindHost(const Loid& loid) const;
   VaultObject* FindVault(const Loid& loid) const;
 
+  // Classes made here know no resources of their own: every placement
+  // comes from a Scheduler through the Enactor, so create_instance always
+  // carries a suggestion, and a class asked for its default placement
+  // answers kNoResources.
+  //
   // Creates a class whose implementations cover every platform in the
   // topology (so every host matches).
   ClassObject* MakeUniversalClass(const std::string& name,

@@ -32,6 +32,12 @@ void WorkloadSession::ScopeToDomain(DomainId domain) {
 }
 
 void WorkloadSession::Submit(const ApplicationSpec& app) {
+  Submit(app, metacomputer_->MakeUniversalClass(
+                  app.name + "#" + std::to_string(results_.size()),
+                  app.memory_mb_per_instance, app.cpu_fraction_per_instance));
+}
+
+void WorkloadSession::Submit(const ApplicationSpec& app, ClassObject* klass) {
   SimKernel* kernel = metacomputer_->kernel();
   const std::size_t app_index = results_.size();
   SessionAppResult result;
@@ -40,22 +46,20 @@ void WorkloadSession::Submit(const ApplicationSpec& app) {
   results_.push_back(result);
   offered_cell_->Add();
 
-  ClassObject* klass = metacomputer_->MakeUniversalClass(
-      app.name + "#" + std::to_string(app_index),
-      app.memory_mb_per_instance, app.cpu_fraction_per_instance);
   scheduler_->ScheduleAndEnact(
       {{klass->loid(), app.instances}}, RunOptions{2, 2},
-      [this, app_index, app](Result<RunOutcome> outcome) {
+      [this, app_index, app, klass](Result<RunOutcome> outcome) {
         if (!outcome.ok() || !outcome->success) return;  // rejected
         placed_cell_->Add();
         results_[app_index].placed = true;
         results_[app_index].placed_at = metacomputer_->kernel()->Now();
-        RunApplication(app_index, app, *outcome);
+        RunApplication(app_index, app, klass, *outcome);
       });
 }
 
 void WorkloadSession::RunApplication(std::size_t app_index,
                                      const ApplicationSpec& app,
+                                     ClassObject* klass,
                                      const RunOutcome& outcome) {
   SimKernel* kernel = metacomputer_->kernel();
   // Execution time under the placement, measured with the hosts in their
@@ -75,11 +79,12 @@ void WorkloadSession::RunApplication(std::size_t app_index,
   }
   kernel->ScheduleAfter(
       breakdown.makespan,
-      [this, app_index, instance_hosts] {
+      [this, app_index, klass, instance_hosts] {
         for (const auto& [instance, host_loid] : instance_hosts) {
           if (auto* host = metacomputer_->FindHost(host_loid)) {
             host->FinishObject(instance);
           }
+          klass->ForgetInstance(instance);
         }
         results_[app_index].finished_at = metacomputer_->kernel()->Now();
         completed_cell_->Add();
@@ -87,12 +92,17 @@ void WorkloadSession::RunApplication(std::size_t app_index,
       });
 }
 
-void WorkloadSession::SubmitAt(const ApplicationSpec& app,
-                               const std::vector<SimTime>& arrivals) {
+ClassObject* WorkloadSession::SubmitAt(const ApplicationSpec& app,
+                                       const std::vector<SimTime>& arrivals) {
+  // No class is ever removed: under loss, a rejected app's class can
+  // still have a StartObject call in flight whose continuation uses it.
+  ClassObject* klass = metacomputer_->MakeUniversalClass(
+      app.name, app.memory_mb_per_instance, app.cpu_fraction_per_instance);
   SimKernel* kernel = metacomputer_->kernel();
   for (const SimTime& when : arrivals) {
-    kernel->ScheduleAt(when, [this, app] { Submit(app); });
+    kernel->ScheduleAt(when, [this, app, klass] { Submit(app, klass); });
   }
+  return klass;
 }
 
 SessionStats WorkloadSession::Stats(Duration horizon) const {

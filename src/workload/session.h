@@ -48,14 +48,16 @@ class WorkloadSession {
   // metacomputer's Collection/Enactor).
   WorkloadSession(Metacomputer* metacomputer, SchedulerObject* scheduler);
 
-  // Submits one application at the current simulated time.  The class
-  // is created on the fly; instances run work[i] MIPS-seconds and then
-  // finish (their hosts are told via FinishObject).
+  // Submits one application at the current simulated time, under a
+  // class made for it alone.  Instances run work[i] MIPS-seconds and
+  // then finish (their hosts are told via FinishObject).
   void Submit(const ApplicationSpec& app);
 
-  // Schedules `count` submissions of `app` at the given arrival times.
-  void SubmitAt(const ApplicationSpec& app,
-                const std::vector<SimTime>& arrivals);
+  // Submits `app` once at each arrival time.  The whole stream shares
+  // one class, made now and returned.  A finished app's instances leave
+  // the class's registry, so the class lists only running instances.
+  ClassObject* SubmitAt(const ApplicationSpec& app,
+                        const std::vector<SimTime>& arrivals);
 
   const std::vector<SessionAppResult>& results() const { return results_; }
   SessionStats Stats(Duration horizon) const;
@@ -68,13 +70,13 @@ class WorkloadSession {
   void ScopeToDomain(DomainId domain);
 
  private:
+  void Submit(const ApplicationSpec& app, ClassObject* klass);
   void RunApplication(std::size_t app_index, const ApplicationSpec& app,
-                      const RunOutcome& outcome);
+                      ClassObject* klass, const RunOutcome& outcome);
 
   Metacomputer* metacomputer_;
   SchedulerObject* scheduler_;
   std::vector<SessionAppResult> results_;
-  std::uint64_t next_class_serial_ = 5000;
   // Registry cells ({component=session}); live mirrors of the counts
   // Stats() derives from results_.
   obs::Counter* offered_cell_ = nullptr;

@@ -95,31 +95,12 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
 }
 
-TEST(RngTest, ParetoAtLeastScale) {
-  Rng rng(29);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.Pareto(2.0, 1.5), 2.0);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(31);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
   auto sorted = v;
   rng.Shuffle(v);
   EXPECT_TRUE(std::is_permutation(v.begin(), v.end(), sorted.begin()));
-}
-
-TEST(RngTest, ForkIsIndependentButDeterministic) {
-  Rng a(41), b(41);
-  Rng fa = a.Fork(), fb = b.Fork();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(fa.Next(), fb.Next());
-  // Fork and parent streams differ.
-  Rng c(43);
-  Rng fc = c.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (c.Next() == fc.Next()) ++same;
-  }
-  EXPECT_LT(same, 5);
 }
 
 }  // namespace

@@ -123,49 +123,27 @@ TEST(NetworkTest, JitterStaysWithinFraction) {
   }
 }
 
-TEST(NetworkTest, ExpectedLatencyIsDeterministic) {
-  NetworkParams params = QuietParams();
-  params.jitter_fraction = 0.25;
-  NetworkModel net(params);
-  net.RegisterEndpoint(Endpoint(1), 0);
-  net.RegisterEndpoint(Endpoint(2), 1);
-  const auto first =
-      net.ExpectedLatency(Endpoint(1), Endpoint(2), 1024, SimTime::Zero());
-  ASSERT_TRUE(first.has_value());
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(
-        net.ExpectedLatency(Endpoint(1), Endpoint(2), 1024, SimTime::Zero()),
-        first);
-  }
-  EXPECT_GT(*first, Duration::Millis(29));
-}
-
-// Regression: ExpectedLatency used to ignore partitions entirely, so a
-// ranker could score a host by its healthy-path ETA while the pair was
-// unreachable.  It must agree with Latency's partition window.
-TEST(NetworkTest, ExpectedLatencyHonorsPartitions) {
+// The executor's makespan model asks for the healthy path: a partition
+// that is active now must not change the estimate, and asking is not
+// traffic (no counters, no loss draw).
+TEST(NetworkTest, HealthyPathLatencyIgnoresPartitions) {
   NetworkModel net(QuietParams());
   net.RegisterEndpoint(Endpoint(1), 0);
   net.RegisterEndpoint(Endpoint(2), 1);
-  net.AddPartition(0, 1, SimTime(1000), SimTime(2000));
-  EXPECT_TRUE(
-      net.ExpectedLatency(Endpoint(1), Endpoint(2), 0, SimTime(999))
-          .has_value());
-  EXPECT_FALSE(
-      net.ExpectedLatency(Endpoint(1), Endpoint(2), 0, SimTime(1000))
-          .has_value());
-  EXPECT_FALSE(
-      net.ExpectedLatency(Endpoint(2), Endpoint(1), 0, SimTime(1500))
-          .has_value());
-  EXPECT_TRUE(
-      net.ExpectedLatency(Endpoint(1), Endpoint(2), 0, SimTime(2000))
-          .has_value());
-  // The healthy-path variant deliberately ignores the window, and the
-  // estimate itself is unaffected: no counters, no loss draw.
+  net.AddPartition(0, 1, SimTime::Zero(), SimTime(2000));
   EXPECT_EQ(net.HealthyPathLatency(Endpoint(1), Endpoint(2), 0),
             Duration::Millis(30));
+  EXPECT_EQ(net.HealthyPathLatency(Endpoint(2), Endpoint(1), 0),
+            Duration::Millis(30));
+  // 12,500 bytes over the 10 Mbit/s WAN add 10 ms of transfer.
+  EXPECT_EQ(net.HealthyPathLatency(Endpoint(1), Endpoint(2), 12500),
+            Duration::Millis(40));
   EXPECT_EQ(net.messages_offered(), 0u);
   EXPECT_EQ(net.messages_partitioned(), 0u);
+  // A send inside the window is dropped all the same.
+  EXPECT_FALSE(
+      net.Latency(Endpoint(1), Endpoint(2), 0, SimTime(1000)).has_value());
+  EXPECT_EQ(net.messages_partitioned(), 1u);
 }
 
 TEST(NetworkTest, OfferedCounterCounts) {

@@ -17,21 +17,6 @@ TEST(AppModelTest, ParameterStudyShape) {
   EXPECT_DOUBLE_EQ(spec.total_work(), 5000.0);
 }
 
-TEST(AppModelTest, BagOfTasksIsHeavyTailedButBounded) {
-  Rng rng(5);
-  ApplicationSpec spec = MakeBagOfTasks(200, 100.0, rng);
-  EXPECT_EQ(spec.instances, 200u);
-  double min = 1e18, max = 0;
-  for (double w : spec.work) {
-    EXPECT_GT(w, 0.0);
-    EXPECT_LE(w, 100.0 * 20.0);
-    min = std::min(min, w);
-    max = std::max(max, w);
-  }
-  // Tails spread at least an order of magnitude.
-  EXPECT_GT(max / min, 10.0);
-}
-
 TEST(AppModelTest, Stencil2DHasFourNeighbourEdges) {
   ApplicationSpec spec = MakeStencil2D(3, 4, 100.0, 1024, 5);
   EXPECT_EQ(spec.instances, 12u);
@@ -64,16 +49,6 @@ TEST(AppModelTest, SingleCellStencilHasNoEdges) {
   ApplicationSpec spec = MakeStencil2D(1, 1, 100.0, 64, 3);
   EXPECT_EQ(spec.instances, 1u);
   EXPECT_TRUE(spec.edges.empty());
-}
-
-TEST(AppModelTest, MasterWorkerStar) {
-  ApplicationSpec spec = MakeMasterWorker(5, 200.0, 4096, 10);
-  EXPECT_EQ(spec.instances, 6u);
-  EXPECT_EQ(spec.edges.size(), 10u);  // scatter + gather per worker
-  EXPECT_LT(spec.work[0], spec.work[1]);  // master mostly waits
-  for (const CommEdge& edge : spec.edges) {
-    EXPECT_TRUE(edge.from == 0 || edge.to == 0);
-  }
 }
 
 }  // namespace

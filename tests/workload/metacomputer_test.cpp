@@ -4,8 +4,12 @@
 
 #include <set>
 
+#include "test_world.h"
+
 namespace legion {
 namespace {
+
+using testing::Await;
 
 NetworkParams QuietNet() {
   NetworkParams params;
@@ -132,6 +136,41 @@ TEST(MetacomputerTest, UniversalClassMatchesEveryHost) {
     }
     EXPECT_TRUE(matched) << host->spec().name;
   }
+}
+
+// A Metacomputer class carries no per-host state: it places only where
+// a suggestion (a schedule's mapping) says, and its own default
+// placement has nothing to try.
+TEST(MetacomputerTest, ClassesPlaceOnlyWhereASuggestionSays) {
+  SimKernel kernel(QuietNet());
+  MetacomputerConfig config;
+  config.domains = 2;
+  config.hosts_per_domain = 4;
+  config.seed = 5;
+  Metacomputer metacomputer(&kernel, config);
+  ClassObject* klass = metacomputer.MakeUniversalClass("app");
+
+  Await<Loid> fallback;
+  klass->CreateInstance(std::nullopt, fallback.Sink());
+  metacomputer.Settle(Duration::Seconds(5));
+  ASSERT_TRUE(fallback.Ready());
+  EXPECT_EQ(fallback.Get().code(), ErrorCode::kNoResources);
+  for (auto* host : metacomputer.hosts()) {
+    EXPECT_EQ(host->running_count(), 0u) << host->spec().name;
+  }
+  EXPECT_TRUE(klass->instances().empty());
+
+  HostObject* host = metacomputer.hosts().front();
+  PlacementSuggestion suggestion;
+  suggestion.host = host->loid();
+  suggestion.vault = metacomputer.vaults().front()->loid();
+  Await<Loid> placed;
+  klass->CreateInstance(suggestion, placed.Sink());
+  metacomputer.Settle(Duration::Seconds(5));
+  ASSERT_TRUE(placed.Ready());
+  ASSERT_TRUE(placed.Get().ok()) << placed.Get().status().message();
+  EXPECT_EQ(host->running_count(), 1u);
+  EXPECT_EQ(klass->instances(), std::vector<Loid>{*placed.Get()});
 }
 
 TEST(MetacomputerTest, RegistryResetWithLiveRecorderWindows) {

@@ -121,6 +121,25 @@ TEST_F(SessionTest, CompletionFreesCapacityForLaterArrivals) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
+// However long a stream runs, the session keeps one class for it, and
+// the class lists only running instances: a finished app leaves neither
+// an actor nor a registry entry behind.
+TEST_F(SessionTest, StreamSharesOneClassThatForgetsFinishedApps) {
+  ApplicationSpec app = MakeParameterStudy(2, /*work=*/500.0);
+  app.cpu_fraction_per_instance = 0.25;
+  std::vector<SimTime> arrivals;
+  for (int i = 0; i < 6; ++i) {
+    arrivals.push_back(kernel_.Now() + Duration::Minutes(1 + i));
+  }
+  const std::size_t actors_before = kernel_.actor_count();
+  ClassObject* klass = session_->SubmitAt(app, arrivals);
+  kernel_.RunFor(Duration::Hours(1));
+  const SessionStats stats = session_->Stats(Duration::Hours(1));
+  ASSERT_EQ(stats.completed, arrivals.size());
+  EXPECT_EQ(kernel_.actor_count(), actors_before + 1);
+  EXPECT_TRUE(klass->instances().empty());
+}
+
 TEST_F(SessionTest, OverloadRejectsSomeApps) {
   // A burst far beyond capacity: placements fail once CPUs are committed.
   ApplicationSpec app = MakeParameterStudy(8, /*work=*/50000.0);
