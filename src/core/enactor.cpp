@@ -13,6 +13,38 @@ namespace {
 // Every reservation a negotiator requests is an instantaneous (starting
 // now) one-shot timesharing window of this length.
 constexpr Duration kReservationDuration = Duration::Hours(1);
+
+// All or nothing: when any create_instance call of an enactment failed,
+// the instances that did start would run on under reservations the
+// caller is about to cancel.  Each is killed on its host (best effort)
+// and forgotten by its class, and its result becomes an error, so
+// nothing reports it as started.
+void KillStartedIfAnyFailed(SimKernel* kernel, const Loid& sender,
+                            const std::vector<ObjectMapping>& mappings,
+                            Duration rpc_timeout,
+                            std::vector<Result<Loid>>& instances) {
+  if (std::all_of(instances.begin(), instances.end(),
+                  [](const Result<Loid>& r) { return r.ok(); })) {
+    return;
+  }
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (!instances[i].ok()) continue;
+    const Loid instance = *instances[i];
+    CallOn<bool, HostInterface>(
+        kernel, sender, mappings[i].host, kSmallMessage, kSmallMessage,
+        rpc_timeout,
+        [instance](HostInterface& host, Callback<bool> reply) {
+          host.KillObject(instance, std::move(reply));
+        },
+        [](Result<bool>) { /* best effort */ }, "kill_object");
+    if (auto* klass = dynamic_cast<ClassObject*>(
+            kernel->FindActor(mappings[i].class_loid))) {
+      klass->ForgetInstance(instance);
+    }
+    instances[i] = Status::Error(ErrorCode::kUnavailable,
+                                 "killed: the enactment failed elsewhere");
+  }
+}
 }  // namespace
 
 ReservationRequest ReservationRequestFor(SimKernel* kernel, const Loid& sender,
@@ -50,6 +82,7 @@ void CreateInstances(SimKernel* kernel, const Loid& sender,
                      std::function<void(std::vector<Result<Loid>>)> done) {
   struct Fanout {
     std::size_t outstanding;
+    std::vector<ObjectMapping> mappings;
     std::vector<Result<Loid>> instances;
     std::function<void(std::vector<Result<Loid>>)> done;
   };
@@ -58,7 +91,7 @@ void CreateInstances(SimKernel* kernel, const Loid& sender,
     return;
   }
   auto state = std::make_shared<Fanout>(Fanout{
-      mappings.size(),
+      mappings.size(), mappings,
       std::vector<Result<Loid>>(
           mappings.size(), Status::Error(ErrorCode::kInternal, "pending")),
       std::move(done)});
@@ -75,9 +108,11 @@ void CreateInstances(SimKernel* kernel, const Loid& sender,
         [suggestion](ClassInterface& klass, Callback<Loid> reply) {
           klass.CreateInstance(suggestion, std::move(reply));
         },
-        [state, i](Result<Loid> instance) {
+        [kernel, sender, rpc_timeout, state, i](Result<Loid> instance) {
           state->instances[i] = std::move(instance);
           if (--state->outstanding == 0) {
+            KillStartedIfAnyFailed(kernel, sender, state->mappings,
+                                   rpc_timeout, state->instances);
             state->done(std::move(state->instances));
           }
         },

@@ -106,7 +106,9 @@ void CancelToken(SimKernel* kernel, const Loid& sender,
 // Steps 7-9: one create_instance call per mapping on its class, with the
 // mapping's host, vault, implementation and token as the placement
 // suggestion.  `done` runs once every call has answered, with the
-// results in mapping order.
+// results in mapping order.  All or nothing: if any call failed, every
+// instance that did start is sent kill_object, forgotten by its class
+// and reported as an error.
 void CreateInstances(SimKernel* kernel, const Loid& sender,
                      const std::vector<ObjectMapping>& mappings,
                      const std::vector<ReservationToken>& tokens,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/schedulers/ranked_scheduler.h"
 #include "test_world.h"
 
 namespace legion {
@@ -380,6 +381,42 @@ TEST_F(EnactorTest, FailedIndicesReportedOnTotalFailure) {
   ScheduleFeedback feedback = Negotiate(request);
   ASSERT_FALSE(feedback.success);
   EXPECT_EQ(feedback.failed_indices, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+// Enactment is all or nothing.  The class refuses host 1, so each
+// attempt starts an instance on host 0 and fails on host 1; figure 9's
+// loop then cancels the schedule's reservations and tries again.  An
+// instance left running would hold host 0 under a cancelled
+// reservation, so each started instance must be killed and must not be
+// reported as started.
+TEST(EnactmentTest, FailedEnactmentKillsTheInstancesItStarted) {
+  TestWorld world(testing::TestWorldConfig{.hosts = 2});
+  ClassObject* klass = world.MakeClass("app");
+  const Loid refused = world.hosts[1]->loid();
+  klass->SetPlacementValidator([refused](const PlacementSuggestion& s) {
+    return s.host == refused
+               ? Status::Error(ErrorCode::kRefused, "not on host 1")
+               : Status::Ok();
+  });
+  world.Populate();
+  auto* scheduler = world.kernel.AddActor<RoundRobinScheduler>(
+      world.kernel.minter().Mint(LoidSpace::kService, 0),
+      world.collection->loid(), world.enactor->loid());
+
+  Await<RunOutcome> outcome;
+  scheduler->ScheduleAndEnact({{klass->loid(), 2}}, RunOptions{1, 2},
+                              outcome.Sink());
+  world.Run();
+  ASSERT_TRUE(outcome.Ready());
+  ASSERT_TRUE(outcome.Get().ok());
+  EXPECT_FALSE(outcome.Get()->success);
+  EXPECT_EQ(outcome.Get()->enact_attempts, 2);
+  for (const Result<Loid>& instance : outcome.Get()->enacted.instances) {
+    EXPECT_FALSE(instance.ok());
+  }
+  EXPECT_EQ(world.hosts[0]->running_count(), 0u);
+  EXPECT_EQ(world.hosts[0]->reservations().live_count(), 0u);
+  EXPECT_TRUE(klass->instances().empty());
 }
 
 class CoAllocationTest : public ::testing::Test {

@@ -80,10 +80,12 @@ TEST_F(FailureTest, HostCrashAfterReservationFailsEnactmentCleanly) {
   world_.Run();
   ASSERT_TRUE(enacted.Ready());
   EXPECT_FALSE(enacted.Get()->success);
-  // The mapping to the live host still started; the dead one reports.
-  EXPECT_TRUE(enacted.Get()->instances[0].ok());
+  // All or nothing: the dead host's mapping fails, so the instance that
+  // started on the live host is killed and reported as an error too.
+  EXPECT_FALSE(enacted.Get()->instances[0].ok());
   EXPECT_FALSE(enacted.Get()->instances[1].ok());
-  EXPECT_EQ(world_.hosts[0]->running_count(), 1u);
+  EXPECT_EQ(world_.hosts[0]->running_count(), 0u);
+  EXPECT_TRUE(klass_->instances().empty());
 }
 
 TEST_F(FailureTest, FullVaultFailsDeactivationButObjectKeepsRunning) {
