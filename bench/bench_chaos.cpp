@@ -70,7 +70,7 @@ ChaosCell RunCell(bool resilient, double loss, bool partition, int trials,
       health.domain_cooldown = Duration::Seconds(45);
     } else {
       opts.retry.max_attempts = 1;
-      opts.use_health = false;
+      world->enactor()->health().options().enabled = false;
     }
     if (partition) {
       // Domain 3 severed from the service domain for a minute in the
@@ -87,21 +87,27 @@ ChaosCell RunCell(bool resilient, double loss, bool partition, int trials,
         4400 + trial);
     world.kernel->metrics().Reset();
 
-    // A stream of placements paced across the fault window.
-    for (int p = 0; p < placements; ++p) {
+    // A stream of placements paced across the fault window.  Each
+    // placement owns its answer: one still negotiating when its window
+    // ends answers during a later window, into its own state.
+    struct Placement {
       bool success = false;
+      SimTime finished;
+    };
+    for (int p = 0; p < placements; ++p) {
       const SimTime started = world.kernel->Now();
-      SimTime finished = started;
-      scheduler->ScheduleAndEnact({{klass->loid(), 4}}, RunOptions{2, 2},
-                                  [&](Result<RunOutcome> outcome) {
-                                    success = outcome.ok() && outcome->success;
-                                    finished = world.kernel->Now();
-                                  });
+      auto placement = std::make_shared<Placement>();
+      scheduler->ScheduleAndEnact(
+          {{klass->loid(), 4}}, RunOptions{2, 2},
+          [placement, kernel = world.kernel.get()](Result<RunOutcome> outcome) {
+            placement->success = outcome.ok() && outcome->success;
+            placement->finished = kernel->Now();
+          });
       world.kernel->RunFor(Duration::Seconds(30));
       ++attempts;
-      if (success) {
+      if (placement->success) {
         ++successes;
-        success_ms += (finished - started).millis();
+        success_ms += (placement->finished - started).millis();
       }
     }
     const SimKernel& kernel = *world.kernel;

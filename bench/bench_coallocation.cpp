@@ -6,7 +6,8 @@
 // inter-domain RTT; report negotiation latency (the co-allocation is
 // atomic: it completes when the slowest domain answers) and success
 // under WAN message loss.  Expected shape: latency tracks the max RTT,
-// not the sum; loss degrades success for wide spans faster.
+// not the sum; loss costs wide spans more, since a lost message costs
+// an RPC timeout before the per-mapping retry recovers it.
 #include <algorithm>
 
 #include "bench_util.h"

@@ -53,16 +53,18 @@ LayeringCost RunCell(Layering layering, std::size_t instances, int rounds) {
   LayeringCost cost;
   for (int round = 0; round < rounds; ++round) {
     world.kernel->metrics().Reset();
-    PlacementTrace trace;
+    // Each round owns its trace: a placement still running when its
+    // window ends answers during a later round, into its own trace.
+    auto trace = std::make_shared<PlacementTrace>();
     app->Place({{klass->loid(), instances}},
-               [&](Result<PlacementTrace> r) {
-                 if (r.ok()) trace = *r;
+               [trace](Result<PlacementTrace> r) {
+                 if (r.ok()) *trace = *r;
                });
     world.kernel->RunFor(Duration::Minutes(2));
     cost.messages += Count(*world.kernel, "messages_sent", "kernel");
     cost.kbytes += Count(*world.kernel, "bytes_sent", "kernel") / 1024.0;
-    cost.latency_ms += trace.latency.millis();
-    cost.success += trace.success ? 1.0 : 0.0;
+    cost.latency_ms += trace->latency.millis();
+    cost.success += trace->success ? 1.0 : 0.0;
   }
   cost.messages /= rounds;
   cost.kbytes /= rounds;

@@ -86,12 +86,11 @@ BatchCellResult RunBatchCell(std::size_t objects, std::size_t cap,
   config.load.initial = 0.0;
   config.load.mean = 0.0;
   config.load.volatility = 0.0;
-  config.reservation_batch_cap = cap;
-  config.max_outstanding_batches = 32;
   NetworkParams net = QuietNet();
   net.serialize_uplink = true;
   net.inter_domain_latency = Duration::Millis(wan_ms);
   World world = MakeWorld(config, net);
+  world->enactor()->options().max_batch_size = cap;
 
   // Tiny timeshared instances so thousands fit: 1 MB, 2% of a CPU.
   ClassObject* klass = world->MakeUniversalClass("bulk", 1, 0.02);

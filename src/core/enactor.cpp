@@ -147,47 +147,14 @@ struct EnactorObject::Negotiation {
   ErrorCode last_code = ErrorCode::kNoResources;
   std::string last_error;
   bool finished = false;
-  // When one host's group splits into several chunks, the trailing
-  // chunks wait here for the leading chunk's reply: a smaller trailing
-  // chunk is a smaller message and would otherwise overtake the bigger
-  // one on the wire, making the host admit the round's slots out of
-  // mapping order (and so decide differently than cap 1 would).
-  // Their slots stay counted in `outstanding`, so the round cannot
-  // complete under them.
-  std::vector<std::pair<Loid, std::deque<std::vector<std::size_t>>>>
-      chunk_queues;
   // The failure set of the last abandoned master (per-mapping feedback
   // for the scheduler), captured before AbandonMaster cancels the holds.
   std::vector<std::size_t> last_failed_indices;
-
-  void QueueChunk(const Loid& host, std::vector<std::size_t> indices) {
-    for (auto& [queued_host, chunks] : chunk_queues) {
-      if (queued_host == host) {
-        chunks.push_back(std::move(indices));
-        return;
-      }
-    }
-    chunk_queues.emplace_back(
-        host, std::deque<std::vector<std::size_t>>{std::move(indices)});
-  }
-
-  std::optional<std::vector<std::size_t>> PopChunk(const Loid& host) {
-    for (auto it = chunk_queues.begin(); it != chunk_queues.end(); ++it) {
-      if (it->first != host) continue;
-      std::vector<std::size_t> indices = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) chunk_queues.erase(it);
-      return indices;
-    }
-    return std::nullopt;
-  }
 };
 
-EnactorObject::EnactorObject(SimKernel* kernel, Loid loid,
-                             EnactorOptions options)
+EnactorObject::EnactorObject(SimKernel* kernel, Loid loid)
     : LegionObject(kernel, loid, ServiceClassLoid(loid.domain())),
-      options_(options),
-      health_(kernel, options.health),
+      health_(kernel),
       rng_(kernel->network().params().seed ^ 0xE7AC70Full) {
   kernel->network().RegisterEndpoint(loid, loid.domain());
   (void)Activate(loid, Loid());
@@ -263,7 +230,6 @@ void EnactorObject::StartMaster(const std::shared_ptr<Negotiation>& n) {
   n->batch_ids.assign(master.mappings.size(), 0);
   n->applied_variants.clear();
   n->next_variant = 0;
-  n->chunk_queues.clear();
   RequestMissing(n);
 }
 
@@ -288,14 +254,14 @@ void EnactorObject::RequestMissing(const std::shared_ptr<Negotiation>& n) {
   }
   // Batched path (DESIGN.md §11): group the round's requests by target
   // host, preserving mapping order within each group (the order the
-  // host's table admits slots in), and chunk each group at the cap.
-  // Open breakers still fail per index -- batching never widens the
-  // granularity of the health machinery.
+  // host's table admits slots in); EnqueueBatch chunks each group at the
+  // cap.  Open breakers still fail per index -- batching never widens
+  // the granularity of the health machinery.
   std::vector<std::pair<Loid, std::vector<std::size_t>>> groups;
   std::unordered_map<Loid, std::size_t> group_of;  // host -> groups index
   for (std::size_t index : missing) {
     const Loid& host = n->current[index].host;
-    if (options_.use_health && !health_.Healthy(host)) {
+    if (!health_.Healthy(host)) {
       FailIndexFast(n, index);
       continue;
     }
@@ -304,37 +270,22 @@ void EnactorObject::RequestMissing(const std::shared_ptr<Negotiation>& n) {
     groups[it->second].second.push_back(index);
   }
   for (auto& [host, indices] : groups) {
-    // Chunks after the first wait for their predecessor's reply
-    // (DispatchNextChunk) so the host admits this round's slots in
-    // mapping order even when the chunks differ in wire size.
-    for (std::size_t begin = options_.max_batch_size; begin < indices.size();
-         begin += options_.max_batch_size) {
-      const std::size_t end =
-          std::min(begin + options_.max_batch_size, indices.size());
-      n->QueueChunk(host, std::vector<std::size_t>(indices.begin() + begin,
-                                                   indices.begin() + end));
-    }
-    indices.resize(std::min(indices.size(), options_.max_batch_size));
     EnqueueBatch(n, host, std::move(indices));
-  }
-}
-
-// The in-order successor of a chunk whose fate is settled: sent once the
-// predecessor's reply (or breaker fast-fail) has been processed.
-void EnactorObject::DispatchNextChunk(const std::shared_ptr<Negotiation>& n,
-                                      const Loid& host) {
-  if (n->finished) return;
-  if (auto indices = n->PopChunk(host)) {
-    EnqueueBatch(n, host, std::move(*indices));
   }
 }
 
 void EnactorObject::EnqueueBatch(const std::shared_ptr<Negotiation>& n,
                                  const Loid& host,
                                  std::vector<std::size_t> indices) {
+  if (indices.empty()) return;  // the host has no later slots
   Batch batch;
   batch.negotiation = n;
   batch.host = host;
+  if (indices.size() > options_.max_batch_size) {
+    batch.rest.assign(indices.begin() + options_.max_batch_size,
+                      indices.end());
+    indices.resize(options_.max_batch_size);
+  }
   batch.indices = std::move(indices);
   batch.wanted = batch.indices;
   // At-most-once id, minted once per batch: retransmissions reuse the
@@ -344,8 +295,7 @@ void EnactorObject::EnqueueBatch(const std::shared_ptr<Negotiation>& n,
 }
 
 void EnactorObject::DispatchBatch(Batch batch) {
-  if (options_.max_outstanding_batches > 0 &&
-      outstanding_batches_ >= options_.max_outstanding_batches) {
+  if (outstanding_batches_ >= kMaxOutstandingBatches) {
     // Backpressure: park instead of flooding the event queue; the slots
     // stay accounted in the negotiation's outstanding set.
     cells_.requests_parked->Add(batch.wanted.size());
@@ -361,9 +311,7 @@ void EnactorObject::DispatchBatch(Batch batch) {
 }
 
 void EnactorObject::PumpParked() {
-  while (!parked_.empty() &&
-         (options_.max_outstanding_batches == 0 ||
-          outstanding_batches_ < options_.max_outstanding_batches)) {
+  while (!parked_.empty() && outstanding_batches_ < kMaxOutstandingBatches) {
     Batch batch = std::move(parked_.front());
     parked_.pop_front();
     SendBatch(std::move(batch));
@@ -374,14 +322,13 @@ void EnactorObject::SendBatch(Batch batch) {
   const std::shared_ptr<Negotiation>& n = batch.negotiation;
   if (n->finished) return;  // parked past its negotiation's end
   // The breaker may have opened while the batch waited for a slot.
-  if (options_.use_health && !health_.Healthy(batch.host)) {
+  if (!health_.Healthy(batch.host)) {
     for (std::size_t index : batch.wanted) FailIndexFast(n, index);
-    DispatchNextChunk(n, batch.host);  // no reply will come to trigger it
+    // No reply will come to settle the batch: its later slots go now.
+    EnqueueBatch(n, batch.host, std::move(batch.rest));
     return;
   }
-  if (options_.use_health && health_.IsProbe(batch.host)) {
-    cells_.breaker_probes->Add();
-  }
+  if (health_.IsProbe(batch.host)) cells_.breaker_probes->Add();
   for (std::size_t index : batch.wanted) CountAttempt(*n, index, batch.id);
 
   // Freeze the wire payload on first send.  A retransmission reuses it
@@ -421,13 +368,14 @@ void EnactorObject::SendBatch(Batch batch) {
                 Callback<ReservationBatchReply> reply) {
         host_iface.MakeReservationBatch(request, std::move(reply));
       },
-      [this, batch = std::move(batch)](Result<ReservationBatchReply> result) {
-        OnBatchReply(batch, std::move(result));
+      [this, batch = std::move(batch)](
+          Result<ReservationBatchReply> result) mutable {
+        OnBatchReply(std::move(batch), std::move(result));
       },
       "reserve_batch");
 }
 
-void EnactorObject::OnBatchReply(const Batch& batch,
+void EnactorObject::OnBatchReply(Batch batch,
                                  Result<ReservationBatchReply> result) {
   --outstanding_batches_;
   // Free slot first: parked batches (possibly of other negotiations)
@@ -439,44 +387,35 @@ void EnactorObject::OnBatchReply(const Batch& batch,
   std::size_t completed = 0;
 
   if (result.ok()) {
-    // The host answered: per-slot outcomes, per-slot health bookkeeping.
-    // Only the wanted slots feed the negotiation; the rest of the wire
-    // set (slots abandoned between transmissions) is settled already.
-    std::unordered_map<std::size_t, const BatchSlotOutcome*> by_index;
+    // The host answered one outcome per wire slot, in slot order, and
+    // `wanted` is an ordered subset of the wire slots, so one cursor
+    // pairs them.  Only the wanted slots feed the negotiation; the rest
+    // of the wire set (slots abandoned between transmissions) is settled
+    // already.
+    auto next_wanted = batch.wanted.begin();
     for (const BatchSlotOutcome& outcome : result->outcomes) {
-      by_index[outcome.index] = &outcome;
+      if (next_wanted == batch.wanted.end()) break;
+      if (outcome.index != *next_wanted) continue;
+      ApplySlotAnswer(*n, target, outcome);
+      ++next_wanted;
     }
-    for (std::size_t index : batch.wanted) {
-      ++completed;
-      auto it = by_index.find(index);
-      if (it == by_index.end()) {
-        ApplySlotAnswer(*n, target,
-                        {index,
-                         Status::Error(ErrorCode::kInternal,
-                                       "batch reply missing slot " +
-                                           std::to_string(index)),
-                         {}});
-        continue;
-      }
-      ApplySlotAnswer(*n, target, *it->second);
-    }
+    completed = batch.wanted.size();
     // A retransmission may carry slots the negotiation abandoned after
     // the original send (retry budget exhausted, possibly re-aimed by a
     // variant since).  A grant for such a slot is a stray hold nobody
     // will redeem: release it instead of letting it pin capacity until
     // expiry.
     if (batch.wanted.size() != batch.indices.size()) {
-      for (std::size_t index : batch.indices) {
-        if (std::find(batch.wanted.begin(), batch.wanted.end(), index) !=
-            batch.wanted.end()) {
-          continue;
-        }
-        auto it = by_index.find(index);
-        if (it != by_index.end() && it->second->status.ok()) {
+      next_wanted = batch.wanted.begin();
+      for (const BatchSlotOutcome& outcome : result->outcomes) {
+        if (next_wanted != batch.wanted.end() &&
+            outcome.index == *next_wanted) {
+          ++next_wanted;
+        } else if (outcome.status.ok()) {
           cells_.reservations_cancelled->Add();
-          AuditSlot("stray_grant_cancelled", *n, index, target);
-          CancelToken(kernel(), loid(), it->second->token,
-                      options_.rpc_timeout, [](Result<bool>) {});
+          AuditSlot("stray_grant_cancelled", *n, outcome.index, target);
+          CancelToken(kernel(), loid(), outcome.token, options_.rpc_timeout,
+                      [](Result<bool>) {});
         }
       }
     }
@@ -500,6 +439,7 @@ void EnactorObject::OnBatchReply(const Batch& batch,
       // subset via `wanted`, so the host can always replay-dedup even
       // when some slots ran out of retry budget; a fresh id for the
       // smaller set would make a lost-reply batch double-admit.
+      // The copy keeps `rest`: the host's later slots wait for it.
       int attempt = 0;
       for (std::size_t index : retryable) {
         attempt = std::max(attempt, n->attempts[index]);
@@ -517,13 +457,12 @@ void EnactorObject::OnBatchReply(const Batch& batch,
     }
   }
 
-  // This chunk's fate is settled (every wanted slot granted, failed, or
-  // owned by a scheduled retransmission that will re-enter here);
-  // release the host's next in-order chunk, if any.  Retransmissions
-  // keep their successor waiting so the host still sees the round in
-  // mapping order.
-  if (result.ok() || completed == batch.wanted.size()) {
-    DispatchNextChunk(n, target);
+  // The batch's fate is settled once no wanted slot waits for a
+  // retransmission: the host's later slots go out as the next batch.  A
+  // retransmission keeps them waiting so the host still sees the round
+  // in mapping order.
+  if (completed == batch.wanted.size()) {
+    EnqueueBatch(n, target, std::move(batch.rest));
   }
   n->outstanding -= completed;
   if (n->outstanding == 0) OnRoundComplete(n);
@@ -572,13 +511,11 @@ void EnactorObject::FailIndexFast(const std::shared_ptr<Negotiation>& n,
 void EnactorObject::ReserveIndex(const std::shared_ptr<Negotiation>& n,
                                  std::size_t index) {
   const Loid host = n->current[index].host;
-  if (options_.use_health && !health_.Healthy(host)) {
+  if (!health_.Healthy(host)) {
     FailIndexFast(n, index);
     return;
   }
-  if (options_.use_health && health_.IsProbe(host)) {
-    cells_.breaker_probes->Add();
-  }
+  if (health_.IsProbe(host)) cells_.breaker_probes->Add();
   CountAttempt(*n, index, /*batch_id=*/0);
   if (n->attempts[index] == 0) n->batch_ids[index] = next_batch_id_++;
   ReservationBatchRequest request;
@@ -639,7 +576,7 @@ void EnactorObject::ApplySlotAnswer(Negotiation& n, const Loid& host,
   const std::size_t index = outcome.index;
   if (outcome.status.ok()) {
     AuditSlot("reserve_granted", n, index, host);
-    if (options_.use_health) health_.RecordSuccess(host);
+    health_.RecordSuccess(host);
     cells_.reservations_granted->Add();
     if (n.attempts[index] > 0) cells_.partial_recoveries->Add();
     n.tokens[index] = outcome.token;
@@ -661,8 +598,7 @@ bool EnactorObject::ApplyRpcFailure(Negotiation& n, std::size_t index,
                                     const Loid& host, const Status& status) {
   const ErrorCode code = status.code();
   // Unreachability is a health signal.
-  if (options_.use_health &&
-      (code == ErrorCode::kTimeout || code == ErrorCode::kUnavailable)) {
+  if (code == ErrorCode::kTimeout || code == ErrorCode::kUnavailable) {
     health_.RecordFailure(host);
   }
   cells_.reservations_failed->Add();
@@ -674,7 +610,7 @@ bool EnactorObject::ApplyRpcFailure(Negotiation& n, std::size_t index,
   // -- fall through to the variants.
   if (code == ErrorCode::kTimeout &&
       n.attempts[index] + 1 < options_.retry.max_attempts &&
-      (!options_.use_health || health_.Healthy(host))) {
+      health_.Healthy(host)) {
     ++n.attempts[index];
     cells_.retries->Add();
     if (AuditOn()) {

@@ -66,24 +66,12 @@ struct EnactorOptions {
   // are byte-identical either way and the batch path only saves round
   // trips and wire bytes.
   std::size_t max_batch_size = 64;
-  // Backpressure: at most this many batches in flight at once; overflow
-  // parks in a FIFO admission queue instead of flooding the event queue
-  // and the WAN.  0 = unlimited.
-  std::size_t max_outstanding_batches = 32;
   // Bitmap-guided variant selection (the paper's design).  When false,
   // any failure cancels every held reservation and the next variant is
   // tried as a whole schedule (naive baseline).
   bool use_variant_bitmaps = true;
   // Transient-failure recovery within one negotiation.
   RetryPolicy retry;
-  // Circuit breaker over reservation outcomes: when true the Enactor
-  // fails suspect targets fast (no RPC round trip) and probes them again
-  // after a cooldown; schedulers consult the same tracker to demote or
-  // skip suspect hosts in their candidate pools.
-  bool use_health = true;
-  // Breaker thresholds, consumed at construction.  To tune a live
-  // enactor, go through health().options() instead.
-  HealthOptions health;
 };
 
 // ---- Figure 3's negotiation steps, one implementation each ------------------
@@ -117,7 +105,13 @@ void CreateInstances(SimKernel* kernel, const Loid& sender,
 
 class EnactorObject : public LegionObject {
  public:
-  EnactorObject(SimKernel* kernel, Loid loid, EnactorOptions options = {});
+  // Backpressure: at most this many batches in flight at once; overflow
+  // parks in a FIFO admission queue instead of flooding the event queue
+  // and the WAN.
+  static constexpr std::size_t kMaxOutstandingBatches = 32;
+
+  // Starts with default options; tune them through options().
+  EnactorObject(SimKernel* kernel, Loid loid);
 
   std::string DebugName() const override { return "enactor"; }
 
@@ -136,8 +130,11 @@ class EnactorObject : public LegionObject {
 
   EnactorOptions& options() { return options_; }
 
-  // The shared host/domain health view.  Schedulers consult it when
-  // building candidate pools; constructed from options().health.
+  // The shared host/domain health view (the circuit breaker): the
+  // Enactor fails suspect targets fast (no RPC round trip) and probes
+  // them again after a cooldown; schedulers consult it to demote or skip
+  // suspect hosts in their candidate pools.  Tune it, or switch it off,
+  // through health().options().
   HealthTracker& health() { return health_; }
   const HealthTracker& health() const { return health_; }
 
@@ -153,11 +150,20 @@ class EnactorObject : public LegionObject {
   // a subset of the slots is still worth retrying.  `wanted` tracks that
   // subset (== `indices` on first send); replies for slots no longer
   // wanted are ignored, except that stray grants are cancelled.
+  //
+  // The host's later slots of the round (`rest`) wait inside the batch
+  // until its fate is settled, then go out as the next batch: a smaller
+  // trailing chunk is a smaller message and would otherwise overtake the
+  // bigger one on the wire, making the host admit the round's slots out
+  // of mapping order (and so decide differently than cap 1 would).
+  // Their slots stay counted in the negotiation's `outstanding`, so the
+  // round cannot complete under them.
   struct Batch {
     std::shared_ptr<Negotiation> negotiation;
     Loid host;
     std::vector<std::size_t> indices;  // slots in the wire request
-    std::vector<std::size_t> wanted;   // subset still negotiating
+    std::vector<std::size_t> wanted;   // ordered subset still negotiating
+    std::vector<std::size_t> rest;     // the host's later slots
     std::uint64_t id = 0;
     bool retransmit = false;
     // Frozen at first send; reused verbatim by retransmissions.
@@ -182,20 +188,19 @@ class EnactorObject : public LegionObject {
                        const BatchSlotOutcome& outcome);
   bool ApplyRpcFailure(Negotiation& n, std::size_t index, const Loid& host,
                        const Status& status);
-  // Batch pipeline: EnqueueBatch mints the at-most-once id for a fresh
-  // batch and hands to DispatchBatch, which either sends or parks under
-  // backpressure; PumpParked drains the queue as replies free slots.
-  // Retransmissions skip EnqueueBatch: they re-dispatch the original
-  // Batch (same id, same frozen payload) with a narrowed `wanted` set.
+  // Batch pipeline: EnqueueBatch takes a host's remaining slots of the
+  // round, mints the at-most-once id for a batch of the first
+  // max_batch_size and keeps the others in its `rest`, then hands to
+  // DispatchBatch, which either sends or parks under backpressure;
+  // PumpParked drains the queue as replies free slots.  Retransmissions
+  // skip EnqueueBatch: they re-dispatch a copy of the original Batch
+  // (same id, same frozen payload, same `rest`) with a narrowed `wanted`
+  // set.
   void EnqueueBatch(const std::shared_ptr<Negotiation>& n, const Loid& host,
                     std::vector<std::size_t> indices);
-  // Releases a host's next queued same-round chunk once its predecessor's
-  // fate is settled; chunks to one host go out strictly in mapping order.
-  void DispatchNextChunk(const std::shared_ptr<Negotiation>& n,
-                         const Loid& host);
   void DispatchBatch(Batch batch);
   void SendBatch(Batch batch);
-  void OnBatchReply(const Batch& batch, Result<ReservationBatchReply> result);
+  void OnBatchReply(Batch batch, Result<ReservationBatchReply> result);
   void PumpParked();
   Duration BackoffDelay(int retry_number);
   void OnRoundComplete(const std::shared_ptr<Negotiation>& n);
@@ -241,7 +246,7 @@ class EnactorObject : public LegionObject {
     obs::Counter* breaker_probes;
     obs::Counter* partial_recoveries;
     // Batch pipeline: ReserveBatch RPCs, slots across them, and slots
-    // that waited because max_outstanding_batches was reached.
+    // that waited because kMaxOutstandingBatches was reached.
     obs::Counter* batches_sent;
     obs::Counter* batched_slots;
     obs::Counter* requests_parked;

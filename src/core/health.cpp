@@ -4,9 +4,6 @@
 
 namespace legion {
 
-HealthTracker::HealthTracker(SimKernel* kernel, HealthOptions options)
-    : kernel_(kernel), options_(options) {}
-
 BreakerState HealthTracker::StateOf(const Breaker& breaker) const {
   if (!breaker.open) return BreakerState::kClosed;
   if (kernel_->Now() < breaker.suspect_until) return BreakerState::kOpen;
@@ -29,6 +26,7 @@ void HealthTracker::Trip(Breaker* breaker, Duration base_cooldown) {
 }
 
 void HealthTracker::RecordSuccess(const Loid& host) {
+  if (!options_.enabled) return;
   Breaker& host_breaker = hosts_[host];
   host_breaker = Breaker{};
   Breaker& domain_breaker = domains_[host.domain()];
@@ -36,6 +34,7 @@ void HealthTracker::RecordSuccess(const Loid& host) {
 }
 
 void HealthTracker::RecordFailure(const Loid& host) {
+  if (!options_.enabled) return;
   Breaker& host_breaker = hosts_[host];
   // A failure while half-open is a failed probe: re-trip immediately
   // (with escalation) rather than re-counting to the threshold.

@@ -37,6 +37,9 @@ namespace legion {
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 struct HealthOptions {
+  // Whether breakers are on.  A disabled tracker records nothing, so
+  // every host stays healthy and no reservation counts as a probe.
+  bool enabled = true;
   // Consecutive health-relevant failures before a breaker opens.
   int host_failure_threshold = 3;
   int domain_failure_threshold = 12;
@@ -52,7 +55,8 @@ class HealthTracker {
   static constexpr double kCooldownMultiplier = 2.0;
   static constexpr Duration kMaxCooldown = Duration::Minutes(15);
 
-  explicit HealthTracker(SimKernel* kernel, HealthOptions options = {});
+  // Starts with default options; tune them through options().
+  explicit HealthTracker(SimKernel* kernel) : kernel_(kernel) {}
 
   // Reservation outcome reporting.  Callers report only failures that
   // indicate an unreachable or dead target (timeouts, vanished objects);

@@ -32,8 +32,7 @@ SchedulerObject::SchedulerObject(SimKernel* kernel, Loid loid,
 
 const HealthTracker* SchedulerObject::health() const {
   auto* enactor = dynamic_cast<EnactorObject*>(kernel()->FindActor(enactor_));
-  if (enactor == nullptr || !enactor->options().use_health) return nullptr;
-  return &enactor->health();
+  return enactor == nullptr ? nullptr : &enactor->health();
 }
 
 void SchedulerObject::AuditDecision(const char* kind, obs::TraceArgs fields) {

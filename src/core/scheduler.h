@@ -160,7 +160,8 @@ class SchedulerObject : public LegionObject {
                   Callback<CollectionData> done);
 
   // The Enactor's health view (the breaker state schedulers share), or
-  // nullptr when the enactor is unreachable or health tracking is off.
+  // nullptr when the enactor is unreachable.  A tracker with breakers
+  // off reports every host healthy.
   const HealthTracker* health() const;
 
   // Demotes suspect hosts from a candidate pool: records whose breaker

@@ -86,6 +86,9 @@ struct BatchSlotOutcome {
   ReservationToken token;
 };
 
+// The host answers one outcome per request slot, in slot order, and
+// answers a replayed batch id with the same reply; requesters match
+// outcomes to slots by position.
 struct ReservationBatchReply {
   std::vector<BatchSlotOutcome> outcomes;
 };

@@ -85,17 +85,17 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
   batch->request = request;
   batch->waiters.push_back(std::move(done));
   batch->outcomes.resize(request.slots.size());
-  batch->admissible.assign(request.slots.size(), false);
 
   // Per-slot screening: local policy first (the autonomy guarantee), then
-  // vault validity, then vault reachability.  "When asked for a
-  // reservation, the Host is responsible for ensuring that the vault is
-  // reachable" (paper 3.1): vaults on the compatibility list are known
-  // reachable; any other vault is probed live (one vault_OK per distinct
-  // vault) before anything is admitted.  The machine-specific veto
-  // (PreAdmitSlot) is deliberately NOT screened here: it runs inside
-  // FinishBatch, per slot, interleaved with admission, so it sees
-  // predecessors' grants.
+  // vault validity, then vault reachability.  Each refusal is written into
+  // the slot's outcome, so a slot whose outcome still reads OK when
+  // FinishBatch runs is admissible.  "When asked for a reservation, the
+  // Host is responsible for ensuring that the vault is reachable" (paper
+  // 3.1): vaults on the compatibility list are known reachable; any other
+  // vault is probed live (one vault_OK per distinct vault) before anything
+  // is admitted.  The machine-specific veto (PreAdmitSlot) is deliberately
+  // NOT screened here: it runs inside FinishBatch, per slot, interleaved
+  // with admission, so it sees predecessors' grants.
   std::unordered_map<Loid, std::vector<std::size_t>> probe_slots;
   for (std::size_t i = 0; i < request.slots.size(); ++i) {
     const ReservationRequest& slot = request.slots[i].request;
@@ -113,11 +113,7 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
     const bool known_reachable =
         std::find(compatible_vaults_.begin(), compatible_vaults_.end(),
                   slot.vault) != compatible_vaults_.end();
-    if (known_reachable) {
-      batch->admissible[i] = true;
-    } else {
-      probe_slots[slot.vault].push_back(i);
-    }
+    if (!known_reachable) probe_slots[slot.vault].push_back(i);
   }
 
   if (probe_slots.empty()) {
@@ -128,11 +124,8 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
   batch->pending_probes = probe_slots.size();
   for (auto& [vault, indices] : probe_slots) {
     VaultOk(vault, [this, batch, indices = indices](Result<bool> ok) {
-      const bool reachable = ok.ok() && *ok;
-      for (std::size_t i : indices) {
-        if (reachable) {
-          batch->admissible[i] = true;
-        } else {
+      if (!ok.ok() || !*ok) {
+        for (std::size_t i : indices) {
           batch->outcomes[i].status = Status::Error(
               ErrorCode::kRefused, "vault not reachable from this host");
         }
@@ -154,7 +147,7 @@ void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
   // one and refuse the other, never both.  A vetoed slot burns no serial;
   // a slot the table rejects burns the serial it was issued.
   for (std::size_t i = 0; i < batch->request.slots.size(); ++i) {
-    if (!batch->admissible[i]) continue;
+    if (!batch->outcomes[i].status.ok()) continue;  // screened out
     const ReservationRequest& slot = batch->request.slots[i].request;
     Status veto = PreAdmitSlot(slot, now);
     if (!veto.ok()) {

@@ -231,16 +231,15 @@ class HostObject : public LegionObject, public HostInterface {
   void PushToCollections();
 
   // In-flight batch admission: outcomes accumulate while unknown vaults
-  // are probed; FinishBatch then runs each admissible slot through the
-  // veto/admit/grant ladder in slot order and replies to every waiter
-  // (the original transmission plus any retransmission that arrived in
-  // the meantime).
+  // are probed; FinishBatch then runs each slot whose outcome still reads
+  // OK (the screening refused it nothing) through the veto/admit/grant
+  // ladder in slot order and replies to every waiter (the original
+  // transmission plus any retransmission that arrived in the meantime).
   struct PendingBatch {
     ReservationBatchRequest request;
     std::string dedup_key;  // "requester#batch_id"; empty for batch id 0
     std::vector<Callback<ReservationBatchReply>> waiters;
-    std::vector<BatchSlotOutcome> outcomes;
-    std::vector<bool> admissible;
+    std::vector<BatchSlotOutcome> outcomes;  // one per slot, in slot order
     std::size_t pending_probes = 0;
   };
   void FinishBatch(const std::shared_ptr<PendingBatch>& batch);

@@ -29,11 +29,8 @@ Metacomputer::Metacomputer(SimKernel* kernel, MetacomputerConfig config)
         kernel_->minter().Mint(LoidSpace::kService, 0));
     kernel_->network().RegisterEndpoint(collection_->loid(), 0);
   }
-  EnactorOptions enactor_options;
-  enactor_options.max_batch_size = config_.reservation_batch_cap;
-  enactor_options.max_outstanding_batches = config_.max_outstanding_batches;
   enactor_ = kernel_->AddActor<EnactorObject>(
-      kernel_->minter().Mint(LoidSpace::kService, 0), enactor_options);
+      kernel_->minter().Mint(LoidSpace::kService, 0));
   monitor_ = kernel_->AddActor<MonitorObject>(
       kernel_->minter().Mint(LoidSpace::kService, 0));
 

@@ -47,12 +47,6 @@ struct MetacomputerConfig {
   // periodic delta pushes.  collection() then returns the root.
   bool federated = false;
   Duration delta_push_period = Duration::Seconds(5);
-  // Reservation batching (DESIGN.md §11): the Enactor coalesces
-  // same-host reservation requests into one RPC of up to
-  // reservation_batch_cap slots (1 = one RPC per mapping) and keeps
-  // at most max_outstanding_batches in flight (0 = unlimited).
-  std::size_t reservation_batch_cap = 64;
-  std::size_t max_outstanding_batches = 32;
 };
 
 // The architecture/OS pairs a heterogeneous metacomputer mixes.

@@ -17,7 +17,8 @@ using testing::TestWorld;
 
 class EnactorTest : public ::testing::Test {
  protected:
-  EnactorTest() : world_(testing::TestWorldConfig{.hosts = 4}) {
+  explicit EnactorTest(std::size_t hosts = 4)
+      : world_(testing::TestWorldConfig{.hosts = hosts}) {
     klass_ = world_.MakeClass("app", 64, 1.0);
   }
 
@@ -305,39 +306,46 @@ TEST_F(EnactorTest, BatchingChunksAtTheCap) {
   EXPECT_EQ(Count(world_.kernel, "batched_slots", "enactor"), 5u);
 }
 
-TEST_F(EnactorTest, BackpressureParksOverflowAndStillSucceeds) {
-  // Cap 2 keeps the batched path (1 sends one RPC per mapping);
-  // four single-slot host groups against a window of one in-flight batch.
-  world_.enactor->options().max_batch_size = 2;
-  world_.enactor->options().max_outstanding_batches = 1;
-  ScheduleRequestList request;
-  MasterSchedule master;
-  for (std::size_t i = 0; i < 4; ++i) master.mappings.push_back(MappingTo(i));
-  request.masters.push_back(master);
+// One host more than the in-flight window holds: a master with one
+// mapping per host sends one single-slot batch per host, so exactly one
+// batch parks.
+class EnactorWindowTest : public EnactorTest {
+ protected:
+  static constexpr std::size_t kHosts =
+      EnactorObject::kMaxOutstandingBatches + 1;
 
-  ScheduleFeedback feedback = Negotiate(request);
+  EnactorWindowTest() : EnactorTest(kHosts) {}
+
+  ScheduleRequestList OneMappingPerHost() {
+    ScheduleRequestList request;
+    MasterSchedule master;
+    for (std::size_t i = 0; i < kHosts; ++i) {
+      master.mappings.push_back(MappingTo(i));
+    }
+    request.masters.push_back(master);
+    return request;
+  }
+};
+
+TEST_F(EnactorWindowTest, BackpressureParksOverflowAndStillSucceeds) {
+  ScheduleFeedback feedback = Negotiate(OneMappingPerHost());
   ASSERT_TRUE(feedback.success);
-  ASSERT_EQ(feedback.tokens.size(), 4u);
-  // Only one batch may be in flight: the other three parked first.
-  EXPECT_EQ(Count(world_.kernel, "requests_parked", "enactor"), 3u);
-  EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), 4u);
+  ASSERT_EQ(feedback.tokens.size(), kHosts);
+  // The window was full when the last batch was ready: it parked first.
+  EXPECT_EQ(Count(world_.kernel, "requests_parked", "enactor"), 1u);
+  EXPECT_EQ(Count(world_.kernel, "batches_sent", "enactor"), kHosts);
 }
 
-TEST_F(EnactorTest, AuditRecordsKeepTheirFieldOrder) {
+TEST_F(EnactorWindowTest, AuditRecordsKeepTheirFieldOrder) {
   // Three record kinds that no byte-compared artifact holds.  A batch
-  // parks behind a one-deep in-flight window; a lone master that its only
+  // parks behind the full in-flight window; a lone master that its only
   // host refuses is abandoned, and its negotiation fails.
   world_.kernel.audit().Enable();
-  world_.enactor->options().max_outstanding_batches = 1;
-  BlockHost(3);
-  ScheduleRequestList parks;
-  MasterSchedule two_hosts;
-  two_hosts.mappings = {MappingTo(0), MappingTo(1)};
-  parks.masters.push_back(two_hosts);
-  EXPECT_TRUE(Negotiate(parks).success);
+  EXPECT_TRUE(Negotiate(OneMappingPerHost()).success);
+  BlockHost(0);
   ScheduleRequestList fails;
   MasterSchedule lone;
-  lone.mappings = {MappingTo(3)};
+  lone.mappings = {MappingTo(0)};
   fails.masters.push_back(lone);
   EXPECT_FALSE(Negotiate(fails).success);
 

@@ -141,5 +141,24 @@ TEST_F(HealthTest, SuccessInDomainResetsTheDomainCount) {
   EXPECT_EQ(tracker_.DomainState(1), BreakerState::kClosed);
 }
 
+TEST_F(HealthTest, DisabledTrackerKeepsEveryBreakerClosed) {
+  tracker_.options().enabled = false;
+  const Loid host = Host(1, 1);
+  // Enough failures to trip the host breaker and the domain breaker
+  // several times over.
+  for (int i = 0; i < 4 * tracker_.options().domain_failure_threshold; ++i) {
+    tracker_.RecordFailure(host);
+  }
+  EXPECT_EQ(tracker_.HostState(host), BreakerState::kClosed);
+  EXPECT_EQ(tracker_.DomainState(1), BreakerState::kClosed);
+  EXPECT_TRUE(tracker_.Healthy(host));
+  EXPECT_FALSE(tracker_.SuspectUntil(host).has_value());
+  // Past any cooldown nothing is half-open either: no probe.
+  kernel_.RunFor(HealthTracker::kMaxCooldown + Duration::Seconds(1));
+  EXPECT_EQ(tracker_.HostState(host), BreakerState::kClosed);
+  EXPECT_TRUE(tracker_.Healthy(host));
+  EXPECT_FALSE(tracker_.IsProbe(host));
+}
+
 }  // namespace
 }  // namespace legion

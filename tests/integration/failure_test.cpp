@@ -302,6 +302,50 @@ TEST_P(FailureCapTest,
             failed_before);
 }
 
+TEST_P(FailureCapTest, BreakerSwitchDecidesWhetherADeadHostIsAskedAgain) {
+  // Host 3 crashes but its Collection record lingers.  With breakers off
+  // every negotiation sends the corpse a reservation RPC and none fails
+  // fast; with them on, the second failed RPC trips the host breaker and
+  // the later negotiations fail fast.
+  constexpr std::uint64_t kNegotiations = 5;
+  auto run = [](bool breakers_on, std::size_t cap) {
+    TestWorld world(testing::TestWorldConfig{.hosts = 4});
+    world.Populate();
+    ClassObject* klass = world.MakeClass("app");
+    EnactorOptions& opts = world.enactor->options();
+    opts.max_batch_size = cap;
+    opts.rpc_timeout = Duration::Seconds(2);
+    opts.retry.max_attempts = 1;  // isolate the breaker from the retry path
+    HealthOptions& health = world.enactor->health().options();
+    health.enabled = breakers_on;
+    health.host_failure_threshold = 2;
+    health.host_cooldown = Duration::Minutes(30);
+    const Loid dead = world.hosts[3]->loid();
+    world.kernel.RemoveActor(dead);
+
+    ScheduleRequestList request;
+    MasterSchedule master;
+    ObjectMapping mapping;
+    mapping.class_loid = klass->loid();
+    mapping.host = dead;
+    mapping.vault = world.vaults[3]->loid();
+    master.mappings.push_back(mapping);
+    request.masters.push_back(master);
+    for (std::uint64_t i = 0; i < kNegotiations; ++i) {
+      Await<ScheduleFeedback> feedback;
+      world.enactor->MakeReservations(request, feedback.Sink());
+      world.kernel.RunFor(Duration::Seconds(5));
+      EXPECT_TRUE(feedback.Ready() && !feedback.Get()->success);
+    }
+    return std::pair{Count(world.kernel, "reservations_requested", "enactor"),
+                     Count(world.kernel, "breaker_open", "enactor")};
+  };
+  // {reservation RPCs, fast fails}
+  EXPECT_EQ(run(false, GetParam()), std::pair(kNegotiations, std::uint64_t{0}));
+  EXPECT_EQ(run(true, GetParam()),
+            std::pair(std::uint64_t{2}, kNegotiations - 2));
+}
+
 TEST_P(FailureCapTest, BreakerReProbeRestoresPartitionedHost) {
   TestWorld world(testing::TestWorldConfig{.hosts = 4, .domains = 2});
   world.Populate();
