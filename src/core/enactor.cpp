@@ -45,6 +45,23 @@ void KillStartedIfAnyFailed(SimKernel* kernel, const Loid& sender,
                                  "killed: the enactment failed elsewhere");
   }
 }
+
+// Groups `items` by the host `host_of` names: hosts in order of first
+// appearance, each group's items in input order (the order a host's table
+// admits or releases them in).
+template <typename T, typename HostOf>
+std::vector<std::pair<Loid, std::vector<T>>> GroupByHost(
+    const std::vector<T>& items, HostOf host_of) {
+  std::vector<std::pair<Loid, std::vector<T>>> groups;
+  std::unordered_map<Loid, std::size_t> group_of;  // host -> groups index
+  for (const T& item : items) {
+    const Loid& host = host_of(item);
+    const auto [it, first] = group_of.try_emplace(host, groups.size());
+    if (first) groups.emplace_back(host, std::vector<T>{});
+    groups[it->second].second.push_back(item);
+  }
+  return groups;
+}
 }  // namespace
 
 ReservationRequest ReservationRequestFor(SimKernel* kernel, const Loid& sender,
@@ -146,6 +163,10 @@ struct EnactorObject::Negotiation {
   std::size_t outstanding = 0;
   ErrorCode last_code = ErrorCode::kNoResources;
   std::string last_error;
+  // Succeed and Fail move `request` and `current` out into the feedback.
+  // So everything that can run after the negotiation ended -- SendBatch
+  // for a parked batch, OnBatchReply, a cap-1 reply, and the backoff and
+  // fast-fail events -- checks `finished` before it reads either.
   bool finished = false;
   // The failure set of the last abandoned master (per-mapping feedback
   // for the scheduler), captured before AbandonMaster cancels the holds.
@@ -253,23 +274,19 @@ void EnactorObject::RequestMissing(const std::shared_ptr<Negotiation>& n) {
     return;
   }
   // Batched path (DESIGN.md §11): group the round's requests by target
-  // host, preserving mapping order within each group (the order the
-  // host's table admits slots in); EnqueueBatch chunks each group at the
-  // cap.  Open breakers still fail per index -- batching never widens
-  // the granularity of the health machinery.
-  std::vector<std::pair<Loid, std::vector<std::size_t>>> groups;
-  std::unordered_map<Loid, std::size_t> group_of;  // host -> groups index
+  // host; EnqueueBatch chunks each group at the cap.  Open breakers still
+  // fail per index -- batching never widens the granularity of the health
+  // machinery.
+  std::vector<std::size_t> healthy;
   for (std::size_t index : missing) {
-    const Loid& host = n->current[index].host;
-    if (!health_.Healthy(host)) {
+    if (health_.Healthy(n->current[index].host)) {
+      healthy.push_back(index);
+    } else {
       FailIndexFast(n, index);
-      continue;
     }
-    const auto [it, first] = group_of.try_emplace(host, groups.size());
-    if (first) groups.emplace_back(host, std::vector<std::size_t>{});
-    groups[it->second].second.push_back(index);
   }
-  for (auto& [host, indices] : groups) {
+  const auto host_of = [&n](std::size_t i) { return n->current[i].host; };
+  for (auto& [host, indices] : GroupByHost(healthy, host_of)) {
     EnqueueBatch(n, host, std::move(indices));
   }
 }
@@ -751,14 +768,14 @@ void EnactorObject::Succeed(const std::shared_ptr<Negotiation>& n) {
          {"variants", std::to_string(n->applied_variants.size())}});
   }
   ScheduleFeedback feedback;
-  feedback.original = n->request;
+  feedback.original = std::move(n->request);
   feedback.success = true;
   feedback.negotiation_id = n->id;
   ScheduleChoice choice;
   choice.master_index = n->master;
   choice.variant_indices = n->applied_variants;
   feedback.winner = choice;
-  feedback.reserved_mappings = n->current;
+  feedback.reserved_mappings = std::move(n->current);
   feedback.tokens.reserve(n->tokens.size());
   for (const auto& token : n->tokens) feedback.tokens.push_back(*token);
   n->done(std::move(feedback));
@@ -771,7 +788,7 @@ void EnactorObject::Fail(const std::shared_ptr<Negotiation>& n) {
                      {{"code", legion::ToString(n->last_code)}});
   }
   ScheduleFeedback feedback;
-  feedback.original = n->request;
+  feedback.original = std::move(n->request);
   feedback.success = false;
   feedback.negotiation_id = n->id;
   feedback.failure = n->last_code;
@@ -789,21 +806,40 @@ void EnactorObject::CancelReservations(
     done(static_cast<std::size_t>(0));
     return;
   }
+  // Batched release (DESIGN.md §11).  The counter counts tokens, not RPCs.
+  cells_.reservations_cancelled->Add(tokens.size());
   struct CancelState {
-    std::size_t outstanding;
+    std::size_t outstanding = 0;
     std::size_t cancelled = 0;
     Callback<std::size_t> done;
   };
   auto state = std::make_shared<CancelState>();
-  state->outstanding = tokens.size();
   state->done = std::move(done);
-  for (const ReservationToken& token : tokens) {
-    cells_.reservations_cancelled->Add();
-    CancelToken(kernel(), loid(), token, options_.rpc_timeout,
-                [state](Result<bool> r) {
-                  if (r.ok() && *r) ++state->cancelled;
-                  if (--state->outstanding == 0) state->done(state->cancelled);
-                });
+  const std::size_t cap = std::max<std::size_t>(options_.max_batch_size, 1);
+  const auto groups = GroupByHost(tokens, [](const auto& t) { return t.host; });
+  for (const auto& [host, group] : groups) {
+    state->outstanding += (group.size() + cap - 1) / cap;
+  }
+  for (const auto& [host, group] : groups) {
+    for (std::size_t first = 0; first < group.size(); first += cap) {
+      const std::size_t last = std::min(group.size(), first + cap);
+      std::vector<ReservationToken> chunk(group.begin() + first,
+                                          group.begin() + last);
+      const std::size_t request_bytes =
+          kSmallMessage + chunk.size() * kBatchSlotMessage;
+      CallOn<std::size_t, HostInterface>(
+          kernel(), loid(), host, request_bytes, kSmallMessage,
+          options_.rpc_timeout,
+          [chunk = std::move(chunk)](HostInterface& host_iface,
+                                     Callback<std::size_t> reply) {
+            host_iface.CancelReservationBatch(chunk, std::move(reply));
+          },
+          [state](Result<std::size_t> released) {
+            if (released.ok()) state->cancelled += *released;
+            if (--state->outstanding == 0) state->done(state->cancelled);
+          },
+          "cancel_reservation_batch");
+    }
   }
 }
 

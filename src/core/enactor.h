@@ -64,7 +64,8 @@ struct EnactorOptions {
   // outside the batch window, each a one-slot batch with its own replay
   // id; its replies settle through the same per-slot code, so placements
   // are byte-identical either way and the batch path only saves round
-  // trips and wire bytes.
+  // trips and wire bytes.  CancelReservations chunks each host's tokens
+  // at the same cap (1 = one RPC per token).
   std::size_t max_batch_size = 64;
   // Bitmap-guided variant selection (the paper's design).  When false,
   // any failure cancels every held reservation and the next variant is
@@ -120,6 +121,10 @@ class EnactorObject : public LegionObject {
   void MakeReservations(const ScheduleRequestList& request,
                         Callback<ScheduleFeedback> done);
   // int cancel_reservations(&LegionScheduleRequestList);
+  // Groups the tokens by host and sends each host one
+  // cancel_reservation_batch RPC per max_batch_size tokens; `done` gets
+  // the number of holds the hosts released.  Best effort: a lost chunk
+  // counts 0, and its holds lapse at their confirmation timeout.
   void CancelReservations(const std::vector<ReservationToken>& tokens,
                           Callback<std::size_t> done);
   void CancelReservations(const ScheduleFeedback& feedback,

@@ -56,8 +56,10 @@ struct ReservationRequest {
 //
 // The Enactor groups a schedule's mappings by target host and sends one
 // ReserveBatch RPC per host instead of one per mapping (the Nimrod/G
-// amortization).  Slots keep per-mapping granularity: each carries the
-// master-schedule index it reserves for, and each gets its own outcome.
+// amortization), and releases a schedule's holds the same way, one
+// CancelReservationBatch per host.  Slots keep per-mapping granularity:
+// each carries the master-schedule index it reserves for, and each gets
+// its own outcome.
 
 // One mapping's reservation inside a batch.
 struct BatchSlotRequest {
@@ -138,8 +140,15 @@ class HostInterface {
                                     Callback<ReservationBatchReply> done) = 0;
   virtual void CheckReservation(const ReservationToken& token,
                                 Callback<bool> done) = 0;
+  // CancelReservationBatch is the batched form of CancelReservation: the
+  // host runs each token, in order, through the same cancel step and
+  // answers how many holds it released.  Releasing a hold also kills any
+  // object still running under it.
   virtual void CancelReservation(const ReservationToken& token,
                                  Callback<bool> done) = 0;
+  virtual void CancelReservationBatch(
+      const std::vector<ReservationToken>& tokens,
+      Callback<std::size_t> done) = 0;
 
   // Process (object) management.
   virtual void StartObject(const StartObjectRequest& request,
@@ -274,7 +283,9 @@ inline constexpr std::size_t kLargeMessage = 64 * 1024;
 // Marginal wire cost of one slot inside a reservation batch (request and
 // reply).  A ReserveBatch RPC is size-costed as one kSmallMessage
 // envelope plus these per slot, so NetworkModel charges real transfer
-// time for big batches while the per-host amortization stays visible.
+// time for big batches while the per-host amortization stays visible.  A
+// CancelReservationBatch RPC pays kBatchSlotMessage per token on the way
+// out; its reply is one count, a bare kSmallMessage.
 inline constexpr std::size_t kBatchSlotMessage = 64;
 inline constexpr std::size_t kBatchSlotReplyMessage = 48;
 

@@ -75,20 +75,17 @@ void BatchQueueHost::OnSlotGranted(const ReservationToken& token,
   }
 }
 
-void BatchQueueHost::CancelReservation(const ReservationToken& token,
-                                       Callback<bool> done) {
+bool BatchQueueHost::ReleaseHold(const ReservationToken& token) {
   double cpu = 1.0;
   if (const ReservationRecord* record = table_.Find(token.serial)) {
     cpu = record->cpu_fraction;
   }
-  HostObject::CancelReservation(
-      token, [this, token, cpu, done = std::move(done)](Result<bool> result) {
-        if (result.ok() && *result && queue_->SupportsReservations()) {
-          queue_->RemoveReservationWindow(token.start,
-                                          token.start + token.duration, cpu);
-        }
-        done(std::move(result));
-      });
+  if (!HostObject::ReleaseHold(token)) return false;
+  if (queue_->SupportsReservations()) {
+    queue_->RemoveReservationWindow(token.start, token.start + token.duration,
+                                    cpu);
+  }
+  return true;
 }
 
 // ---- Submission ------------------------------------------------------------------

@@ -45,20 +45,17 @@ class BatchQueueHost : public HostObject {
   // Runs one queue scheduling cycle immediately.
   void PollQueueNow() { OnPoll(); }
 
-  // Reservation pass-through (Maui path) happens on grant (OnSlotGranted)
-  // and on cancel.
-  void CancelReservation(const ReservationToken& token,
-                         Callback<bool> done) override;
-
   // Jobs whose reserved window expired before the queue started them.
   std::uint64_t reservation_conflicts() const { return reservation_conflicts_; }
 
  protected:
-  // Admission hooks: the queue's veto and calendar registration apply to
-  // each slot of every reservation request, after the vault check.
+  // Reservation pass-through (Maui path): the queue's veto and calendar
+  // registration apply to each slot of every reservation request, after
+  // the vault check, and a released hold frees its calendar window.
   Status PreAdmitSlot(const ReservationRequest& request, SimTime now) override;
   void OnSlotGranted(const ReservationToken& token,
                      double cpu_fraction) override;
+  bool ReleaseHold(const ReservationToken& token) override;
   Status AdmitWithoutReservation(const StartObjectRequest& request) override;
   void LaunchObjects(const StartObjectRequest& request,
                      std::uint64_t reservation_serial,

@@ -211,11 +211,28 @@ void HostObject::CheckReservation(const ReservationToken& token,
 
 void HostObject::CancelReservation(const ReservationToken& token,
                                    Callback<bool> done) {
-  if (!authority_.Verify(token)) {
-    done(false);
-    return;
+  done(ReleaseHold(token));
+}
+
+void HostObject::CancelReservationBatch(
+    const std::vector<ReservationToken>& tokens, Callback<std::size_t> done) {
+  std::size_t released = 0;
+  for (const ReservationToken& token : tokens) {
+    if (ReleaseHold(token)) ++released;
   }
-  done(table_.Cancel(token, kernel()->Now()));
+  done(released);
+}
+
+bool HostObject::ReleaseHold(const ReservationToken& token) {
+  if (!authority_.Verify(token) || !table_.Cancel(token, kernel()->Now())) {
+    return false;
+  }
+  std::vector<Loid> orphans;
+  for (const auto& [object, running] : running_) {
+    if (running.reservation_serial == token.serial) orphans.push_back(object);
+  }
+  for (const Loid& object : orphans) ReleaseObject(object, /*kill=*/true);
+  return true;
 }
 
 // ---- Process management -----------------------------------------------------

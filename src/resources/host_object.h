@@ -74,6 +74,8 @@ class HostObject : public LegionObject, public HostInterface {
                         Callback<bool> done) override;
   void CancelReservation(const ReservationToken& token,
                          Callback<bool> done) override;
+  void CancelReservationBatch(const std::vector<ReservationToken>& tokens,
+                              Callback<std::size_t> done) override;
   void StartObject(const StartObjectRequest& request,
                    Callback<std::vector<Loid>> done) override;
   void KillObject(const Loid& object, Callback<bool> done) override;
@@ -152,6 +154,13 @@ class HostObject : public LegionObject, public HostInterface {
     std::uint64_t reservation_serial = 0;  // 0 = no reservation
   };
 
+  // The one cancel step behind CancelReservation and
+  // CancelReservationBatch: releases the token's hold if it is ours and
+  // live, then kills every object still running under it (one whose
+  // start reply or kill was lost; nobody else can reach it).  Returns
+  // whether a hold was released.  Batch-queue hosts also free the
+  // window in the queue calendar.
+  virtual bool ReleaseHold(const ReservationToken& token);
   // Admission for token-less starts (the Class's default placement path).
   virtual Status AdmitWithoutReservation(const StartObjectRequest& request);
   // The local policy's verdict on an object that holds no reservation (a

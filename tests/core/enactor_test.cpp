@@ -243,23 +243,74 @@ TEST_F(EnactorTest, EnactWithoutSuccessfulFeedbackFails) {
   EXPECT_FALSE(enacted.Get()->success);
 }
 
-TEST_F(EnactorTest, CancelReservationsReleasesTokens) {
+// cancel_reservations sends one RPC per (host, chunk of at most the batch
+// cap); cap 1 keeps one RPC per token.
+using CapParam = ::testing::WithParamInterface<std::size_t>;
+class EnactorCancelTest : public EnactorTest, public CapParam {};
+
+TEST_P(EnactorCancelTest, CancelReservationsReleasesTokens) {
+  const std::size_t cap = GetParam();
+  world_.enactor->options().max_batch_size = cap;
+  // Three tokens on host 0, two on host 1, one on host 2.
+  const std::vector<std::size_t> hosts = {0, 1, 0, 2, 0, 1};
   ScheduleRequestList request;
   MasterSchedule master;
-  master.mappings = {MappingTo(0), MappingTo(1)};
+  for (std::size_t host : hosts) master.mappings.push_back(MappingTo(host));
   request.masters.push_back(master);
   ScheduleFeedback feedback = Negotiate(request);
   ASSERT_TRUE(feedback.success);
 
+  const std::uint64_t rpcs = Count(world_.kernel, "rpcs_started", "kernel");
   Await<std::size_t> cancelled;
   world_.enactor->CancelReservations(feedback, cancelled.Sink());
   world_.Run();
-  EXPECT_EQ(*cancelled.Get(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
+  EXPECT_EQ(*cancelled.Get(), hosts.size());
+  const auto chunks = [cap](std::size_t tokens) {
+    return (tokens + cap - 1) / cap;
+  };
+  EXPECT_EQ(Count(world_.kernel, "rpcs_started", "kernel") - rpcs,
+            chunks(3) + chunks(2) + chunks(1));
+  EXPECT_EQ(Count(world_.kernel, "reservations_cancelled", "enactor"),
+            hosts.size());
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
     Await<bool> check;
-    world_.hosts[i]->CheckReservation(feedback.tokens[i], check.Sink());
+    world_.hosts[hosts[i]]->CheckReservation(feedback.tokens[i], check.Sink());
     EXPECT_FALSE(*check.Get());
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Caps, EnactorCancelTest,
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{64}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "Cap" + std::to_string(info.param);
+    });
+
+// An instance whose start reply was lost runs under a hold the Enactor
+// then cancels (figure 9's loop after a failed enactment).  Releasing the
+// hold kills it, since nobody else knows it is running.
+TEST_F(EnactorTest, CancellingAHoldKillsObjectsRunningUnderIt) {
+  ScheduleRequestList request;
+  MasterSchedule master;
+  master.mappings = {MappingTo(0)};
+  request.masters.push_back(master);
+  ScheduleFeedback feedback = Negotiate(request);
+  ASSERT_TRUE(feedback.success);
+  Await<EnactResult> enacted;
+  world_.enactor->EnactSchedule(feedback, enacted.Sink());
+  world_.Run();
+  ASSERT_TRUE(enacted.Get().ok());
+  ASSERT_TRUE(enacted.Get()->success);
+  const Loid instance = *enacted.Get()->instances.front();
+  ASSERT_EQ(world_.hosts[0]->running_count(), 1u);
+  ASSERT_NE(world_.kernel.FindActor(instance), nullptr);
+
+  Await<std::size_t> cancelled;
+  world_.enactor->CancelReservations(feedback, cancelled.Sink());
+  world_.Run();
+  EXPECT_EQ(*cancelled.Get(), 1u);
+  EXPECT_EQ(world_.hosts[0]->running_count(), 0u);
+  EXPECT_EQ(world_.kernel.FindActor(instance), nullptr);
 }
 
 TEST_F(EnactorTest, UnknownHostCountsAsFailure) {
@@ -458,6 +509,52 @@ TEST_F(CoAllocationTest, ReservesAcrossDomainsAtomically) {
   // Hosts 1 and 3 are in domain 1, the enactor in domain 0: their
   // reservations crossed the WAN.
   EXPECT_EQ(feedback.Get()->tokens.size(), 4u);
+}
+
+TEST_F(CoAllocationTest, CancelCountsOnlyTheHoldsOfReachableHosts) {
+  // Two holds on every host; then domain 1 (hosts 1 and 3) is cut off.
+  ScheduleRequestList request;
+  MasterSchedule master;
+  for (std::size_t i = 0; i < 8; ++i) {
+    ObjectMapping mapping;
+    mapping.class_loid = klass_->loid();
+    mapping.host = world_.hosts[i % 4]->loid();
+    mapping.vault = world_.vaults[i % 4]->loid();
+    master.mappings.push_back(mapping);
+  }
+  request.masters.push_back(master);
+  Await<ScheduleFeedback> feedback;
+  world_.enactor->MakeReservations(request, feedback.Sink());
+  world_.Run();
+  ASSERT_TRUE(feedback.Get().ok());
+  ASSERT_TRUE(feedback.Get()->success);
+  const std::vector<ReservationToken> tokens = feedback.Get()->tokens;
+  const SimTime now = world_.kernel.Now();
+  world_.kernel.network().AddPartition(0, 1, now, now + Duration::Hours(1));
+
+  // The chunks to hosts 1 and 3 time out and count nothing.
+  Await<std::size_t> cancelled;
+  world_.enactor->CancelReservations(tokens, cancelled.Sink());
+  world_.Run();
+  EXPECT_EQ(*cancelled.Get(), 4u);
+  const auto live = [&](std::size_t host) {
+    std::size_t n = 0;
+    for (std::size_t i = host; i < tokens.size(); i += 4) {
+      Await<bool> check;
+      world_.hosts[host]->CheckReservation(tokens[i], check.Sink());
+      if (*check.Get()) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(live(0), 0u);
+  EXPECT_EQ(live(2), 0u);
+  EXPECT_EQ(live(1), 2u);
+  EXPECT_EQ(live(3), 2u);
+  // Their holds lapse at the confirmation timeout.
+  world_.kernel.RunFor(world_.enactor->options().confirm_timeout);
+  EXPECT_EQ(live(1), 0u);
+  EXPECT_EQ(live(3), 0u);
+  EXPECT_EQ(world_.hosts[1]->reservations().expired(), 2u);
 }
 
 }  // namespace

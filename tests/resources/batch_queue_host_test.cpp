@@ -156,6 +156,26 @@ TEST_F(BatchQueueHostTest, MauiReservationPassesThroughToCalendar) {
   EXPECT_EQ(queue->window_count(), 0u);
 }
 
+TEST_F(BatchQueueHostTest, CancelBatchRemovesEveryWindowFromCalendar) {
+  auto* host = MakeMauiHost(2);
+  auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
+  ASSERT_NE(queue, nullptr);
+  const SimTime start = world_.kernel.Now() + Duration::Minutes(30);
+  Await<ReservationToken> first, second;
+  host->MakeReservation(Reservation(start, Duration::Hours(1)), first.Sink());
+  host->MakeReservation(
+      Reservation(start + Duration::Hours(2), Duration::Hours(1)),
+      second.Sink());
+  ASSERT_TRUE(first.Get().ok());
+  ASSERT_TRUE(second.Get().ok());
+  EXPECT_EQ(queue->window_count(), 2u);
+  Await<std::size_t> released;
+  host->CancelReservationBatch({*first.Get(), *second.Get()}, released.Sink());
+  EXPECT_EQ(*released.Get(), 2u);
+  EXPECT_EQ(queue->window_count(), 0u);
+  EXPECT_EQ(host->reservations().live_count(), 0u);
+}
+
 TEST_F(BatchQueueHostTest, BatchAdmissionConsultsQueuePerSlot) {
   // Regression: two windows that individually fit the 1-CPU Maui
   // calendar but jointly exceed it arrive in one batch.  The queue veto
