@@ -82,7 +82,6 @@ ObsCell RunCell(const Mode& mode, int placements, bool export_artifacts) {
 
   if (mode.recorder) {
     obs::TimeSeriesRecorder& recorder = kernel.recorder();
-    recorder.options().sample_period = Duration::Seconds(1);
     const obs::Labels kernel_labels = {{"component", "kernel"}};
     recorder.WatchCounter("kernel/messages_sent",
                           kernel.metrics().GetCounter("messages_sent",

@@ -329,39 +329,6 @@ Result<CollectionData> CollectionObject::QueryLocal(
   return out;
 }
 
-void CollectionObject::PullFrom(const std::vector<Loid>& members,
-                                Callback<std::size_t> done) {
-  if (members.empty()) {
-    done(static_cast<std::size_t>(0));
-    return;
-  }
-  // One RPC per member; count successful refreshes.
-  struct PullState {
-    std::size_t outstanding;
-    std::size_t refreshed = 0;
-    Callback<std::size_t> done;
-  };
-  auto state = std::make_shared<PullState>();
-  state->outstanding = members.size();
-  state->done = std::move(done);
-  for (const Loid& member : members) {
-    CallOn<AttributeDatabase, LegionObject>(
-        kernel(), loid(), member, kSmallMessage, kMediumMessage,
-        kDefaultRpcTimeout,
-        [](LegionObject& object, Callback<AttributeDatabase> reply) {
-          reply(object.attributes());
-        },
-        [this, member, state](Result<AttributeDatabase> attrs) {
-          if (attrs.ok()) {
-            Upsert(member, *attrs);
-            ++state->refreshed;
-          }
-          if (--state->outstanding == 0) state->done(state->refreshed);
-        },
-        "pull_attributes");
-  }
-}
-
 // ---- Federation (DESIGN.md §10) ---------------------------------------------
 
 void CollectionObject::SetParent(const Loid& parent, Duration push_period) {

@@ -10,10 +10,11 @@
 // Collections may also pull data from resources.  Users, or their agents,
 // obtain information about resources by issuing queries to a Collection."
 //
-// Implemented faithfully to the figure-4 interface, plus the paper's
-// planned extension: *function injection* -- users install code that
-// computes new description information at query time (exposed through the
-// query language's call syntax and the FunctionRegistry).
+// Implemented faithfully to the figure-4 interface (pulling from
+// resources is the Data Collection Daemon's job, core/dcd.h), plus the
+// paper's planned extension: *function injection* -- users install code
+// that computes new description information at query time (exposed
+// through the query language's call syntax and the FunctionRegistry).
 //
 // Query execution (DESIGN.md "The query execution layer"): attribute
 // indexes maintained incrementally on join/update/leave answer sargable
@@ -141,11 +142,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
   // Authenticated third-party update (the Data Collection Daemon path).
   void UpdateEntryAs(const Loid& caller, const Loid& member,
                      const AttributeDatabase& attributes, Callback<bool> done);
-
-  // ---- Pull model -----------------------------------------------------------
-  // Pulls fresh attributes from the given members (each pull is a
-  // message-counted RPC to the resource) and updates their records.
-  void PullFrom(const std::vector<Loid>& members, Callback<std::size_t> done);
 
   // ---- Local (in-process) query paths ---------------------------------------
   // Synchronous evaluation against the current store.  The string form

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 #include <unordered_map>
 
 #include "objects/class_object.h"
@@ -348,10 +349,11 @@ void EnactorObject::SendBatch(Batch batch) {
   if (health_.IsProbe(batch.host)) cells_.breaker_probes->Add();
   for (std::size_t index : batch.wanted) CountAttempt(*n, index, batch.id);
 
-  // Freeze the wire payload on first send.  A retransmission reuses it
-  // verbatim -- same id, same full slot set -- so the host can dedup by
-  // id no matter which subset of slots is still wanted, and the message
-  // costs the same bytes both times.
+  // Freeze the wire payload on first send; the host reads it in place.  A
+  // retransmission resends the same id and full slot set (OnBatchReply
+  // flags a copy once), so the host can dedup by id no matter which
+  // subset of slots is still wanted, and the message costs the same
+  // bytes both times.
   if (batch.request == nullptr) {
     auto request = std::make_shared<ReservationBatchRequest>();
     request->requester = loid();
@@ -364,8 +366,6 @@ void EnactorObject::SendBatch(Batch batch) {
     }
     batch.request = std::move(request);
   }
-  ReservationBatchRequest request = *batch.request;
-  request.retransmit = batch.retransmit;
 
   ++outstanding_batches_;
   cells_.batches_sent->Add();
@@ -374,16 +374,18 @@ void EnactorObject::SendBatch(Batch batch) {
   // Size-cost the RPC on the wire: one envelope plus a marginal cost per
   // slot, both ways, so NetworkModel charges real transfer time.
   const std::size_t request_bytes =
-      kSmallMessage + request.slots.size() * kBatchSlotMessage;
+      kSmallMessage + batch.indices.size() * kBatchSlotMessage;
   const std::size_t reply_bytes =
-      kSmallMessage + request.slots.size() * kBatchSlotReplyMessage;
+      kSmallMessage + batch.indices.size() * kBatchSlotReplyMessage;
+  // Taken before the call: its arguments may move `batch` first.
   const Loid host = batch.host;
+  std::shared_ptr<const ReservationBatchRequest> request = batch.request;
   CallOn<ReservationBatchReply, HostInterface>(
       kernel(), loid(), host, request_bytes, reply_bytes,
       options_.rpc_timeout,
-      [request](HostInterface& host_iface,
-                Callback<ReservationBatchReply> reply) {
-        host_iface.MakeReservationBatch(request, std::move(reply));
+      [request = std::move(request)](HostInterface& host_iface,
+                                     Callback<ReservationBatchReply> reply) {
+        host_iface.MakeReservationBatch(*request, std::move(reply));
       },
       [this, batch = std::move(batch)](
           Result<ReservationBatchReply> result) mutable {
@@ -456,14 +458,22 @@ void EnactorObject::OnBatchReply(Batch batch,
       // subset via `wanted`, so the host can always replay-dedup even
       // when some slots ran out of retry budget; a fresh id for the
       // smaller set would make a lost-reply batch double-admit.
-      // The copy keeps `rest`: the host's later slots wait for it.
+      // The copy keeps `rest`: the host's later slots wait for it.  Its
+      // payload is the original's, flagged as a retransmission; the
+      // first retransmission makes the flagged copy and later ones
+      // reuse it.
       int attempt = 0;
       for (std::size_t index : retryable) {
         attempt = std::max(attempt, n->attempts[index]);
       }
       Batch retry = batch;
       retry.wanted = std::move(retryable);
-      retry.retransmit = true;
+      if (!retry.request->retransmit) {
+        auto flagged =
+            std::make_shared<ReservationBatchRequest>(*retry.request);
+        flagged->retransmit = true;
+        retry.request = std::move(flagged);
+      }
       kernel()->ScheduleAfter(
           BackoffDelay(attempt),
           [this, retry = std::move(retry)] {
@@ -816,15 +826,23 @@ void EnactorObject::CancelReservations(
   auto state = std::make_shared<CancelState>();
   state->done = std::move(done);
   const std::size_t cap = std::max<std::size_t>(options_.max_batch_size, 1);
-  const auto groups = GroupByHost(tokens, [](const auto& t) { return t.host; });
+  // Grouping positions, not tokens, copies each token once: into its
+  // chunk.
+  std::vector<std::size_t> positions(tokens.size());
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  const auto groups = GroupByHost(
+      positions, [&tokens](std::size_t i) { return tokens[i].host; });
   for (const auto& [host, group] : groups) {
     state->outstanding += (group.size() + cap - 1) / cap;
   }
   for (const auto& [host, group] : groups) {
     for (std::size_t first = 0; first < group.size(); first += cap) {
       const std::size_t last = std::min(group.size(), first + cap);
-      std::vector<ReservationToken> chunk(group.begin() + first,
-                                          group.begin() + last);
+      std::vector<ReservationToken> chunk;
+      chunk.reserve(last - first);
+      for (std::size_t k = first; k < last; ++k) {
+        chunk.push_back(tokens[group[k]]);
+      }
       const std::size_t request_bytes =
           kSmallMessage + chunk.size() * kBatchSlotMessage;
       CallOn<std::size_t, HostInterface>(

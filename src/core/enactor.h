@@ -150,11 +150,12 @@ class EnactorObject : public LegionObject {
   // for one host.  Lives in the parked queue under backpressure.
   //
   // At-most-once retransmission: the wire payload (`request`) is frozen
-  // at first send and a timeout resends it verbatim -- same id, same
-  // full slot set -- so the host can always replay-dedup, even when only
-  // a subset of the slots is still worth retrying.  `wanted` tracks that
-  // subset (== `indices` on first send); replies for slots no longer
-  // wanted are ignored, except that stray grants are cancelled.
+  // at first send and a timeout resends it -- same id, same full slot
+  // set, flagged as a retransmission -- so the host can always
+  // replay-dedup, even when only a subset of the slots is still worth
+  // retrying.  `wanted` tracks that subset (== `indices` on first send);
+  // replies for slots no longer wanted are ignored, except that stray
+  // grants are cancelled.
   //
   // The host's later slots of the round (`rest`) wait inside the batch
   // until its fate is settled, then go out as the next batch: a smaller
@@ -170,8 +171,8 @@ class EnactorObject : public LegionObject {
     std::vector<std::size_t> wanted;   // ordered subset still negotiating
     std::vector<std::size_t> rest;     // the host's later slots
     std::uint64_t id = 0;
-    bool retransmit = false;
-    // Frozen at first send; reused verbatim by retransmissions.
+    // Frozen at first send and handed to the host as it is; the first
+    // retransmission swaps in a flagged copy that later ones reuse.
     std::shared_ptr<const ReservationBatchRequest> request;
   };
 

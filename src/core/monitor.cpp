@@ -42,7 +42,6 @@ std::string MonitorObject::WatchLoadThreshold(HostObject* host,
     return load != nullptr && load->is_numeric() &&
            load->as_double() > threshold;
   };
-  spec.edge_sensitive = true;
   host->events().RegisterTrigger(std::move(spec));
   WatchHost(host, event_name);
   return event_name;

@@ -1,48 +1,23 @@
 #include "objects/rge.h"
 
-#include <algorithm>
-
 namespace legion {
 
-TriggerId EventManager::RegisterTrigger(TriggerSpec spec) {
-  TriggerId id = next_trigger_++;
-  triggers_.push_back(Trigger{id, std::move(spec), false});
-  return id;
+void EventManager::RegisterTrigger(TriggerSpec spec) {
+  triggers_.push_back(Trigger{std::move(spec), false});
 }
 
-bool EventManager::RemoveTrigger(TriggerId id) {
-  auto it = std::find_if(triggers_.begin(), triggers_.end(),
-                         [id](const Trigger& t) { return t.id == id; });
-  if (it == triggers_.end()) return false;
-  triggers_.erase(it);
-  return true;
-}
-
-OutcallId EventManager::RegisterOutcall(
+void EventManager::RegisterOutcall(
     const std::string& event_name,
     std::function<void(const RgeEvent&)> outcall) {
-  OutcallId id = next_outcall_++;
-  outcalls_.push_back(Outcall{id, event_name, std::move(outcall)});
-  return id;
-}
-
-bool EventManager::RemoveOutcall(OutcallId id) {
-  auto it = std::find_if(outcalls_.begin(), outcalls_.end(),
-                         [id](const Outcall& o) { return o.id == id; });
-  if (it == outcalls_.end()) return false;
-  outcalls_.erase(it);
-  return true;
+  outcalls_.push_back(Outcall{event_name, std::move(outcall)});
 }
 
 std::size_t EventManager::Evaluate(const AttributeDatabase& db, SimTime now) {
-  std::size_t raised = 0;
-  // Collect firings first: outcalls may add/remove triggers reentrantly.
+  // Collect firings first: outcalls may register triggers reentrantly.
   std::vector<RgeEvent> to_dispatch;
-  std::vector<TriggerId> to_remove;
   for (auto& trigger : triggers_) {
     const bool guard = trigger.spec.guard && trigger.spec.guard(db);
-    const bool fires =
-        trigger.spec.edge_sensitive ? (guard && !trigger.was_true) : guard;
+    const bool fires = guard && !trigger.was_true;
     trigger.was_true = guard;
     if (!fires) continue;
     RgeEvent event;
@@ -51,19 +26,17 @@ std::size_t EventManager::Evaluate(const AttributeDatabase& db, SimTime now) {
     event.when = now;
     event.payload.MergeFrom(db);
     to_dispatch.push_back(std::move(event));
-    if (trigger.spec.one_shot) to_remove.push_back(trigger.id);
-    ++raised;
   }
-  for (TriggerId id : to_remove) RemoveTrigger(id);
   for (const auto& event : to_dispatch) {
     ++events_raised_;
     Dispatch(event);
   }
-  return raised;
+  return to_dispatch.size();
 }
 
 void EventManager::Dispatch(const RgeEvent& event) {
-  // Copy: an outcall may unsubscribe during dispatch.
+  // Copy: an outcall may register another outcall during dispatch, which
+  // can reallocate the list under the running one.
   auto outcalls = outcalls_;
   for (const auto& outcall : outcalls) {
     if (outcall.event_name.empty() || outcall.event_name == event.name) {

@@ -9,11 +9,11 @@
 //
 // EventManager implements the slice of RGE the RMI uses: named triggers
 // with guards over an attribute database, and outcall subscriptions keyed
-// by event name.  Triggers are edge-sensitive by default (the event fires
-// when the guard transitions false->true and re-arms when it goes false
-// again), which prevents outcall storms while a condition persists; a
-// level-sensitive mode is available for callers that want every
-// evaluation.
+// by event name.  Triggers are edge-sensitive: the event fires when the
+// guard transitions false->true and re-arms when it goes false again,
+// which prevents outcall storms while a condition persists.  Triggers and
+// outcalls stay registered for the owner's lifetime, as the Monitor's
+// watches do.
 #pragma once
 
 #include <cstdint>
@@ -36,30 +36,22 @@ struct RgeEvent {
   AttributeDatabase payload;  // snapshot of guard-relevant attributes
 };
 
-using TriggerId = std::uint64_t;
-using OutcallId = std::uint64_t;
-
 struct TriggerSpec {
   std::string event_name;
   // Guard over the owning object's attribute database.
   std::function<bool(const AttributeDatabase&)> guard;
-  bool edge_sensitive = true;
-  bool one_shot = false;  // remove the trigger after its first firing
 };
 
 class EventManager {
  public:
   explicit EventManager(Loid owner) : owner_(owner) {}
 
-  TriggerId RegisterTrigger(TriggerSpec spec);
-  bool RemoveTrigger(TriggerId id);
-  std::size_t trigger_count() const { return triggers_.size(); }
+  void RegisterTrigger(TriggerSpec spec);
 
   // Subscribes `outcall` to every event with the given name.  An empty
   // name subscribes to all events from this manager.
-  OutcallId RegisterOutcall(const std::string& event_name,
-                            std::function<void(const RgeEvent&)> outcall);
-  bool RemoveOutcall(OutcallId id);
+  void RegisterOutcall(const std::string& event_name,
+                       std::function<void(const RgeEvent&)> outcall);
 
   // Evaluates every trigger guard against `db`; dispatches outcalls for
   // each trigger that fires.  Returns the number of events raised.
@@ -69,12 +61,10 @@ class EventManager {
 
  private:
   struct Trigger {
-    TriggerId id;
     TriggerSpec spec;
     bool was_true = false;  // edge detection state
   };
   struct Outcall {
-    OutcallId id;
     std::string event_name;
     std::function<void(const RgeEvent&)> fn;
   };
@@ -84,8 +74,6 @@ class EventManager {
   Loid owner_;
   std::vector<Trigger> triggers_;
   std::vector<Outcall> outcalls_;
-  TriggerId next_trigger_ = 1;
-  OutcallId next_outcall_ = 1;
   std::uint64_t events_raised_ = 0;
 };
 

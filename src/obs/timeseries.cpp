@@ -26,11 +26,10 @@ void TimeSeriesRecorder::Watch(std::string series,
 
 void TimeSeriesRecorder::Start(SimTime now) {
   active_ = true;
-  next_sample_ = now + options_.sample_period;
+  next_sample_ = now + kSamplePeriod;
 }
 
 void TimeSeriesRecorder::SampleAt(SimTime ts) {
-  const double window_s = options_.sample_period.seconds();
   for (auto& [name, s] : series_) {
     const double value = s.sampler();
     TimeSeriesSample sample;
@@ -46,7 +45,7 @@ void TimeSeriesRecorder::SampleAt(SimTime ts) {
     } else {
       sample.delta = value - s.last;
     }
-    sample.rate = window_s > 0.0 ? sample.delta / window_s : 0.0;
+    sample.rate = sample.delta / kSamplePeriod.seconds();
     s.last = value;
     s.has_last = true;
     s.samples.push_back(sample);
@@ -63,7 +62,7 @@ const std::deque<TimeSeriesSample>& TimeSeriesRecorder::samples(
 
 std::string TimeSeriesRecorder::ToJson() const {
   std::string out = "{\"sample_period_us\":" +
-                    JsonNumber(options_.sample_period.micros()) +
+                    JsonNumber(kSamplePeriod.micros()) +
                     ",\"ring_capacity\":" +
                     JsonNumber(static_cast<std::uint64_t>(kRingCapacity)) +
                     ",\"series\":{";

@@ -2,8 +2,8 @@
 //
 // The MetricsRegistry answers "how much happened, total"; production
 // debugging needs "when did it happen, and how fast".  The recorder
-// samples watched cells on a configurable sim-time period into bounded
-// ring buffers, computing per-window deltas and rates, so queue-depth
+// samples watched cells once per sim-time second into bounded ring
+// buffers, computing per-window deltas and rates, so queue-depth
 // timelines, RPC-rate ramps, and breaker-open bursts become visible
 // instead of being averaged into an end-of-run total.
 //
@@ -34,11 +34,6 @@
 
 namespace legion::obs {
 
-struct RecorderOptions {
-  // Sim-time distance between samples.
-  Duration sample_period = Duration::Seconds(1);
-};
-
 struct TimeSeriesSample {
   SimTime ts;    // window end (inclusive)
   double value;  // sampled value at ts
@@ -48,13 +43,10 @@ struct TimeSeriesSample {
 
 class TimeSeriesRecorder {
  public:
+  // Sim-time distance between samples.
+  static constexpr Duration kSamplePeriod = Duration::Seconds(1);
   // Ring capacity per series; the oldest window falls off when full.
   static constexpr std::size_t kRingCapacity = 1024;
-
-  explicit TimeSeriesRecorder(RecorderOptions options = {})
-      : options_(options) {}
-
-  RecorderOptions& options() { return options_; }
 
   // ---- Series registration ----------------------------------------------
   // Watch a registry cell under `series` (any stable name; the registry's
@@ -68,7 +60,7 @@ class TimeSeriesRecorder {
              bool cumulative);
 
   // ---- Clocking ---------------------------------------------------------
-  // Arms the recorder: the first window ends at now + sample_period.
+  // Arms the recorder: the first window ends at now + kSamplePeriod.
   void Start(SimTime now);
   void Stop() { active_ = false; }
   bool active() const { return active_; }
@@ -80,7 +72,7 @@ class TimeSeriesRecorder {
   void MaybeSample(SimTime t) {
     while (active_ && next_sample_ < t) {
       SampleAt(next_sample_);
-      next_sample_ = next_sample_ + options_.sample_period;
+      next_sample_ = next_sample_ + kSamplePeriod;
     }
   }
   // Closes windows up to and including `t` (end of a bounded run).
@@ -111,7 +103,6 @@ class TimeSeriesRecorder {
     std::deque<TimeSeriesSample> samples;
   };
 
-  RecorderOptions options_;
   bool active_ = false;
   SimTime next_sample_;
   std::map<std::string, Series> series_;  // sorted => deterministic export

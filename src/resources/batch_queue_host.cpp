@@ -54,13 +54,11 @@ Status BatchQueueHost::PreAdmitSlot(const ReservationRequest& request,
   // A reservation-aware queue gets a veto: unlike the Unix-style host
   // table, it also knows about running and queued jobs, so it can refuse
   // windows it could not honor.
-  if (queue_->SupportsReservations()) {
-    const SimTime start = std::max(request.start, now);
-    if (!queue_->CanHonorWindow(start, start + request.duration,
-                                request.cpu_fraction, now)) {
-      return Status::Error(ErrorCode::kNoResources,
-                           "queue cannot guarantee the window");
-    }
+  const SimTime start = std::max(request.start, now);
+  if (!queue_->CanHonorWindow(start, start + request.duration,
+                              request.cpu_fraction, now)) {
+    return Status::Error(ErrorCode::kNoResources,
+                         "queue cannot guarantee the window");
   }
   return Status::Ok();
 }
@@ -69,22 +67,14 @@ void BatchQueueHost::OnSlotGranted(const ReservationToken& token,
                                    double cpu_fraction) {
   // Pass the job of managing the reservation through to the queuing
   // system: the calendar protects the window from backfilled jobs.
-  if (queue_->SupportsReservations()) {
-    queue_->AddReservationWindow(token.start, token.start + token.duration,
-                                 cpu_fraction);
-  }
+  queue_->AddReservationWindow(token.serial, token.start,
+                               token.start + token.duration, cpu_fraction);
 }
 
 bool BatchQueueHost::ReleaseHold(const ReservationToken& token) {
-  double cpu = 1.0;
-  if (const ReservationRecord* record = table_.Find(token.serial)) {
-    cpu = record->cpu_fraction;
-  }
   if (!HostObject::ReleaseHold(token)) return false;
-  if (queue_->SupportsReservations()) {
-    queue_->RemoveReservationWindow(token.start, token.start + token.duration,
-                                    cpu);
-  }
+  // A job started under the hold has retired its window already.
+  queue_->RemoveReservationWindow(token.serial);
   return true;
 }
 
@@ -158,12 +148,9 @@ void BatchQueueHost::OnJobStart(const BatchJob& job) {
       pending.conflict_counted = true;
       ++reservation_conflicts_;
     }
-    if (queue_->SupportsReservations()) {
-      // The job now occupies real slots; retire its calendar window so
-      // capacity is not double-counted.
-      queue_->RemoveReservationWindow(job.window_start, job.window_end,
-                                      job.cpu_fraction);
-    }
+    // The job now occupies real slots; retire its calendar window so
+    // capacity is not double-counted.
+    queue_->RemoveReservationWindow(pending.reservation_serial);
   }
 
   // The job's instances, demand and vault are the submitted request's.

@@ -54,25 +54,21 @@ void HostObject::MakeReservation(const ReservationRequest& request,
 void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
                                       Callback<ReservationBatchReply> done) {
   const SimTime now = kernel()->Now();
-  auto batch = std::make_shared<PendingBatch>();
+  const BatchKey key{request.requester, request.batch_id};
   // At-most-once admission: a batch whose reply was lost comes back under
   // the same id.  It gets the recorded reply if the original finished, or
   // joins the original if that still waits on a vault probe -- never a
   // second admission.
   if (request.batch_id != 0) {
-    batch->dedup_key =
-        request.requester.ToString() + "#" + std::to_string(request.batch_id);
     EvictStaleBatchReplies(now);
-    auto cached = completed_batches_.find(batch->dedup_key);
-    if (cached != completed_batches_.end()) {
+    auto seen = batches_.find(key);
+    if (seen != batches_.end()) {
       ++batch_replay_hits_;
-      done(cached->second);
-      return;
-    }
-    auto in_flight = pending_batches_.find(batch->dedup_key);
-    if (in_flight != pending_batches_.end()) {
-      ++batch_replay_hits_;
-      in_flight->second->waiters.push_back(std::move(done));
+      if (seen->second.in_flight != nullptr) {
+        seen->second.in_flight->waiters.push_back(std::move(done));
+      } else {
+        done(seen->second.reply);
+      }
       return;
     }
     // A flagged retransmission that misses the cache re-admits blind:
@@ -82,9 +78,7 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
     if (request.retransmit) ++batch_replay_misses_;
   }
 
-  batch->request = request;
-  batch->waiters.push_back(std::move(done));
-  batch->outcomes.resize(request.slots.size());
+  std::vector<BatchSlotOutcome> outcomes(request.slots.size());
 
   // Per-slot screening: local policy first (the autonomy guarantee), then
   // vault validity, then vault reachability.  Each refusal is written into
@@ -99,14 +93,14 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
   std::unordered_map<Loid, std::vector<std::size_t>> probe_slots;
   for (std::size_t i = 0; i < request.slots.size(); ++i) {
     const ReservationRequest& slot = request.slots[i].request;
-    batch->outcomes[i].index = request.slots[i].index;
+    outcomes[i].index = request.slots[i].index;
     Status permit = policy_->Permit(slot, attributes(), now);
     if (!permit.ok()) {
-      batch->outcomes[i].status = permit;
+      outcomes[i].status = permit;
       continue;
     }
     if (!slot.vault.valid()) {
-      batch->outcomes[i].status = Status::Error(
+      outcomes[i].status = Status::Error(
           ErrorCode::kInvalidArgument, "reservation request names no vault");
       continue;
     }
@@ -117,11 +111,15 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
   }
 
   if (probe_slots.empty()) {
-    FinishBatch(batch);
+    done(FinishBatch(request, std::move(outcomes)));
     return;
   }
-  if (request.batch_id != 0) pending_batches_.emplace(batch->dedup_key, batch);
+  auto batch = std::make_shared<PendingBatch>();
+  batch->request = request;
+  batch->waiters.push_back(std::move(done));
+  batch->outcomes = std::move(outcomes);
   batch->pending_probes = probe_slots.size();
+  if (request.batch_id != 0) batches_[key].in_flight = batch;
   for (auto& [vault, indices] : probe_slots) {
     VaultOk(vault, [this, batch, indices = indices](Result<bool> ok) {
       if (!ok.ok() || !*ok) {
@@ -130,12 +128,21 @@ void HostObject::MakeReservationBatch(const ReservationBatchRequest& request,
               ErrorCode::kRefused, "vault not reachable from this host");
         }
       }
-      if (--batch->pending_probes == 0) FinishBatch(batch);
+      if (--batch->pending_probes != 0) return;
+      ReservationBatchReply reply =
+          FinishBatch(batch->request, std::move(batch->outcomes));
+      // The original transmission and every retransmission that joined
+      // it in flight get the same reply.
+      const std::size_t last = batch->waiters.size() - 1;
+      for (std::size_t i = 0; i < last; ++i) batch->waiters[i](reply);
+      batch->waiters[last](std::move(reply));
     });
   }
 }
 
-void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
+ReservationBatchReply HostObject::FinishBatch(
+    const ReservationBatchRequest& request,
+    std::vector<BatchSlotOutcome> outcomes) {
   const SimTime now = kernel()->Now();
   // Run each admissible slot through veto -> issue -> admit -> grant in
   // slot order (DESIGN.md §11).  The interleaving matters: PreAdmitSlot
@@ -146,12 +153,12 @@ void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
   // that individually fit but jointly exceed the queue's capacity admit
   // one and refuse the other, never both.  A vetoed slot burns no serial;
   // a slot the table rejects burns the serial it was issued.
-  for (std::size_t i = 0; i < batch->request.slots.size(); ++i) {
-    if (!batch->outcomes[i].status.ok()) continue;  // screened out
-    const ReservationRequest& slot = batch->request.slots[i].request;
+  for (std::size_t i = 0; i < request.slots.size(); ++i) {
+    if (!outcomes[i].status.ok()) continue;  // screened out
+    const ReservationRequest& slot = request.slots[i].request;
     Status veto = PreAdmitSlot(slot, now);
     if (!veto.ok()) {
-      batch->outcomes[i].status = veto;
+      outcomes[i].status = veto;
       continue;
     }
     ReservationToken token = authority_.Issue(
@@ -159,44 +166,37 @@ void HostObject::FinishBatch(const std::shared_ptr<PendingBatch>& batch) {
         slot.confirm_timeout, slot.type);
     Status admitted = table_.Admit(token, slot.requester, slot.memory_mb,
                                    slot.cpu_fraction, now);
-    batch->outcomes[i].status = admitted;
+    outcomes[i].status = admitted;
     if (admitted.ok()) {
-      batch->outcomes[i].token = token;
+      outcomes[i].token = token;
       OnSlotGranted(token, slot.cpu_fraction);
     }
   }
   ReservationBatchReply reply;
-  reply.outcomes = std::move(batch->outcomes);
-  if (batch->request.batch_id != 0) {
-    RememberBatchReply(batch->dedup_key, reply);
-    pending_batches_.erase(batch->dedup_key);
+  reply.outcomes = std::move(outcomes);
+  if (request.batch_id != 0) {
+    // The entry keeps only the reply: the request copy and the waiters
+    // of a batch that probed die with their last holder.
+    EvictStaleBatchReplies(now);
+    const BatchKey key{request.requester, request.batch_id};
+    BatchEntry& entry = batches_[key];
+    entry.in_flight = nullptr;
+    entry.reply = reply;
+    batch_order_.emplace_back(key, now);
   }
-  // The original transmission and every retransmission that joined it in
-  // flight get the same reply.
-  const std::size_t last = batch->waiters.size() - 1;
-  for (std::size_t i = 0; i < last; ++i) batch->waiters[i](reply);
-  batch->waiters[last](std::move(reply));
-}
-
-void HostObject::RememberBatchReply(const std::string& key,
-                                    ReservationBatchReply reply) {
-  const SimTime now = kernel()->Now();
-  EvictStaleBatchReplies(now);
-  if (completed_batches_.count(key) == 0) {
-    completed_batch_order_.emplace_back(key, now);
-  }
-  completed_batches_[key] = std::move(reply);
+  return reply;
 }
 
 void HostObject::EvictStaleBatchReplies(SimTime now) {
   // Age-bounded, not count-bounded: a retransmission can only arrive
   // within its sender's retry horizon, so anything older than the
   // retention window is safe to drop -- no matter how many requesters
-  // are talking to this host in the meantime.
-  while (!completed_batch_order_.empty() &&
-         now - completed_batch_order_.front().second > kBatchReplayRetention) {
-    completed_batches_.erase(completed_batch_order_.front().first);
-    completed_batch_order_.pop_front();
+  // are talking to this host in the meantime.  Only answered entries
+  // queue here; a batch still probing stays joinable.
+  while (!batch_order_.empty() &&
+         now - batch_order_.front().second > kBatchReplayRetention) {
+    batches_.erase(batch_order_.front().first);
+    batch_order_.pop_front();
   }
 }
 

@@ -21,9 +21,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -239,23 +241,22 @@ class HostObject : public LegionObject, public HostInterface {
   void RepopulateAttributes();
   void PushToCollections();
 
-  // In-flight batch admission: outcomes accumulate while unknown vaults
-  // are probed; FinishBatch then runs each slot whose outcome still reads
-  // OK (the screening refused it nothing) through the veto/admit/grant
-  // ladder in slot order and replies to every waiter (the original
-  // transmission plus any retransmission that arrived in the meantime).
+  // A batch waiting on vault probes: outcomes accumulate while unknown
+  // vaults are probed, and every retransmission that arrives in the
+  // meantime joins `waiters`.  A batch with nothing to probe is admitted
+  // at once and never becomes one.
   struct PendingBatch {
     ReservationBatchRequest request;
-    std::string dedup_key;  // "requester#batch_id"; empty for batch id 0
     std::vector<Callback<ReservationBatchReply>> waiters;
     std::vector<BatchSlotOutcome> outcomes;  // one per slot, in slot order
     std::size_t pending_probes = 0;
   };
-  void FinishBatch(const std::shared_ptr<PendingBatch>& batch);
-  // At-most-once admission: remembers the reply for (requester, batch_id)
-  // so a retransmitted batch (lost reply) replays instead of re-admitting.
-  void RememberBatchReply(const std::string& key, ReservationBatchReply reply);
-  // Drops cached replies older than kBatchReplayRetention.
+  // Runs each slot whose outcome still reads OK (the screening refused it
+  // nothing) through the veto/admit/grant ladder in slot order and
+  // returns the reply, which a nonzero batch id keeps for replays.
+  ReservationBatchReply FinishBatch(const ReservationBatchRequest& request,
+                                    std::vector<BatchSlotOutcome> outcomes);
+  // Drops answered batches older than kBatchReplayRetention.
   void EvictStaleBatchReplies(SimTime now);
 
   HostSpec spec_;
@@ -267,16 +268,20 @@ class HostObject : public LegionObject, public HostInterface {
   std::vector<Loid> collections_;
   Loid impl_cache_;  // invalid = no cache wired (binaries are free)
   std::unordered_map<Loid, RunningObject> running_;
-  // Completed-batch replay cache, age-bounded: keys in arrival order
-  // with their remember time; entries older than the retention horizon
-  // are evicted (a count cap would let heavy traffic evict replies that
-  // a retransmission still needs).
-  std::unordered_map<std::string, ReservationBatchReply> completed_batches_;
-  std::deque<std::pair<std::string, SimTime>> completed_batch_order_;
-  // Batches still waiting on a vault probe, under the same keys, so a
-  // retransmission joins the original instead of admitting again.
-  std::unordered_map<std::string, std::shared_ptr<PendingBatch>>
-      pending_batches_;
+  // At-most-once admission, one entry per (requester, batch id): the
+  // batch while it waits on a vault probe, so a retransmission joins it
+  // instead of admitting again, then only its reply, which a
+  // retransmission gets back.  Answered entries queue in `batch_order_`
+  // with their answer time and are evicted past the retention horizon
+  // (a count cap would let heavy traffic evict replies that a
+  // retransmission still needs).
+  using BatchKey = std::pair<Loid, std::uint64_t>;
+  struct BatchEntry {
+    std::shared_ptr<PendingBatch> in_flight;  // null once answered
+    ReservationBatchReply reply;
+  };
+  std::map<BatchKey, BatchEntry> batches_;
+  std::deque<std::pair<BatchKey, SimTime>> batch_order_;
   SimKernel::PeriodicId reassess_timer_ = 0;
   bool joined_collections_ = false;
   std::uint64_t objects_started_ = 0;

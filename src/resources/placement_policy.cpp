@@ -28,59 +28,4 @@ std::string DomainRefusalPolicy::Describe() const {
   return os.str();
 }
 
-Status LoadThresholdPolicy::Permit(const ReservationRequest&,
-                                   const AttributeDatabase& attrs,
-                                   SimTime) const {
-  const AttrValue* load = attrs.Get("host_load");
-  if (load != nullptr && load->is_numeric() &&
-      load->as_double() > max_load_) {
-    return Status::Error(ErrorCode::kRefused,
-                         "load above local threshold");
-  }
-  return Status::Ok();
-}
-
-std::string LoadThresholdPolicy::Describe() const {
-  return "load-below-" + std::to_string(max_load_);
-}
-
-Status TimeOfDayPolicy::Permit(const ReservationRequest&,
-                               const AttributeDatabase&, SimTime now) const {
-  const double day = static_cast<double>(day_length_.micros());
-  const double phase =
-      static_cast<double>(now.micros() % day_length_.micros()) / day;
-  const bool open = open_from_ <= open_until_
-                        ? (phase >= open_from_ && phase < open_until_)
-                        : (phase >= open_from_ || phase < open_until_);
-  if (!open) {
-    return Status::Error(ErrorCode::kRefused, "outside acceptance hours");
-  }
-  return Status::Ok();
-}
-
-std::string TimeOfDayPolicy::Describe() const {
-  std::ostringstream os;
-  os << "open-hours[" << open_from_ << ".." << open_until_ << ']';
-  return os.str();
-}
-
-Status CompositePolicy::Permit(const ReservationRequest& request,
-                               const AttributeDatabase& attrs,
-                               SimTime now) const {
-  for (const auto& policy : policies_) {
-    Status status = policy->Permit(request, attrs, now);
-    if (!status.ok()) return status;
-  }
-  return Status::Ok();
-}
-
-std::string CompositePolicy::Describe() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < policies_.size(); ++i) {
-    if (i != 0) os << '+';
-    os << policies_[i]->Describe();
-  }
-  return os.str();
-}
-
 }  // namespace legion

@@ -9,12 +9,12 @@
 // willingness to accept extra jobs based on the time of day".
 //
 // A policy sees the request plus the host's current attributes and
-// accepts or refuses.  Policies compose (all must accept).
+// accepts or refuses.  The experiments exercise autonomy through the
+// domain refusal; a host without a policy of its own accepts everything.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "base/attributes.h"
@@ -55,57 +55,9 @@ class DomainRefusalPolicy : public PlacementPolicy {
   Status Permit(const ReservationRequest& request, const AttributeDatabase&,
                 SimTime) const override;
   std::string Describe() const override;
-  const std::vector<std::uint32_t>& refused_domains() const { return refused_; }
 
  private:
   std::vector<std::uint32_t> refused_;
-};
-
-// Refuses new placements when the host's load attribute exceeds a bound.
-class LoadThresholdPolicy : public PlacementPolicy {
- public:
-  explicit LoadThresholdPolicy(double max_load) : max_load_(max_load) {}
-  Status Permit(const ReservationRequest&, const AttributeDatabase& attrs,
-                SimTime now) const override;
-  std::string Describe() const override;
-
- private:
-  double max_load_;
-};
-
-// Accepts extra jobs only during an "off-hours" window of the (simulated)
-// day -- the time-of-day willingness from the paper's attribute examples.
-// The day length is configurable so experiments need not simulate 24h.
-class TimeOfDayPolicy : public PlacementPolicy {
- public:
-  TimeOfDayPolicy(Duration day_length, double open_from_fraction,
-                  double open_until_fraction)
-      : day_length_(day_length),
-        open_from_(open_from_fraction),
-        open_until_(open_until_fraction) {}
-  Status Permit(const ReservationRequest&, const AttributeDatabase&,
-                SimTime now) const override;
-  std::string Describe() const override;
-
- private:
-  Duration day_length_;
-  double open_from_;
-  double open_until_;
-};
-
-// All sub-policies must accept.
-class CompositePolicy : public PlacementPolicy {
- public:
-  void Add(std::unique_ptr<PlacementPolicy> policy) {
-    policies_.push_back(std::move(policy));
-  }
-  Status Permit(const ReservationRequest& request,
-                const AttributeDatabase& attrs, SimTime now) const override;
-  std::string Describe() const override;
-  std::size_t size() const { return policies_.size(); }
-
- private:
-  std::vector<std::unique_ptr<PlacementPolicy>> policies_;
 };
 
 }  // namespace legion

@@ -126,18 +126,15 @@ void LoadLevelerLikeQueue::Poll(SimTime now) {
 
 // ---- Maui-like --------------------------------------------------------------------
 
-void MauiLikeQueue::AddReservationWindow(SimTime start, SimTime end,
-                                         double cpus) {
-  windows_.push_back(Window{start, end, cpus});
+void MauiLikeQueue::AddReservationWindow(std::uint64_t serial, SimTime start,
+                                         SimTime end, double cpus) {
+  windows_.push_back(Window{serial, start, end, cpus});
 }
 
-void MauiLikeQueue::RemoveReservationWindow(SimTime start, SimTime end,
-                                            double cpus) {
-  auto it = std::find_if(windows_.begin(), windows_.end(),
-                         [&](const Window& w) {
-                           return w.start == start && w.end == end &&
-                                  w.cpus == cpus;
-                         });
+void MauiLikeQueue::RemoveReservationWindow(std::uint64_t serial) {
+  auto it = std::find_if(
+      windows_.begin(), windows_.end(),
+      [serial](const Window& w) { return w.serial == serial; });
   if (it != windows_.end()) windows_.erase(it);
 }
 

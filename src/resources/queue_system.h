@@ -84,22 +84,23 @@ class QueueSystem {
 
   virtual std::string flavor() const = 0;
 
-  // Native reservation support (Maui-like only).
+  // Native reservation support (Maui-like only).  Queues without it have
+  // no opinion on a window (the host's table decides alone) and keep no
+  // calendar, so these default to accepting and ignoring.
   virtual bool SupportsReservations() const { return false; }
-  // Whether a new window could be guaranteed; queues without native
-  // reservations have no opinion (the host's table decides alone).
+  // Whether a new window could be guaranteed.
   virtual bool CanHonorWindow(SimTime start, SimTime end, double cpus,
                               SimTime now) const {
     (void)start; (void)end; (void)cpus; (void)now;
     return true;
   }
-  virtual void AddReservationWindow(SimTime start, SimTime end, double cpus) {
-    (void)start; (void)end; (void)cpus;
+  // Calendar windows are keyed by the serial of the reservation token
+  // that holds them; removing an absent serial does nothing.
+  virtual void AddReservationWindow(std::uint64_t serial, SimTime start,
+                                    SimTime end, double cpus) {
+    (void)serial; (void)start; (void)end; (void)cpus;
   }
-  virtual void RemoveReservationWindow(SimTime start, SimTime end,
-                                       double cpus) {
-    (void)start; (void)end; (void)cpus;
-  }
+  virtual void RemoveReservationWindow(std::uint64_t serial) { (void)serial; }
 
   std::uint64_t jobs_started() const { return jobs_started_; }
   std::uint64_t jobs_vacated() const { return jobs_vacated_; }
@@ -166,9 +167,9 @@ class MauiLikeQueue : public QueueSystem {
   std::string flavor() const override { return "maui"; }
 
   bool SupportsReservations() const override { return true; }
-  void AddReservationWindow(SimTime start, SimTime end, double cpus) override;
-  void RemoveReservationWindow(SimTime start, SimTime end,
-                               double cpus) override;
+  void AddReservationWindow(std::uint64_t serial, SimTime start, SimTime end,
+                            double cpus) override;
+  void RemoveReservationWindow(std::uint64_t serial) override;
 
   // Reserved CPU capacity at instant `t` (excluding windows already being
   // consumed by a reservation-backed running job is the host's concern;
@@ -185,6 +186,7 @@ class MauiLikeQueue : public QueueSystem {
 
  private:
   struct Window {
+    std::uint64_t serial;  // the holding token's
     SimTime start, end;
     double cpus;
   };

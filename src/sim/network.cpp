@@ -11,14 +11,6 @@ void NetworkModel::RegisterEndpoint(const Loid& loid, DomainId domain) {
   endpoints_[loid] = domain;
 }
 
-void NetworkModel::UnregisterEndpoint(const Loid& loid) {
-  endpoints_.erase(loid);
-}
-
-bool NetworkModel::HasEndpoint(const Loid& loid) const {
-  return endpoints_.count(loid) != 0;
-}
-
 std::optional<DomainId> NetworkModel::DomainOf(const Loid& loid) const {
   auto it = endpoints_.find(loid);
   if (it == endpoints_.end()) return std::nullopt;

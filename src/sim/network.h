@@ -55,8 +55,6 @@ class NetworkModel {
 
   // Associates an endpoint LOID with its administrative domain.
   void RegisterEndpoint(const Loid& loid, DomainId domain);
-  void UnregisterEndpoint(const Loid& loid);
-  bool HasEndpoint(const Loid& loid) const;
   std::optional<DomainId> DomainOf(const Loid& loid) const;
 
   // Overrides latency for a specific (unordered) domain pair.

@@ -127,10 +127,6 @@ HostObject* Metacomputer::FindHost(const Loid& loid) const {
   return dynamic_cast<HostObject*>(kernel_->FindActor(loid));
 }
 
-VaultObject* Metacomputer::FindVault(const Loid& loid) const {
-  return dynamic_cast<VaultObject*>(kernel_->FindActor(loid));
-}
-
 ClassObject* Metacomputer::MakeUniversalClass(const std::string& name,
                                               std::size_t memory_mb,
                                               double cpu_fraction) {

@@ -76,7 +76,6 @@ class Metacomputer {
   const std::vector<VaultObject*>& vaults() const { return vaults_; }
 
   HostObject* FindHost(const Loid& loid) const;
-  VaultObject* FindVault(const Loid& loid) const;
 
   // Classes made here know no resources of their own: every placement
   // comes from a Scheduler through the Enactor, so create_instance always

@@ -31,12 +31,6 @@ void WorkloadSession::ScopeToDomain(DomainId domain) {
                            static_cast<std::int64_t>(domain));
 }
 
-void WorkloadSession::Submit(const ApplicationSpec& app) {
-  Submit(app, metacomputer_->MakeUniversalClass(
-                  app.name + "#" + std::to_string(results_.size()),
-                  app.memory_mb_per_instance, app.cpu_fraction_per_instance));
-}
-
 void WorkloadSession::Submit(const ApplicationSpec& app, ClassObject* klass) {
   SimKernel* kernel = metacomputer_->kernel();
   const std::size_t app_index = results_.size();

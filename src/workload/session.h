@@ -48,14 +48,11 @@ class WorkloadSession {
   // metacomputer's Collection/Enactor).
   WorkloadSession(Metacomputer* metacomputer, SchedulerObject* scheduler);
 
-  // Submits one application at the current simulated time, under a
-  // class made for it alone.  Instances run work[i] MIPS-seconds and
-  // then finish (their hosts are told via FinishObject).
-  void Submit(const ApplicationSpec& app);
-
   // Submits `app` once at each arrival time.  The whole stream shares
-  // one class, made now and returned.  A finished app's instances leave
-  // the class's registry, so the class lists only running instances.
+  // one class, made now and returned.  Instances run work[i]
+  // MIPS-seconds and then finish (their hosts are told via
+  // FinishObject); a finished app's instances leave the class's
+  // registry, so the class lists only running instances.
   ClassObject* SubmitAt(const ApplicationSpec& app,
                         const std::vector<SimTime>& arrivals);
 

@@ -146,35 +146,6 @@ TEST_F(CollectionTest, RecordsCarryMemberAndFreshness) {
   EXPECT_EQ(world_.collection->MeanRecordAge(), Duration::Seconds(10));
 }
 
-TEST_F(CollectionTest, PullRefreshesFromLiveResources) {
-  // "Collections may also pull data from resources."
-  world_.Populate();
-  const auto record_count = world_.collection->record_count();
-  ASSERT_EQ(record_count, world_.hosts.size());
-  // Host state changes; the collection is stale until a pull.
-  world_.hosts[0]->SpikeLoad(3.5);
-  auto stale = world_.collection->QueryLocal("$host_load > 3.0");
-  EXPECT_TRUE(stale->empty());
-  std::vector<Loid> members;
-  for (auto* host : world_.hosts) members.push_back(host->loid());
-  Await<std::size_t> pulled;
-  world_.collection->PullFrom(members, pulled.Sink());
-  world_.Run();
-  ASSERT_TRUE(pulled.Ready());
-  EXPECT_EQ(*pulled.Get(), world_.hosts.size());
-  auto fresh = world_.collection->QueryLocal("$host_load > 3.0");
-  EXPECT_EQ(fresh->size(), 1u);
-}
-
-TEST_F(CollectionTest, PullFromDeadResourceSkips) {
-  Await<std::size_t> pulled;
-  world_.collection->PullFrom({Loid(LoidSpace::kHost, 0, 4242)},
-                              pulled.Sink());
-  world_.Run();
-  ASSERT_TRUE(pulled.Ready());
-  EXPECT_EQ(*pulled.Get(), 0u);
-}
-
 TEST_F(CollectionTest, FunctionInjectionVisibleInQueries) {
   world_.collection->functions().Register(
       "always_42", [](const AttributeDatabase&,

@@ -99,7 +99,6 @@ ChaosArtifacts RunChaos(bool observe) {
     kernel.audit().Enable();
     kernel.profiler().Enable();
     obs::TimeSeriesRecorder& recorder = kernel.recorder();
-    recorder.options().sample_period = Duration::Seconds(1);
     recorder.WatchCounter("kernel/messages_sent",
                           kernel.metrics().GetCounter(
                               "messages_sent", {{"component", "kernel"}}));

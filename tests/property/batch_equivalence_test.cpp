@@ -218,6 +218,52 @@ TEST_P(BatchCapTest, LostReplyRetransmitsWithoutDoubleAdmit) {
   }
 }
 
+TEST_P(BatchCapTest, LostRequestRetransmitsFlaggedAndCountsAMiss) {
+  // The first send dies in a partition, so the host never sees its id.
+  // The retransmission carries the retransmit flag, so the host, which
+  // has no entry for the id, admits it and counts the miss: one per
+  // mapping at cap 1, one for the whole batch otherwise.
+  TestWorldConfig config;
+  config.hosts = 2;
+  config.domains = 2;
+  config.net.jitter_fraction = 0.0;
+  TestWorld world(config);
+  world.Populate();
+  ClassObject* klass = world.MakeClass("app", 16, 1.0);
+  world.enactor->options().max_batch_size = GetParam();
+  world.enactor->options().rpc_timeout = Duration::Seconds(2);
+  world.enactor->health().options().host_failure_threshold = 10;
+
+  // Loss is decided at send time: the requests, sent at t0, are dropped,
+  // and the window closes before the retries fire.
+  const SimTime t0 = world.kernel.Now();
+  world.kernel.network().AddPartition(0, 1, t0, t0 + Duration::Seconds(1));
+
+  ScheduleRequestList request;
+  MasterSchedule master;
+  for (int i = 0; i < 3; ++i) {
+    ObjectMapping mapping;
+    mapping.class_loid = klass->loid();
+    mapping.host = world.hosts[1]->loid();  // domain 1: crosses the WAN
+    mapping.vault = world.vaults[1]->loid();
+    master.mappings.push_back(mapping);
+  }
+  request.masters.push_back(master);
+
+  Await<ScheduleFeedback> feedback;
+  world.enactor->MakeReservations(request, feedback.Sink());
+  world.Run();
+  ASSERT_TRUE(feedback.Ready());
+  ASSERT_TRUE(feedback.Get().ok());
+  EXPECT_TRUE(feedback.Get()->success);
+
+  EXPECT_GE(Count(world.kernel, "retries", "enactor"), 3u);
+  const HostObject& host = *world.hosts[1];
+  EXPECT_EQ(host.reservations().admitted(), 3u);
+  EXPECT_EQ(host.batch_replay_hits(), 0u);
+  EXPECT_EQ(host.batch_replay_misses(), GetParam() == 1 ? 3u : 1u);
+}
+
 TEST(BatchEquivalence, RetransmissionJoinsBatchStillProbingVault) {
   // Host 0 must probe a vault in the other domain before it can admit,
   // and the probe outlives the enactor's RPC timeout twice over.  Both

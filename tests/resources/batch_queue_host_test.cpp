@@ -176,6 +176,36 @@ TEST_F(BatchQueueHostTest, CancelBatchRemovesEveryWindowFromCalendar) {
   EXPECT_EQ(host->reservations().live_count(), 0u);
 }
 
+TEST_F(BatchQueueHostTest, CancelAfterJobStartKeepsOtherHoldsWindow) {
+  // Two holds share one window shape.  A job started under the first
+  // retires its own calendar window; cancelling the first token then
+  // must leave the second hold's window in the calendar.
+  auto* host = MakeMauiHost(2);
+  auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
+  ASSERT_NE(queue, nullptr);
+  const SimTime start = world_.kernel.Now();
+  Await<ReservationToken> first, second;
+  host->MakeReservation(Reservation(start, Duration::Hours(1)), first.Sink());
+  host->MakeReservation(Reservation(start, Duration::Hours(1)), second.Sink());
+  ASSERT_TRUE(first.Get().ok());
+  ASSERT_TRUE(second.Get().ok());
+  EXPECT_EQ(queue->window_count(), 2u);
+  Await<std::vector<Loid>> started;
+  host->StartObject(StartRequest(1, *first.Get()), started.Sink());
+  ASSERT_TRUE(started.Get().ok());
+  ASSERT_EQ(host->running_count(), 1u);
+  EXPECT_EQ(queue->window_count(), 1u);
+
+  Await<bool> cancelled;
+  host->CancelReservation(*first.Get(), cancelled.Sink());
+  EXPECT_TRUE(*cancelled.Get());
+  EXPECT_EQ(queue->window_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Minutes(10)), 1.0);
+  Await<bool> live;
+  host->CheckReservation(*second.Get(), live.Sink());
+  EXPECT_TRUE(*live.Get());
+}
+
 TEST_F(BatchQueueHostTest, BatchAdmissionConsultsQueuePerSlot) {
   // Regression: two windows that individually fit the 1-CPU Maui
   // calendar but jointly exceed it arrive in one batch.  The queue veto

@@ -33,75 +33,9 @@ TEST(DomainRefusalPolicyTest, RefusesListedDomains) {
   EXPECT_TRUE(policy.Permit(RequestFromDomain(6), attrs, SimTime(0)).ok());
 }
 
-TEST(LoadThresholdPolicyTest, RefusesWhenLoaded) {
-  LoadThresholdPolicy policy(1.5);
-  AttributeDatabase attrs;
-  attrs.Set("host_load", 1.0);
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, SimTime(0)).ok());
-  attrs.Set("host_load", 2.0);
-  EXPECT_EQ(policy.Permit(RequestFromDomain(0), attrs, SimTime(0)).code(),
-            ErrorCode::kRefused);
-}
-
-TEST(LoadThresholdPolicyTest, MissingLoadAttributeAccepts) {
-  LoadThresholdPolicy policy(1.5);
-  AttributeDatabase attrs;
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, SimTime(0)).ok());
-}
-
-TEST(TimeOfDayPolicyTest, OpenWindowWithinDay) {
-  // Day length 100s; open during [0.25, 0.75) of the day.
-  TimeOfDayPolicy policy(Duration::Seconds(100), 0.25, 0.75);
-  AttributeDatabase attrs;
-  auto at = [](double s) { return SimTime(static_cast<int64_t>(s * 1e6)); };
-  EXPECT_FALSE(policy.Permit(RequestFromDomain(0), attrs, at(10)).ok());
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, at(30)).ok());
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, at(74)).ok());
-  EXPECT_FALSE(policy.Permit(RequestFromDomain(0), attrs, at(80)).ok());
-  // Next simulated day wraps around.
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, at(130)).ok());
-}
-
-TEST(TimeOfDayPolicyTest, OvernightWindowWraps) {
-  // Open from 0.8 of the day through 0.2 of the next (night shift).
-  TimeOfDayPolicy policy(Duration::Seconds(100), 0.8, 0.2);
-  AttributeDatabase attrs;
-  auto at = [](double s) { return SimTime(static_cast<int64_t>(s * 1e6)); };
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, at(90)).ok());
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, at(10)).ok());
-  EXPECT_FALSE(policy.Permit(RequestFromDomain(0), attrs, at(50)).ok());
-}
-
-TEST(CompositePolicyTest, AllMustAccept) {
-  CompositePolicy policy;
-  policy.Add(std::make_unique<DomainRefusalPolicy>(
-      std::vector<std::uint32_t>{9}));
-  policy.Add(std::make_unique<LoadThresholdPolicy>(1.0));
-  AttributeDatabase attrs;
-  attrs.Set("host_load", 0.5);
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(1), attrs, SimTime(0)).ok());
-  // First policy refuses.
-  EXPECT_FALSE(policy.Permit(RequestFromDomain(9), attrs, SimTime(0)).ok());
-  // Second policy refuses.
-  attrs.Set("host_load", 2.0);
-  EXPECT_FALSE(policy.Permit(RequestFromDomain(1), attrs, SimTime(0)).ok());
-}
-
-TEST(CompositePolicyTest, EmptyCompositeAccepts) {
-  CompositePolicy policy;
-  AttributeDatabase attrs;
-  EXPECT_TRUE(policy.Permit(RequestFromDomain(0), attrs, SimTime(0)).ok());
-}
-
 TEST(PolicyDescribeTest, DescriptionsAreInformative) {
   DomainRefusalPolicy refusal({1, 2});
   EXPECT_EQ(refusal.Describe(), "refuse-domains[1,2]");
-  LoadThresholdPolicy load(2.0);
-  EXPECT_NE(load.Describe().find("load-below-"), std::string::npos);
-  CompositePolicy composite;
-  composite.Add(std::make_unique<AcceptAllPolicy>());
-  composite.Add(std::make_unique<LoadThresholdPolicy>(1.0));
-  EXPECT_NE(composite.Describe().find('+'), std::string::npos);
 }
 
 }  // namespace

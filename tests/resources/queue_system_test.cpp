@@ -151,7 +151,7 @@ TEST(MauiLikeQueueTest, ReservationWindowBlocksConflictingBackfill) {
   queue.SetCallbacks([&](const BatchJob& job) { started.push_back(job.id); },
                      nullptr);
   // Reserve both CPUs for [10min, 70min).
-  queue.AddReservationWindow(SimTime(0) + Duration::Minutes(10),
+  queue.AddReservationWindow(/*serial=*/1, SimTime(0) + Duration::Minutes(10),
                              SimTime(0) + Duration::Minutes(70), 2.0);
   // A 30-minute job submitted now would overrun into the window: blocked.
   queue.Submit(Job(1, 2.0, Duration::Minutes(30)));
@@ -170,7 +170,7 @@ TEST(MauiLikeQueueTest, ReservedJobStartsInItsWindow) {
                      nullptr);
   const SimTime window_start = SimTime(0) + Duration::Minutes(10);
   const SimTime window_end = SimTime(0) + Duration::Minutes(70);
-  queue.AddReservationWindow(window_start, window_end, 1.0);
+  queue.AddReservationWindow(/*serial=*/1, window_start, window_end, 1.0);
   BatchJob reserved = Job(1, 1.0, Duration::Minutes(60));
   reserved.reserved = true;
   reserved.window_start = window_start;
@@ -184,15 +184,19 @@ TEST(MauiLikeQueueTest, ReservedJobStartsInItsWindow) {
 
 TEST(MauiLikeQueueTest, ReservedAtAggregatesWindows) {
   MauiLikeQueue queue(8.0);
-  queue.AddReservationWindow(SimTime(100), SimTime(200), 2.0);
-  queue.AddReservationWindow(SimTime(150), SimTime(250), 3.0);
+  queue.AddReservationWindow(/*serial=*/1, SimTime(100), SimTime(200), 2.0);
+  queue.AddReservationWindow(/*serial=*/2, SimTime(150), SimTime(250), 3.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(99)), 0.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(120)), 2.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(180)), 5.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(220)), 3.0);
-  queue.RemoveReservationWindow(SimTime(100), SimTime(200), 2.0);
+  queue.RemoveReservationWindow(1);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(120)), 0.0);
   EXPECT_EQ(queue.window_count(), 1u);
+  // A serial the calendar does not hold removes nothing.
+  queue.RemoveReservationWindow(1);
+  EXPECT_EQ(queue.window_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(220)), 3.0);
 }
 
 TEST(MauiLikeQueueTest, BackfillSkipsBlockedHeadJob) {
@@ -200,7 +204,7 @@ TEST(MauiLikeQueueTest, BackfillSkipsBlockedHeadJob) {
   std::vector<std::uint64_t> started;
   queue.SetCallbacks([&](const BatchJob& job) { started.push_back(job.id); },
                      nullptr);
-  queue.AddReservationWindow(SimTime(0) + Duration::Minutes(20),
+  queue.AddReservationWindow(/*serial=*/1, SimTime(0) + Duration::Minutes(20),
                              SimTime(0) + Duration::Minutes(90), 2.0);
   queue.Submit(Job(1, 2.0, Duration::Hours(1)));    // blocked by the window
   queue.Submit(Job(2, 1.0, Duration::Minutes(10))); // fits before it

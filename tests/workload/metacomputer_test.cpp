@@ -185,7 +185,6 @@ TEST(MetacomputerTest, RegistryResetWithLiveRecorderWindows) {
   // must clamp the post-reset delta to the new value instead of
   // reporting a negative window.
   obs::TimeSeriesRecorder& recorder = kernel.recorder();
-  recorder.options().sample_period = Duration::Seconds(1);
   obs::Counter* messages =
       kernel.metrics().GetCounter("messages_sent", {{"component", "kernel"}});
   recorder.WatchCounter("kernel/messages_sent", messages);
@@ -226,13 +225,11 @@ TEST(MetacomputerTest, RegistryResetWithLiveRecorderWindows) {
   EXPECT_TRUE(recorder.active());
 }
 
-TEST(MetacomputerTest, FindHostAndVaultResolve) {
+TEST(MetacomputerTest, FindHostResolves) {
   SimKernel kernel(QuietNet());
   Metacomputer metacomputer(&kernel, MetacomputerConfig{});
   auto* host = metacomputer.hosts().front();
-  auto* vault = metacomputer.vaults().front();
   EXPECT_EQ(metacomputer.FindHost(host->loid()), host);
-  EXPECT_EQ(metacomputer.FindVault(vault->loid()), vault);
   EXPECT_EQ(metacomputer.FindHost(Loid(LoidSpace::kHost, 0, 31337)), nullptr);
 }
 

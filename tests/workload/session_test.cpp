@@ -46,7 +46,7 @@ class SessionTest : public ::testing::Test {
 
 TEST_F(SessionTest, SingleAppRunsAndCompletes) {
   ApplicationSpec app = MakeParameterStudy(4, /*work=*/1000.0);
-  session_->Submit(app);
+  session_->SubmitAt(app, {kernel_.Now()});
   kernel_.RunFor(Duration::Hours(1));
   ASSERT_EQ(session_->results().size(), 1u);
   const SessionAppResult& result = session_->results()[0];
@@ -66,7 +66,7 @@ TEST_F(SessionTest, SingleAppRunsAndCompletes) {
 // The fixture has the benchmark's shape: a Metacomputer, a load-aware
 // scheduler and a session.
 TEST_F(SessionTest, RegistryHoldsEveryCellTheBenchmarkReads) {
-  session_->Submit(MakeParameterStudy(4, /*work=*/1000.0));
+  session_->SubmitAt(MakeParameterStudy(4, /*work=*/1000.0), {kernel_.Now()});
   kernel_.RunFor(Duration::Hours(1));
   const SessionStats stats = session_->Stats(Duration::Hours(1));
   ASSERT_EQ(stats.completed, 1u);
