@@ -3,7 +3,7 @@
 // behind Condor-/LoadLeveler-style queues, and a Maui-style machine with
 // native reservations.  Demonstrates:
 //   * uniform reservation negotiation across all host kinds,
-//   * advance reservations passed through to the Maui calendar,
+//   * advance reservations on the Maui host, whose queue sets them aside,
 //   * the "unavoidable potential for conflict" on the non-reservation
 //     queue, and
 //   * monitor-driven migration away from a host whose owner returned.

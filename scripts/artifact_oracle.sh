@@ -6,8 +6,9 @@
 # tree, then byte-compares every deterministic artifact:
 #
 #   BENCH_*.json, TIMELINE_*.json, TRACE_*.json, PROFILE_*.json,
-#   AUDIT_*.jsonl, EXPLAIN_*.txt, and quickstart.{trace.json,
-#   trace.jsonl,metrics.json}
+#   AUDIT_*.jsonl, EXPLAIN_*.txt, quickstart.{trace.json,
+#   trace.jsonl,metrics.json}, and each example's stdout (examples print
+#   no wall time)
 #
 # It also runs the wall-clock benchmark's smoke gate,
 # `python3 perfbench/run.py --smoke`, in both trees and compares the
@@ -78,16 +79,18 @@ build_tree() {
 }
 
 # Runs every bench and example of build tree $1 from the fresh directory
-# $2, leaving stdout logs in $2/logs.  Prints the names of runs that
-# exited non-zero.
+# $2, leaving bench output in $2/logs and example output, an artifact, in
+# $2/stdout.  Prints the names of runs that exited non-zero.
 run_tree() {
-  local build="$1" run="$2" bin name
+  local build="$1" run="$2" bin name out
   rm -rf "$run"
-  mkdir -p "$run/logs"
+  mkdir -p "$run/logs" "$run/stdout"
   for bin in "$build"/bench/bench_* "$build"/examples/*; do
     [[ -f "$bin" && -x "$bin" ]] || continue
     name="$(basename "$bin")"
-    (cd "$run" && LEGION_BENCH_PRESET=smoke "$bin" >"logs/$name.txt" 2>&1) ||
+    out="logs/$name.txt"
+    [[ "$bin" == "$build"/examples/* ]] && out="stdout/$name.txt"
+    (cd "$run" && LEGION_BENCH_PRESET=smoke "$bin" >"$out" 2>&1) ||
       echo "$name"
   done
 }
@@ -148,7 +151,8 @@ artifacts="$(cd "$work" && {
   for side in base-run head-run; do
     (cd "$side" && ls -1 BENCH_*.json TIMELINE_*.json TRACE_*.json \
       PROFILE_*.json AUDIT_*.jsonl EXPLAIN_*.txt quickstart.trace.json \
-      quickstart.trace.jsonl quickstart.metrics.json 2>/dev/null || true)
+      quickstart.trace.jsonl quickstart.metrics.json stdout/*.txt \
+      2>/dev/null || true)
   done
 } | sort -u)"
 [[ -n "$artifacts" ]] || die "no artifacts were written"

@@ -63,7 +63,6 @@ void DataCollectionDaemon::PollNow() {
           }
         });
   }
-  ++polls_completed_;
 }
 
 void DataCollectionDaemon::RecordSample(const Loid& host, double load) {

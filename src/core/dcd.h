@@ -51,8 +51,6 @@ class DataCollectionDaemon : public LegionObject {
   double ForecastLoad(const Loid& host) const;
   const std::deque<double>* HistoryFor(const Loid& host) const;
 
-  std::uint64_t polls_completed() const { return polls_completed_; }
-
  private:
   void RecordSample(const Loid& host, double load);
 
@@ -61,7 +59,6 @@ class DataCollectionDaemon : public LegionObject {
   std::vector<CollectionObject*> collections_;
   std::unordered_map<Loid, std::deque<double>> history_;
   SimKernel::PeriodicId timer_ = 0;
-  std::uint64_t polls_completed_ = 0;
 };
 
 }  // namespace legion

@@ -75,7 +75,6 @@ ReservationRequest ReservationRequestFor(SimKernel* kernel, const Loid& sender,
   request.confirm_timeout = confirm_timeout;
   request.type = ReservationType::OneShotTimesharing();
   request.requester = sender;
-  request.requester_domain = sender.domain();
   const InstanceDemand demand = InstanceDemandOf(kernel, mapping.class_loid);
   request.memory_mb = demand.memory_mb;
   request.cpu_fraction = demand.cpu_fraction;

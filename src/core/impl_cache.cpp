@@ -36,15 +36,8 @@ void ImplementationCacheObject::EnsureBinary(const Loid& class_loid,
     return;
   }
   pending_[key].push_back(std::move(done));
-  // Pull the binary from the class object: a small request out, the
-  // binary back (bandwidth-limited by its size).
-  kernel()->AsyncCall<bool>(
-      loid(), class_loid, kSmallMessage, binary_bytes,
-      Duration::Minutes(10),
-      [kernel = kernel(), class_loid](Callback<bool> reply) {
-        // The class only needs to exist to serve its binary.
-        reply(kernel->FindActor(class_loid) != nullptr);
-      },
+  PullBinary(
+      kernel(), loid(), class_loid, binary_bytes,
       [this, key, binary_bytes](Result<bool> fetched) {
         const bool ok = fetched.ok() && *fetched;
         if (ok) {

@@ -46,8 +46,8 @@ struct ReservationRequest {
   Duration duration;           // window length
   Duration confirm_timeout;    // for instantaneous reservations
   ReservationType type;        // share/reuse bits (Table 2)
-  Loid requester;              // who is asking (for autonomy policy)
-  std::uint32_t requester_domain = 0;
+  Loid requester;              // who is asking; its domain is the
+                               // autonomy policy's input
   std::size_t memory_mb = 0;   // capacity the object will need
   double cpu_fraction = 1.0;   // share of one CPU the object will use
 };
@@ -291,5 +291,20 @@ inline constexpr std::size_t kBatchSlotReplyMessage = 48;
 
 // Default RPC timeout for control-plane calls.
 inline constexpr Duration kDefaultRpcTimeout = Duration::Seconds(30);
+
+// Pulls the binary of `class_loid` from the class object: a small request
+// out, `binary_bytes` back.  The class only needs to exist to serve it.
+// A host without an implementation cache pulls this way on every start,
+// and a cache on each miss.
+inline void PullBinary(SimKernel* kernel, const Loid& from,
+                       const Loid& class_loid, std::size_t binary_bytes,
+                       Callback<bool> done) {
+  kernel->AsyncCall<bool>(
+      from, class_loid, kSmallMessage, binary_bytes, Duration::Minutes(10),
+      [kernel, class_loid](Callback<bool> reply) {
+        reply(kernel->FindActor(class_loid) != nullptr);
+      },
+      std::move(done));
+}
 
 }  // namespace legion

@@ -13,6 +13,18 @@ BatchQueueHost::BatchQueueHost(SimKernel* kernel, Loid loid, HostSpec spec,
       poll_period_(poll_period) {
   queue_->SetCallbacks([this](const BatchJob& job) { OnJobStart(job); },
                        [this](const BatchJob& job) { OnJobVacate(job); });
+  // The queue's holds are the table's live records, minus those a
+  // started job has spent: that job occupies real slots instead.
+  queue_->SetHoldSource([this, kernel] {
+    QueueSystem::Holds holds = table_.LiveRecords(kernel->Now());
+    for (const auto& [id, pending] : pending_jobs_) {
+      if (!pending.started) continue;
+      std::erase_if(holds, [&](const ReservationRecord& hold) {
+        return hold.token.serial == pending.reservation_serial;
+      });
+    }
+    return holds;
+  });
   RepopulateAttributes();
 }
 
@@ -63,19 +75,25 @@ Status BatchQueueHost::PreAdmitSlot(const ReservationRequest& request,
   return Status::Ok();
 }
 
-void BatchQueueHost::OnSlotGranted(const ReservationToken& token,
-                                   double cpu_fraction) {
-  // Pass the job of managing the reservation through to the queuing
-  // system: the calendar protects the window from backfilled jobs.
-  queue_->AddReservationWindow(token.serial, token.start,
-                               token.start + token.duration, cpu_fraction);
-}
-
 bool BatchQueueHost::ReleaseHold(const ReservationToken& token) {
-  if (!HostObject::ReleaseHold(token)) return false;
-  // A job started under the hold has retired its window already.
-  queue_->RemoveReservationWindow(token.serial);
-  return true;
+  if (!authority_.Verify(token) || !table_.Check(token, kernel()->Now())) {
+    return false;
+  }
+  // Withdraw the jobs queued under the hold before the base step kills
+  // what runs under it, or the slots the kill frees could start one.
+  const auto withdrawn = std::erase_if(pending_jobs_, [&](const auto& entry) {
+    const auto& [job_id, pending] = entry;
+    if (pending.reservation_serial != token.serial) return false;
+    if (pending.live_instances != 0) return false;  // running, killed below
+    queue_->Cancel(job_id);
+    for (const Loid& instance : pending.request.instances) {
+      instance_job_.erase(instance);
+      RetireInstance(instance);
+    }
+    return true;
+  });
+  if (withdrawn != 0) RepopulateAttributes();
+  return HostObject::ReleaseHold(token);
 }
 
 // ---- Submission ------------------------------------------------------------------
@@ -139,18 +157,14 @@ void BatchQueueHost::OnJobStart(const BatchJob& job) {
   auto it = pending_jobs_.find(job.id);
   if (it == pending_jobs_.end()) return;
   PendingJob& pending = it->second;
-  pending.started = true;
+  pending.started = true;  // spends the job's hold
 
-  if (job.reserved) {
-    if (kernel()->Now() >= job.window_end && !pending.conflict_counted) {
-      // The "unavoidable potential for conflict": the queue could not
-      // honor the reserved window.
-      pending.conflict_counted = true;
-      ++reservation_conflicts_;
-    }
-    // The job now occupies real slots; retire its calendar window so
-    // capacity is not double-counted.
-    queue_->RemoveReservationWindow(pending.reservation_serial);
+  if (job.reserved && kernel()->Now() >= job.window_end &&
+      !pending.conflict_counted) {
+    // The "unavoidable potential for conflict": the queue could not
+    // honor the reserved window.
+    pending.conflict_counted = true;
+    ++reservation_conflicts_;
   }
 
   // The job's instances, demand and vault are the submitted request's.

@@ -14,11 +14,13 @@
 //
 // BatchQueueHost fronts a simulated QueueSystem: StartObject submits a
 // job; the instances come alive when the queue starts the job.  The
-// reservation table lives in the Host (Unix-style) unless the queue has
-// native reservation support, in which case admitted windows are passed
-// through into the queue's calendar.  The "unavoidable conflict" shows up
-// as the reservation_conflicts counter: a reserved job whose queue wait
-// pushed its start past the reserved window.
+// reservation table in the Host is the one ledger of holds.  A queue with
+// native reservation support vetoes windows it could not honor and reads
+// the host's open holds (live in the table, no job started under them)
+// at each decision, so it never backfills into a held window.  The
+// "unavoidable conflict" shows up as the reservation_conflicts counter:
+// a reserved job whose queue wait pushed its start past the reserved
+// window.
 #pragma once
 
 #include <memory>
@@ -49,12 +51,11 @@ class BatchQueueHost : public HostObject {
   std::uint64_t reservation_conflicts() const { return reservation_conflicts_; }
 
  protected:
-  // Reservation pass-through (Maui path): the queue's veto and calendar
-  // registration apply to each slot of every reservation request, after
-  // the vault check, and a released hold frees its calendar window.
+  // Reservation pass-through (Maui path): the queue's veto applies to
+  // each slot of every reservation request, after the vault check.
   Status PreAdmitSlot(const ReservationRequest& request, SimTime now) override;
-  void OnSlotGranted(const ReservationToken& token,
-                     double cpu_fraction) override;
+  // A released hold also withdraws the jobs still queued under it and
+  // retires their instances, which would otherwise start without a hold.
   bool ReleaseHold(const ReservationToken& token) override;
   Status AdmitWithoutReservation(const StartObjectRequest& request) override;
   void LaunchObjects(const StartObjectRequest& request,

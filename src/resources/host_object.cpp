@@ -144,15 +144,15 @@ ReservationBatchReply HostObject::FinishBatch(
     const ReservationBatchRequest& request,
     std::vector<BatchSlotOutcome> outcomes) {
   const SimTime now = kernel()->Now();
-  // Run each admissible slot through veto -> issue -> admit -> grant in
-  // slot order (DESIGN.md §11).  The interleaving matters: PreAdmitSlot
-  // and OnSlotGranted bracket every admission, so a reservation-aware
-  // queue vetoes slot i+1 against slot i's already-registered window, and
-  // a single request against every window granted before it -- including
-  // windows granted while its own vault probe was in flight.  Two windows
-  // that individually fit but jointly exceed the queue's capacity admit
-  // one and refuse the other, never both.  A vetoed slot burns no serial;
-  // a slot the table rejects burns the serial it was issued.
+  // Run each admissible slot through veto -> issue -> admit in slot order
+  // (DESIGN.md §11).  The interleaving matters: a reservation-aware queue
+  // reads the table's holds, so it vetoes slot i+1 against slot i's
+  // already-admitted window, and a single request against every window
+  // granted before it -- including windows granted while its own vault
+  // probe was in flight.  Two windows that individually fit but jointly
+  // exceed the queue's capacity admit one and refuse the other, never
+  // both.  A vetoed slot burns no serial; a slot the table rejects burns
+  // the serial it was issued.
   for (std::size_t i = 0; i < request.slots.size(); ++i) {
     if (!outcomes[i].status.ok()) continue;  // screened out
     const ReservationRequest& slot = request.slots[i].request;
@@ -167,10 +167,7 @@ ReservationBatchReply HostObject::FinishBatch(
     Status admitted = table_.Admit(token, slot.requester, slot.memory_mb,
                                    slot.cpu_fraction, now);
     outcomes[i].status = admitted;
-    if (admitted.ok()) {
-      outcomes[i].token = token;
-      OnSlotGranted(token, slot.cpu_fraction);
-    }
+    if (admitted.ok()) outcomes[i].token = token;
   }
   ReservationBatchReply reply;
   reply.outcomes = std::move(outcomes);
@@ -258,7 +255,6 @@ Status HostObject::PermitWithoutReservation(const Loid& class_loid,
   probe.start = kernel()->Now();
   probe.duration = window;
   probe.requester = class_loid;
-  probe.requester_domain = class_loid.domain();
   probe.memory_mb = memory_mb;
   probe.cpu_fraction = cpu_fraction;
   return policy_->Permit(probe, attributes(), kernel()->Now());
@@ -355,15 +351,8 @@ void HostObject::LaunchObjects(const StartObjectRequest& request,
           },
           std::move(proceed));
     } else {
-      // Direct pull from the class: the reply carries the whole binary.
-      kernel()->AsyncCall<bool>(
-          loid(), request.class_loid, kSmallMessage, request.binary_bytes,
-          Duration::Minutes(10),
-          [kernel = kernel(),
-           class_loid = request.class_loid](Callback<bool> reply) {
-            reply(kernel->FindActor(class_loid) != nullptr);
-          },
-          std::move(proceed));
+      PullBinary(kernel(), loid(), request.class_loid, request.binary_bytes,
+                 std::move(proceed));
     }
     return;
   }
@@ -453,17 +442,19 @@ bool HostObject::ReleaseObject(const Loid& object, bool kill) {
         table_.Find(released.reservation_serial);
     if (record != nullptr) table_.OnJobDone(record->token);
   }
-  if (kill) {
-    if (auto* actor = kernel()->FindActor(object)) {
-      if (auto* legion_object = dynamic_cast<LegionObject*>(actor)) {
-        legion_object->MarkDead();
-      }
-      kernel()->RemoveActor(object);
-    }
-  }
+  if (kill) RetireInstance(object);
   OnObjectReleased(released);
   RepopulateAttributes();
   return true;
+}
+
+void HostObject::RetireInstance(const Loid& object) {
+  if (auto* actor = kernel()->FindActor(object)) {
+    if (auto* legion_object = dynamic_cast<LegionObject*>(actor)) {
+      legion_object->MarkDead();
+    }
+    kernel()->RemoveActor(object);
+  }
 }
 
 void HostObject::KillObject(const Loid& object, Callback<bool> done) {

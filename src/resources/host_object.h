@@ -160,8 +160,8 @@ class HostObject : public LegionObject, public HostInterface {
   // CancelReservationBatch: releases the token's hold if it is ours and
   // live, then kills every object still running under it (one whose
   // start reply or kill was lost; nobody else can reach it).  Returns
-  // whether a hold was released.  Batch-queue hosts also free the
-  // window in the queue calendar.
+  // whether a hold was released.  Batch-queue hosts also withdraw the
+  // jobs still queued under the hold.
   virtual bool ReleaseHold(const ReservationToken& token);
   // Admission for token-less starts (the Class's default placement path).
   virtual Status AdmitWithoutReservation(const StartObjectRequest& request);
@@ -215,27 +215,22 @@ class HostObject : public LegionObject, public HostInterface {
 
   // Releases a running object's resources.  Returns false if unknown.
   bool ReleaseObject(const Loid& object, bool kill);
+  // Marks `object` dead and removes it from the kernel, if it exists.
+  void RetireInstance(const Loid& object);
 
   double RunningCpuDemand() const;
   std::size_t RunningMemoryDemand() const;
 
-  // Admission subclass hooks (DESIGN.md §11), run for every slot of every
-  // request -- a single MakeReservation is a one-slot batch.  PreAdmitSlot
-  // gives the machine-specific layer a veto over each slot before the
-  // table sees it (batch-queue hosts ask the queue to honor the window);
-  // OnSlotGranted fires for every admitted slot (batch-queue hosts
-  // register the window in the queue calendar).  FinishBatch interleaves
-  // the two per slot -- veto, admit, grant, then the next slot -- so
-  // each veto sees every window granted before it.
+  // Admission subclass hook (DESIGN.md §11), run for every slot of every
+  // request -- a single MakeReservation is a one-slot batch.  It gives
+  // the machine-specific layer a veto over each slot before the table
+  // sees it (batch-queue hosts ask the queue to honor the window).
+  // FinishBatch runs veto then admit per slot before judging the next,
+  // so each veto sees every window the table granted before it.
   virtual Status PreAdmitSlot(const ReservationRequest& request, SimTime now) {
     (void)request;
     (void)now;
     return Status::Ok();
-  }
-  virtual void OnSlotGranted(const ReservationToken& token,
-                             double cpu_fraction) {
-    (void)token;
-    (void)cpu_fraction;
   }
 
   void RepopulateAttributes();
@@ -252,8 +247,8 @@ class HostObject : public LegionObject, public HostInterface {
     std::size_t pending_probes = 0;
   };
   // Runs each slot whose outcome still reads OK (the screening refused it
-  // nothing) through the veto/admit/grant ladder in slot order and
-  // returns the reply, which a nonzero batch id keeps for replays.
+  // nothing) through the veto/admit ladder in slot order and returns the
+  // reply, which a nonzero batch id keeps for replays.
   ReservationBatchReply FinishBatch(const ReservationBatchRequest& request,
                                     std::vector<BatchSlotOutcome> outcomes);
   // Drops answered batches older than kBatchReplayRetention.

@@ -7,11 +7,10 @@ namespace legion {
 
 Status DomainRefusalPolicy::Permit(const ReservationRequest& request,
                                    const AttributeDatabase&, SimTime) const {
-  if (std::find(refused_.begin(), refused_.end(), request.requester_domain) !=
-      refused_.end()) {
+  const std::uint32_t domain = request.requester.domain();
+  if (std::find(refused_.begin(), refused_.end(), domain) != refused_.end()) {
     return Status::Error(ErrorCode::kRefused,
-                         "requests from domain " +
-                             std::to_string(request.requester_domain) +
+                         "requests from domain " + std::to_string(domain) +
                              " are refused here");
   }
   return Status::Ok();

@@ -47,7 +47,6 @@ void QueueSystem::StartJobAt(std::size_t index, SimTime now) {
   job.started = now;
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
   running_[job.id] = job;
-  ++jobs_started_;
   if (on_start_) on_start_(job);
 }
 
@@ -126,33 +125,33 @@ void LoadLevelerLikeQueue::Poll(SimTime now) {
 
 // ---- Maui-like --------------------------------------------------------------------
 
-void MauiLikeQueue::AddReservationWindow(std::uint64_t serial, SimTime start,
-                                         SimTime end, double cpus) {
-  windows_.push_back(Window{serial, start, end, cpus});
-}
+namespace {
 
-void MauiLikeQueue::RemoveReservationWindow(std::uint64_t serial) {
-  auto it = std::find_if(
-      windows_.begin(), windows_.end(),
-      [serial](const Window& w) { return w.serial == serial; });
-  if (it != windows_.end()) windows_.erase(it);
-}
-
-double MauiLikeQueue::ReservedAt(SimTime t) const {
+// The CPU share of the holds covering `t`, summed in the order they come:
+// grant order, which no hash layout of the host's table can change.
+double ReservedIn(const QueueSystem::Holds& holds, SimTime t) {
   double reserved = 0.0;
-  for (const auto& w : windows_) {
-    if (t >= w.start && t < w.end) reserved += w.cpus;
+  for (const ReservationRecord& hold : holds) {
+    const ReservationToken& w = hold.token;
+    if (t >= w.start && t < w.start + w.duration) reserved += hold.cpu_fraction;
   }
   return reserved;
+}
+
+}  // namespace
+
+double MauiLikeQueue::ReservedAt(SimTime t) const {
+  return ReservedIn(holds_(), t);
 }
 
 bool MauiLikeQueue::CanHonorWindow(SimTime start, SimTime end, double cpus,
                                    SimTime now) const {
   // Capacity only changes at boundaries: the window start and the starts
-  // of other reserved windows inside it.  Running jobs release their
-  // slots at started + estimated_runtime (a non-guess for reserved jobs,
-  // an estimate for the rest -- the residual optimism is the "unavoidable
+  // of held windows inside it.  Running jobs release their slots at
+  // started + estimated_runtime (a non-guess for reserved jobs, an
+  // estimate for the rest -- the residual optimism is the "unavoidable
   // potential for conflict" the paper accepts).
+  const Holds holds = holds_();
   auto running_at = [&](SimTime t) {
     double used = 0.0;
     for (const auto& [id, job] : running_) {
@@ -162,39 +161,43 @@ bool MauiLikeQueue::CanHonorWindow(SimTime start, SimTime end, double cpus,
     return used;
   };
   auto fits_at = [&](SimTime t) {
-    return running_at(t) + ReservedAt(t) + cpus <= slots_ + 1e-9;
+    return running_at(t) + ReservedIn(holds, t) + cpus <= slots_ + 1e-9;
   };
   if (!fits_at(std::max(start, now))) return false;
-  for (const auto& w : windows_) {
-    if (w.start > start && w.start < end && !fits_at(w.start)) return false;
+  for (const ReservationRecord& hold : holds) {
+    const SimTime t = hold.token.start;
+    if (t > start && t < end && !fits_at(t)) return false;
   }
   return true;
 }
 
-bool MauiLikeQueue::FitsOutsideReservations(double demand, SimTime now,
-                                            Duration run) const {
+bool MauiLikeQueue::FitsOutsideReservations(const Holds& holds, double demand,
+                                            SimTime now, Duration run) const {
   const SimTime end = now + run;
-  // Check the job's whole execution span at every reservation boundary
-  // that falls inside it (capacity only changes at boundaries).
+  // Check the job's whole execution span at every hold boundary that
+  // falls inside it (capacity only changes at boundaries).
   auto fits_at = [&](SimTime t) {
-    return used_slots() + demand + ReservedAt(t) <= slots_ + 1e-9;
+    return used_slots() + demand + ReservedIn(holds, t) <= slots_ + 1e-9;
   };
   if (!fits_at(now)) return false;
-  for (const auto& w : windows_) {
-    if (w.start > now && w.start < end && !fits_at(w.start)) return false;
+  for (const ReservationRecord& hold : holds) {
+    const SimTime t = hold.token.start;
+    if (t > now && t < end && !fits_at(t)) return false;
   }
   return true;
 }
 
 void MauiLikeQueue::Poll(SimTime now) {
   bool progressed = true;
-  while (progressed) {
+  while (progressed && !queue_.empty()) {
     progressed = false;
+    // A start may spend a hold, so each pass reads the holds again.
+    const Holds holds = holds_();
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       const BatchJob& job = queue_[i];
       if (job.reserved) {
-        // Reservation-backed job: runs inside its window, using the
-        // reserved capacity (which AddReservationWindow set aside).
+        // Reservation-backed job: runs inside its window, on the
+        // capacity its hold set aside.
         if (now >= job.window_start && now < job.window_end &&
             used_slots() + job.cpu_demand() <= slots_ + 1e-9) {
           StartJobAt(i, now);
@@ -203,7 +206,7 @@ void MauiLikeQueue::Poll(SimTime now) {
         }
         continue;  // window not open yet; backfill may pass this job
       }
-      if (FitsOutsideReservations(job.cpu_demand(), now,
+      if (FitsOutsideReservations(holds, job.cpu_demand(), now,
                                   job.estimated_runtime)) {
         StartJobAt(i, now);
         progressed = true;

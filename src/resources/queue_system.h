@@ -13,9 +13,11 @@
 //                         requeued when the workstation owner returns;
 //   * LoadLevelerLikeQueue -- job classes: short jobs outrank long ones,
 //                         with aging so long jobs eventually run;
-//   * MauiLikeQueue    -- native advance reservations: the queue keeps a
-//                         reservation calendar and never lets a backfilled
-//                         job trample a reserved window.
+//   * MauiLikeQueue    -- native advance reservations: the queue reads
+//                         the host's open holds at every decision and
+//                         never lets a backfilled job trample a held
+//                         window.  The host's reservation table stays the
+//                         one ledger of holds; the queue keeps no copy.
 //
 // None of these is a faithful re-implementation of the named product;
 // each reproduces the property the Legion RMI depends on (see DESIGN.md).
@@ -31,6 +33,7 @@
 #include "base/loid.h"
 #include "base/rng.h"
 #include "base/sim_time.h"
+#include "resources/reservation.h"
 
 namespace legion {
 
@@ -67,6 +70,13 @@ class QueueSystem {
     on_vacate_ = std::move(on_vacate);
   }
 
+  // The host's open holds in grant order: live reservations no job has
+  // started under yet.  A reservation-aware queue reads them afresh at
+  // each decision and keeps no copy; the other queues never read them.
+  using Holds = std::vector<ReservationRecord>;
+  using HoldSource = std::function<Holds()>;
+  void SetHoldSource(HoldSource holds) { holds_ = std::move(holds); }
+
   virtual void Submit(BatchJob job);
   virtual bool Cancel(std::uint64_t job_id);
   // Host notification that a running job's objects finished.
@@ -85,8 +95,8 @@ class QueueSystem {
   virtual std::string flavor() const = 0;
 
   // Native reservation support (Maui-like only).  Queues without it have
-  // no opinion on a window (the host's table decides alone) and keep no
-  // calendar, so these default to accepting and ignoring.
+  // no opinion on a window (the host's table decides alone), so this
+  // defaults to accepting.
   virtual bool SupportsReservations() const { return false; }
   // Whether a new window could be guaranteed.
   virtual bool CanHonorWindow(SimTime start, SimTime end, double cpus,
@@ -94,15 +104,7 @@ class QueueSystem {
     (void)start; (void)end; (void)cpus; (void)now;
     return true;
   }
-  // Calendar windows are keyed by the serial of the reservation token
-  // that holds them; removing an absent serial does nothing.
-  virtual void AddReservationWindow(std::uint64_t serial, SimTime start,
-                                    SimTime end, double cpus) {
-    (void)serial; (void)start; (void)end; (void)cpus;
-  }
-  virtual void RemoveReservationWindow(std::uint64_t serial) { (void)serial; }
 
-  std::uint64_t jobs_started() const { return jobs_started_; }
   std::uint64_t jobs_vacated() const { return jobs_vacated_; }
 
  protected:
@@ -115,7 +117,7 @@ class QueueSystem {
   std::map<std::uint64_t, BatchJob> running_;
   JobCallback on_start_;
   JobCallback on_vacate_;
-  std::uint64_t jobs_started_ = 0;
+  HoldSource holds_ = [] { return Holds{}; };
   std::uint64_t jobs_vacated_ = 0;
 };
 
@@ -167,35 +169,22 @@ class MauiLikeQueue : public QueueSystem {
   std::string flavor() const override { return "maui"; }
 
   bool SupportsReservations() const override { return true; }
-  void AddReservationWindow(std::uint64_t serial, SimTime start, SimTime end,
-                            double cpus) override;
-  void RemoveReservationWindow(std::uint64_t serial) override;
 
-  // Reserved CPU capacity at instant `t` (excluding windows already being
-  // consumed by a reservation-backed running job is the host's concern;
-  // the calendar only tracks grants).
+  // CPU capacity the open holds set aside at instant `t`.
   double ReservedAt(SimTime t) const;
-  std::size_t window_count() const { return windows_.size(); }
 
   // Admission check for a new window: can `cpus` be guaranteed over
-  // [start, end) given the calendar and the running jobs' estimated
+  // [start, end) given the open holds and the running jobs' estimated
   // completions?  This is what lets a Maui-style system refuse
   // reservations it cannot honor instead of conflicting later.
   bool CanHonorWindow(SimTime start, SimTime end, double cpus,
                       SimTime now) const override;
 
  private:
-  struct Window {
-    std::uint64_t serial;  // the holding token's
-    SimTime start, end;
-    double cpus;
-  };
   // Can a non-reserved job of `demand` CPUs run in [now, now+run] without
-  // intruding on reserved capacity?
-  bool FitsOutsideReservations(double demand, SimTime now,
-                               Duration run) const;
-
-  std::vector<Window> windows_;
+  // intruding on the capacity `holds` set aside?
+  bool FitsOutsideReservations(const Holds& holds, double demand,
+                               SimTime now, Duration run) const;
 };
 
 }  // namespace legion

@@ -199,6 +199,16 @@ std::size_t ReservationTable::ExpireStale(SimTime now) {
   return n;
 }
 
+std::vector<ReservationRecord> ReservationTable::LiveRecords(SimTime now) {
+  ExpireStale(now);
+  std::vector<ReservationRecord> live;
+  for (const auto& [serial, record] : records_) {
+    if (Live(record)) live.push_back(record);
+  }
+  std::ranges::sort(live, {}, [](const auto& r) { return r.token.serial; });
+  return live;
+}
+
 const ReservationRecord* ReservationTable::Find(std::uint64_t serial) const {
   auto it = records_.find(serial);
   return it == records_.end() ? nullptr : &it->second;

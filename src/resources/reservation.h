@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "base/loid.h"
 #include "base/result.h"
@@ -109,6 +110,10 @@ class ReservationTable {
   // Returns at once until the earliest deadline on the table has passed;
   // then it walks the (live-only) table once.
   std::size_t ExpireStale(SimTime now);
+
+  // Copies of the live records after ExpireStale(now), in serial order:
+  // the order the host granted them in.
+  std::vector<ReservationRecord> LiveRecords(SimTime now);
 
   const ReservationRecord* Find(std::uint64_t serial) const;
   std::size_t live_count() const { return live_; }

@@ -27,7 +27,6 @@ Metacomputer::Metacomputer(SimKernel* kernel, MetacomputerConfig config)
   } else {
     collection_ = kernel_->AddActor<CollectionObject>(
         kernel_->minter().Mint(LoidSpace::kService, 0));
-    kernel_->network().RegisterEndpoint(collection_->loid(), 0);
   }
   enactor_ = kernel_->AddActor<EnactorObject>(
       kernel_->minter().Mint(LoidSpace::kService, 0));

@@ -50,7 +50,10 @@ TEST_F(DcdTest, PeriodicPollingRefreshes) {
   dcd_->Start();
   world_.kernel.RunFor(Duration::Minutes(1));
   dcd_->Stop();
-  EXPECT_GE(dcd_->polls_completed(), 5u);
+  // Each completed poll records one load sample per host.
+  const auto* history = dcd_->HistoryFor(world_.hosts[0]->loid());
+  ASSERT_NE(history, nullptr);
+  EXPECT_GE(history->size(), 5u);
   // Stale data ages only between polls.
   EXPECT_LT(world_.collection->MeanRecordAge(), Duration::Seconds(15));
 }
@@ -59,9 +62,12 @@ TEST_F(DcdTest, StopActuallyStops) {
   dcd_->Start();
   world_.kernel.RunFor(Duration::Seconds(25));
   dcd_->Stop();
-  const auto polls = dcd_->polls_completed();
+  const auto* history = dcd_->HistoryFor(world_.hosts[0]->loid());
+  ASSERT_NE(history, nullptr);
+  const std::size_t samples = history->size();
+  EXPECT_GT(samples, 0u);
   world_.kernel.RunFor(Duration::Minutes(5));
-  EXPECT_EQ(dcd_->polls_completed(), polls);
+  EXPECT_EQ(dcd_->HistoryFor(world_.hosts[0]->loid())->size(), samples);
 }
 
 TEST_F(DcdTest, BuildsLoadHistory) {

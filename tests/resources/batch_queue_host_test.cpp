@@ -139,7 +139,7 @@ TEST_F(BatchQueueHostTest, QueueAttributesExported) {
   EXPECT_GT(host->attributes().Get("queue_wait_estimate_s")->as_double(), 0.0);
 }
 
-TEST_F(BatchQueueHostTest, MauiReservationPassesThroughToCalendar) {
+TEST_F(BatchQueueHostTest, MauiQueueReservesHeldWindow) {
   auto* host = MakeMauiHost(2);
   auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
   ASSERT_NE(queue, nullptr);
@@ -147,16 +147,17 @@ TEST_F(BatchQueueHostTest, MauiReservationPassesThroughToCalendar) {
   Await<ReservationToken> token;
   host->MakeReservation(Reservation(start, Duration::Hours(1)), token.Sink());
   ASSERT_TRUE(token.Get().ok());
-  EXPECT_EQ(queue->window_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(start - Duration::Minutes(1)), 0.0);
   EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Minutes(10)), 1.0);
-  // Cancellation removes the window.
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Hours(1)), 0.0);
+  // Cancellation frees the window.
   Await<bool> cancelled;
   host->CancelReservation(*token.Get(), cancelled.Sink());
   EXPECT_TRUE(*cancelled.Get());
-  EXPECT_EQ(queue->window_count(), 0u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Minutes(10)), 0.0);
 }
 
-TEST_F(BatchQueueHostTest, CancelBatchRemovesEveryWindowFromCalendar) {
+TEST_F(BatchQueueHostTest, CancelBatchFreesEveryWindow) {
   auto* host = MakeMauiHost(2);
   auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
   ASSERT_NE(queue, nullptr);
@@ -168,42 +169,139 @@ TEST_F(BatchQueueHostTest, CancelBatchRemovesEveryWindowFromCalendar) {
       second.Sink());
   ASSERT_TRUE(first.Get().ok());
   ASSERT_TRUE(second.Get().ok());
-  EXPECT_EQ(queue->window_count(), 2u);
+  const SimTime in_first = start + Duration::Minutes(10);
+  const SimTime in_second = in_first + Duration::Hours(2);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(in_first), 1.0);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(in_second), 1.0);
   Await<std::size_t> released;
   host->CancelReservationBatch({*first.Get(), *second.Get()}, released.Sink());
   EXPECT_EQ(*released.Get(), 2u);
-  EXPECT_EQ(queue->window_count(), 0u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(in_first), 0.0);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(in_second), 0.0);
   EXPECT_EQ(host->reservations().live_count(), 0u);
 }
 
 TEST_F(BatchQueueHostTest, CancelAfterJobStartKeepsOtherHoldsWindow) {
   // Two holds share one window shape.  A job started under the first
-  // retires its own calendar window; cancelling the first token then
-  // must leave the second hold's window in the calendar.
+  // spends that hold; cancelling the first token then must leave the
+  // second hold's window reserved.
   auto* host = MakeMauiHost(2);
   auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
   ASSERT_NE(queue, nullptr);
   const SimTime start = world_.kernel.Now();
+  const SimTime inside = start + Duration::Minutes(10);
   Await<ReservationToken> first, second;
   host->MakeReservation(Reservation(start, Duration::Hours(1)), first.Sink());
   host->MakeReservation(Reservation(start, Duration::Hours(1)), second.Sink());
   ASSERT_TRUE(first.Get().ok());
   ASSERT_TRUE(second.Get().ok());
-  EXPECT_EQ(queue->window_count(), 2u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(inside), 2.0);
   Await<std::vector<Loid>> started;
   host->StartObject(StartRequest(1, *first.Get()), started.Sink());
   ASSERT_TRUE(started.Get().ok());
   ASSERT_EQ(host->running_count(), 1u);
-  EXPECT_EQ(queue->window_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(inside), 1.0);
 
   Await<bool> cancelled;
   host->CancelReservation(*first.Get(), cancelled.Sink());
   EXPECT_TRUE(*cancelled.Get());
-  EXPECT_EQ(queue->window_count(), 1u);
-  EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Minutes(10)), 1.0);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(inside), 1.0);
   Await<bool> live;
   host->CheckReservation(*second.Get(), live.Sink());
   EXPECT_TRUE(*live.Get());
+}
+
+TEST_F(BatchQueueHostTest, LapsedHoldAdmitsWindowOnItsCpus) {
+  // A 2-CPU hold whose confirmation lapses reserves nothing: a new
+  // window needing both CPUs is admitted.
+  auto* host = MakeMauiHost(2);
+  auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
+  ASSERT_NE(queue, nullptr);
+  ReservationRequest unredeemed =
+      Reservation(world_.kernel.Now(), Duration::Hours(1));
+  unredeemed.cpu_fraction = 2.0;
+  unredeemed.confirm_timeout = Duration::Minutes(1);
+  Await<ReservationToken> lapsing;
+  host->MakeReservation(unredeemed, lapsing.Sink());
+  ASSERT_TRUE(lapsing.Get().ok());
+  world_.kernel.RunFor(Duration::Minutes(2));
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(world_.kernel.Now()), 0.0);
+  ReservationRequest window =
+      Reservation(world_.kernel.Now(), Duration::Hours(1));
+  window.cpu_fraction = 2.0;
+  Await<ReservationToken> granted;
+  host->MakeReservation(window, granted.Sink());
+  EXPECT_TRUE(granted.Get().ok());
+}
+
+TEST_F(BatchQueueHostTest, LapsedHoldLetsBackfillStart) {
+  // The same lapsed hold no longer holds back a token-less job that
+  // needs both CPUs.
+  auto* host = MakeMauiHost(2);
+  ReservationRequest unredeemed =
+      Reservation(world_.kernel.Now(), Duration::Hours(1));
+  unredeemed.cpu_fraction = 2.0;
+  unredeemed.confirm_timeout = Duration::Minutes(1);
+  Await<ReservationToken> lapsing;
+  host->MakeReservation(unredeemed, lapsing.Sink());
+  ASSERT_TRUE(lapsing.Get().ok());
+  world_.kernel.RunFor(Duration::Minutes(2));
+  Await<std::vector<Loid>> backfill;
+  host->StartObject(StartRequest(2), backfill.Sink());
+  ASSERT_TRUE(backfill.Get().ok());
+  EXPECT_EQ(host->running_count(), 2u);
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+}
+
+TEST_F(BatchQueueHostTest, ReleasedHoldWithdrawsQueuedJob) {
+  // A job queued under a hold whose window has not opened is withdrawn
+  // when the hold is cancelled: it never starts without a hold.
+  auto* host = MakeMauiHost(1);
+  const SimTime start = world_.kernel.Now() + Duration::Minutes(5);
+  Await<ReservationToken> token;
+  host->MakeReservation(Reservation(start, Duration::Hours(1)), token.Sink());
+  ASSERT_TRUE(token.Get().ok());
+  Await<std::vector<Loid>> submitted;
+  host->StartObject(StartRequest(1, *token.Get()), submitted.Sink());
+  ASSERT_TRUE(submitted.Get().ok());
+  EXPECT_EQ(host->queue().queued_count(), 1u);
+  EXPECT_EQ(host->running_count(), 0u);
+
+  Await<bool> cancelled;
+  host->CancelReservation(*token.Get(), cancelled.Sink());
+  EXPECT_TRUE(*cancelled.Get());
+  world_.kernel.RunFor(Duration::Minutes(70));
+  EXPECT_EQ(host->running_count(), 0u);
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+  EXPECT_EQ(host->queue().running_count(), 0u);
+  EXPECT_EQ(world_.kernel.FindActor(submitted.Get()->front()), nullptr);
+}
+
+TEST_F(BatchQueueHostTest, ReleasedHoldStartsNoJobQueuedUnderIt) {
+  // A reusable hold runs one job and queues a second on the 1-CPU host.
+  // Cancelling the hold kills the first job; the slot that frees must
+  // not start the second.
+  auto* host = MakeMauiHost(1);
+  ReservationRequest reusable =
+      Reservation(world_.kernel.Now(), Duration::Hours(1));
+  reusable.type = ReservationType::ReusableTimesharing();
+  Await<ReservationToken> token;
+  host->MakeReservation(reusable, token.Sink());
+  ASSERT_TRUE(token.Get().ok());
+  Await<std::vector<Loid>> first, second;
+  host->StartObject(StartRequest(1, *token.Get()), first.Sink());
+  host->StartObject(StartRequest(1, *token.Get()), second.Sink());
+  ASSERT_TRUE(first.Get().ok());
+  ASSERT_TRUE(second.Get().ok());
+  ASSERT_EQ(host->running_count(), 1u);
+  ASSERT_EQ(host->queue().queued_count(), 1u);
+
+  Await<bool> cancelled;
+  host->CancelReservation(*token.Get(), cancelled.Sink());
+  EXPECT_TRUE(*cancelled.Get());
+  EXPECT_EQ(host->running_count(), 0u);
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+  EXPECT_EQ(host->queue().running_count(), 0u);
 }
 
 TEST_F(BatchQueueHostTest, BatchAdmissionConsultsQueuePerSlot) {
@@ -231,8 +329,8 @@ TEST_F(BatchQueueHostTest, BatchAdmissionConsultsQueuePerSlot) {
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].status.ok());
   EXPECT_EQ(outcomes[1].status.code(), ErrorCode::kNoResources);
-  // One calendar window, one live reservation: no overcommit.
-  EXPECT_EQ(queue->window_count(), 1u);
+  // One CPU reserved, one live reservation: no overcommit.
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Minutes(10)), 1.0);
   EXPECT_EQ(host->reservations().live_count(), 1u);
 }
 
@@ -240,7 +338,7 @@ TEST_F(BatchQueueHostTest, SingleRequestsNamingProbedVaultCannotOvercommit) {
   // Regression: two single requests for the same window, both naming a
   // vault the 1-CPU Maui host must probe before granting.  The queue
   // veto runs after the probe, per request, so the second request sees
-  // the first one's calendar window and is refused.
+  // the first one's hold and is refused.
   auto* host = MakeMauiHost(1);
   auto* queue = dynamic_cast<MauiLikeQueue*>(&host->queue());
   ASSERT_NE(queue, nullptr);
@@ -257,7 +355,7 @@ TEST_F(BatchQueueHostTest, SingleRequestsNamingProbedVaultCannotOvercommit) {
   const ErrorCode refused =
       first.Get().ok() ? second.Get().code() : first.Get().code();
   EXPECT_EQ(refused, ErrorCode::kNoResources);
-  EXPECT_EQ(queue->window_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue->ReservedAt(start + Duration::Minutes(10)), 1.0);
   EXPECT_EQ(host->reservations().live_count(), 1u);
 }
 
@@ -267,7 +365,7 @@ TEST_F(BatchQueueHostTest, FifoHostKeepsReservationsInHostTable) {
   host->MakeReservation(
       Reservation(world_.kernel.Now(), Duration::Hours(1)), token.Sink());
   ASSERT_TRUE(token.Get().ok());
-  // Host-table reservation, no queue calendar.
+  // Host-table reservation; the FIFO queue has no opinion on it.
   EXPECT_EQ(host->reservations().live_count(), 1u);
 }
 
@@ -363,7 +461,8 @@ TEST_F(BatchQueueHostTest, VacatedObjectResumesWithStateIntact) {
   object->mutable_attributes().Set("progress", 7);
   host->PollQueueNow();  // vacate + restart in one cycle
   EXPECT_GE(host->queue().jobs_vacated(), 1u);
-  EXPECT_GE(host->queue().jobs_started(), 2u);
+  EXPECT_EQ(host->queue().running_count(), 1u);
+  EXPECT_EQ(host->queue().queued_count(), 0u);
   EXPECT_TRUE(object->active());
   EXPECT_EQ(object->attributes().Get("progress")->as_int(), 7);
   EXPECT_EQ(host->running_count(), 1u);

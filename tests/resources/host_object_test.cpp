@@ -27,7 +27,6 @@ class HostObjectTest : public ::testing::Test {
     request.duration = duration;
     request.type = ReservationType::OneShotTimesharing();
     request.requester = Loid(LoidSpace::kService, 0, 77);
-    request.requester_domain = 0;
     request.memory_mb = 64;
     request.cpu_fraction = 1.0;
     return request;
@@ -300,7 +299,7 @@ TEST_F(HostObjectTest, BatchHonorsLocalPolicyPerSlot) {
   ReservationBatchRequest batch;
   batch.requester = Loid(LoidSpace::kService, 0, 77);
   ReservationRequest foreign = Request();
-  foreign.requester_domain = 3;
+  foreign.requester = Loid(LoidSpace::kService, 3, 77);
   batch.slots.push_back(BatchSlotRequest{0, Request()});
   batch.slots.push_back(BatchSlotRequest{1, foreign});
   Await<ReservationBatchReply> reply;

@@ -8,7 +8,6 @@ namespace {
 ReservationRequest RequestFromDomain(std::uint32_t domain) {
   ReservationRequest request;
   request.requester = Loid(LoidSpace::kService, domain, 1);
-  request.requester_domain = domain;
   request.vault = Loid(LoidSpace::kVault, 0, 1);
   return request;
 }

@@ -16,6 +16,20 @@ BatchJob Job(std::uint64_t id, double cpus = 1.0,
   return job;
 }
 
+// A hold of `cpus` over [start, end), as the host's table records it.
+ReservationRecord Hold(SimTime start, SimTime end, double cpus) {
+  ReservationRecord hold;
+  hold.token.start = start;
+  hold.token.duration = end - start;
+  hold.cpu_fraction = cpus;
+  return hold;
+}
+
+// A hold source over a list the test owns and may change.
+QueueSystem::HoldSource HoldsFrom(const QueueSystem::Holds& holds) {
+  return [&holds] { return holds; };
+}
+
 TEST(FifoQueueTest, StartsInOrderUpToSlots) {
   FifoQueue queue(2.0);
   std::vector<std::uint64_t> started;
@@ -150,9 +164,11 @@ TEST(MauiLikeQueueTest, ReservationWindowBlocksConflictingBackfill) {
   std::vector<std::uint64_t> started;
   queue.SetCallbacks([&](const BatchJob& job) { started.push_back(job.id); },
                      nullptr);
-  // Reserve both CPUs for [10min, 70min).
-  queue.AddReservationWindow(/*serial=*/1, SimTime(0) + Duration::Minutes(10),
-                             SimTime(0) + Duration::Minutes(70), 2.0);
+  // Both CPUs are held for [10min, 70min).
+  const QueueSystem::Holds holds = {Hold(SimTime(0) + Duration::Minutes(10),
+                                         SimTime(0) + Duration::Minutes(70),
+                                         2.0)};
+  queue.SetHoldSource(HoldsFrom(holds));
   // A 30-minute job submitted now would overrun into the window: blocked.
   queue.Submit(Job(1, 2.0, Duration::Minutes(30)));
   queue.Poll(SimTime(0));
@@ -170,7 +186,8 @@ TEST(MauiLikeQueueTest, ReservedJobStartsInItsWindow) {
                      nullptr);
   const SimTime window_start = SimTime(0) + Duration::Minutes(10);
   const SimTime window_end = SimTime(0) + Duration::Minutes(70);
-  queue.AddReservationWindow(/*serial=*/1, window_start, window_end, 1.0);
+  const QueueSystem::Holds holds = {Hold(window_start, window_end, 1.0)};
+  queue.SetHoldSource(HoldsFrom(holds));
   BatchJob reserved = Job(1, 1.0, Duration::Minutes(60));
   reserved.reserved = true;
   reserved.window_start = window_start;
@@ -184,18 +201,17 @@ TEST(MauiLikeQueueTest, ReservedJobStartsInItsWindow) {
 
 TEST(MauiLikeQueueTest, ReservedAtAggregatesWindows) {
   MauiLikeQueue queue(8.0);
-  queue.AddReservationWindow(/*serial=*/1, SimTime(100), SimTime(200), 2.0);
-  queue.AddReservationWindow(/*serial=*/2, SimTime(150), SimTime(250), 3.0);
+  EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(120)), 0.0);  // no source
+  QueueSystem::Holds holds = {Hold(SimTime(100), SimTime(200), 2.0),
+                              Hold(SimTime(150), SimTime(250), 3.0)};
+  queue.SetHoldSource(HoldsFrom(holds));
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(99)), 0.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(120)), 2.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(180)), 5.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(220)), 3.0);
-  queue.RemoveReservationWindow(1);
+  // The queue keeps no copy: a hold the source drops reserves nothing.
+  holds.erase(holds.begin());
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(120)), 0.0);
-  EXPECT_EQ(queue.window_count(), 1u);
-  // A serial the calendar does not hold removes nothing.
-  queue.RemoveReservationWindow(1);
-  EXPECT_EQ(queue.window_count(), 1u);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(220)), 3.0);
 }
 
@@ -204,8 +220,10 @@ TEST(MauiLikeQueueTest, BackfillSkipsBlockedHeadJob) {
   std::vector<std::uint64_t> started;
   queue.SetCallbacks([&](const BatchJob& job) { started.push_back(job.id); },
                      nullptr);
-  queue.AddReservationWindow(/*serial=*/1, SimTime(0) + Duration::Minutes(20),
-                             SimTime(0) + Duration::Minutes(90), 2.0);
+  const QueueSystem::Holds holds = {Hold(SimTime(0) + Duration::Minutes(20),
+                                         SimTime(0) + Duration::Minutes(90),
+                                         2.0)};
+  queue.SetHoldSource(HoldsFrom(holds));
   queue.Submit(Job(1, 2.0, Duration::Hours(1)));    // blocked by the window
   queue.Submit(Job(2, 1.0, Duration::Minutes(10))); // fits before it
   queue.Poll(SimTime(0));

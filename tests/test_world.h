@@ -33,7 +33,6 @@ class TestWorld {
       : kernel(config.net), config_(config) {
     collection = kernel.AddActor<CollectionObject>(
         kernel.minter().Mint(LoidSpace::kService, 0));
-    kernel.network().RegisterEndpoint(collection->loid(), 0);
     enactor = kernel.AddActor<EnactorObject>(
         kernel.minter().Mint(LoidSpace::kService, 0));
     for (std::size_t i = 0; i < config.hosts; ++i) {
