@@ -50,7 +50,9 @@ Outcome RunIrs(std::size_t n, std::size_t refusing, int trials) {
                           });
     world.kernel->RunFor(Duration::Minutes(5));
     outcome.successes += success ? 1 : 0;
-    outcome.lookups += irs->collection_lookups();
+    outcome.lookups +=
+        Count(*world.kernel, "collection_lookups",
+              {{"component", "scheduler"}, {"scheduler", "irs"}});
     outcome.reservation_requests +=
         Count(*world.kernel, "reservations_requested", "enactor");
   }
@@ -75,7 +77,9 @@ Outcome RunRepeatedRandom(std::size_t n, std::size_t refusing, int trials) {
                              });
     world.kernel->RunFor(Duration::Minutes(5));
     outcome.successes += success ? 1 : 0;
-    outcome.lookups += random->collection_lookups();
+    outcome.lookups +=
+        Count(*world.kernel, "collection_lookups",
+              {{"component", "scheduler"}, {"scheduler", "random"}});
     outcome.reservation_requests +=
         Count(*world.kernel, "reservations_requested", "enactor");
   }

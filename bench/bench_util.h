@@ -51,19 +51,24 @@ inline World MakeWorld(MetacomputerConfig config,
   return world;
 }
 
-// Reads the registry counter `name{component=<component>}`.  A cell that
-// does not exist exits the bench, so a misspelt name cannot read as 0.
+// Reads the registry counter `name{labels}`.  A cell that does not exist
+// exits the bench, so a misspelt name cannot read as 0.
 inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
-                           const std::string& component) {
+                           const obs::Labels& labels) {
   const obs::MetricsSnapshot snapshot = kernel.metrics().Snapshot();
-  const auto it = snapshot.counters.find(
-      obs::MetricsRegistry::CellKey(name, {{"component", component}}));
+  const std::string key = obs::MetricsRegistry::CellKey(name, labels);
+  const auto it = snapshot.counters.find(key);
   if (it == snapshot.counters.end()) {
-    std::fprintf(stderr, "no counter %.*s{component=%s}\n",
-                 static_cast<int>(name.size()), name.data(), component.c_str());
+    std::fprintf(stderr, "no counter %s\n", key.c_str());
     std::exit(1);
   }
   return it->second;
+}
+
+// Reads the registry counter `name{component=<component>}`.
+inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
+                           const std::string& component) {
+  return Count(kernel, name, obs::Labels{{"component", component}});
 }
 
 // One value in a machine-readable table row: a number or a label.

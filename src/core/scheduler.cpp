@@ -77,7 +77,6 @@ void SchedulerObject::FilterSuspects(CollectionData* hosts,
 void SchedulerObject::QueryHosts(const std::string& query,
                                  const QueryOptions& options,
                                  Callback<CollectionData> done) {
-  ++collection_lookups_;
   lookups_cell_->Add();
   if (AuditOn()) {
     // Record the candidate count when the reply lands, so the report

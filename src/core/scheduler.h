@@ -76,9 +76,6 @@ class SchedulerObject : public LegionObject {
   void ScheduleAndEnact(const PlacementRequest& request, RunOptions options,
                         Callback<RunOutcome> done);
 
-  // Number of QueryCollection calls issued (experiment E3's metric).
-  std::uint64_t collection_lookups() const { return collection_lookups_; }
-
   // ---- Federated routing (DESIGN.md §10) ------------------------------------
   // Points the scheduler at a (possibly different) Collection and scopes
   // every subsequent host query to `domain_scope` (-1 = global).  A
@@ -185,7 +182,6 @@ class SchedulerObject : public LegionObject {
   Loid collection_;
   Loid enactor_;
   std::int64_t domain_scope_ = -1;
-  std::uint64_t collection_lookups_ = 0;
   // Registry cells ({component=scheduler, scheduler=<name>}).
   obs::Counter* runs_cell_ = nullptr;
   obs::Counter* successes_cell_ = nullptr;

@@ -87,7 +87,7 @@ void RankedScheduler::ComputeSchedule(const PlacementRequest& request,
                     return a.record->member < b.record->member;
                   });
 
-        const std::size_t depth = std::min(nvariants_ + 1, ranked.size());
+        const std::size_t depth = std::min(kVariants + 1, ranked.size());
         for (std::size_t i = 0; i < wanted.count; ++i) {
           // Pick the current best (score + charged load), charge it, and
           // record the next-best alternatives as variants.  Only the

@@ -24,10 +24,13 @@ namespace legion {
 
 class RankedScheduler : public SchedulerObject {
  public:
+  // Each instance's master host is followed by up to this many next-best
+  // hosts as variants.
+  static constexpr std::size_t kVariants = 3;
+
   RankedScheduler(SimKernel* kernel, Loid loid, std::string name,
-                  Loid collection, Loid enactor, std::size_t nvariants = 3)
-      : SchedulerObject(kernel, loid, std::move(name), collection, enactor),
-        nvariants_(nvariants) {}
+                  Loid collection, Loid enactor)
+      : SchedulerObject(kernel, loid, std::move(name), collection, enactor) {}
 
   void ComputeSchedule(const PlacementRequest& request,
                        Callback<ScheduleRequestList> done) override;
@@ -44,19 +47,15 @@ class RankedScheduler : public SchedulerObject {
   // memory for the class's per-instance footprint.
   virtual bool Feasible(const CollectionRecord& record,
                         std::size_t memory_mb) const;
-
- private:
-  std::size_t nvariants_;
 };
 
 class LoadAwareScheduler : public RankedScheduler {
  public:
   LoadAwareScheduler(SimKernel* kernel, Loid loid, Loid collection,
-                     Loid enactor, bool use_forecast = false,
-                     std::size_t nvariants = 3)
+                     Loid enactor, bool use_forecast = false)
       : RankedScheduler(kernel, loid,
                         use_forecast ? "load-forecast" : "load-aware",
-                        collection, enactor, nvariants),
+                        collection, enactor),
         use_forecast_(use_forecast) {}
 
  protected:
@@ -72,9 +71,8 @@ class LoadAwareScheduler : public RankedScheduler {
 class CostAwareScheduler : public RankedScheduler {
  public:
   CostAwareScheduler(SimKernel* kernel, Loid loid, Loid collection,
-                     Loid enactor, std::size_t nvariants = 3)
-      : RankedScheduler(kernel, loid, "cost-aware", collection, enactor,
-                        nvariants) {}
+                     Loid enactor)
+      : RankedScheduler(kernel, loid, "cost-aware", collection, enactor) {}
 
  protected:
   double Score(const CollectionRecord& record) const override;
@@ -88,9 +86,8 @@ class CostAwareScheduler : public RankedScheduler {
 class RoundRobinScheduler : public RankedScheduler {
  public:
   RoundRobinScheduler(SimKernel* kernel, Loid loid, Loid collection,
-                      Loid enactor, std::size_t nvariants = 3)
-      : RankedScheduler(kernel, loid, "round-robin", collection, enactor,
-                        nvariants) {}
+                      Loid enactor)
+      : RankedScheduler(kernel, loid, "round-robin", collection, enactor) {}
 
  protected:
   // All hosts tie; the spreading logic then cycles them in LOID order.

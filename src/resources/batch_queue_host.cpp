@@ -75,27 +75,6 @@ Status BatchQueueHost::PreAdmitSlot(const ReservationRequest& request,
   return Status::Ok();
 }
 
-bool BatchQueueHost::ReleaseHold(const ReservationToken& token) {
-  if (!authority_.Verify(token) || !table_.Check(token, kernel()->Now())) {
-    return false;
-  }
-  // Withdraw the jobs queued under the hold before the base step kills
-  // what runs under it, or the slots the kill frees could start one.
-  const auto withdrawn = std::erase_if(pending_jobs_, [&](const auto& entry) {
-    const auto& [job_id, pending] = entry;
-    if (pending.reservation_serial != token.serial) return false;
-    if (pending.live_instances != 0) return false;  // running, killed below
-    queue_->Cancel(job_id);
-    for (const Loid& instance : pending.request.instances) {
-      instance_job_.erase(instance);
-      RetireInstance(instance);
-    }
-    return true;
-  });
-  if (withdrawn != 0) RepopulateAttributes();
-  return HostObject::ReleaseHold(token);
-}
-
 // ---- Submission ------------------------------------------------------------------
 
 Status BatchQueueHost::AdmitWithoutReservation(
@@ -114,14 +93,8 @@ Status BatchQueueHost::AdmitWithoutReservation(
   return Status::Ok();
 }
 
-void BatchQueueHost::LaunchObjects(const StartObjectRequest& request,
-                                   std::uint64_t reservation_serial,
-                                   Callback<std::vector<Loid>> done) {
-  auto created = CreateInstanceObjects(request);
-  if (!created.ok()) {
-    done(created.status());
-    return;
-  }
+void BatchQueueHost::Place(const StartObjectRequest& request,
+                           std::uint64_t reservation_serial) {
   BatchJob job;
   job.id = next_job_id_++;
   job.instances = request.instances;
@@ -146,11 +119,10 @@ void BatchQueueHost::LaunchObjects(const StartObjectRequest& request,
   }
   queue_->Submit(std::move(job));
   // An opportunistic scheduling cycle: idle machines start work at once.
+  // The submission is the success the Class hears about; execution
+  // follows queue discipline.
   queue_->Poll(kernel()->Now());
   RepopulateAttributes();
-  // Submission is the success the Class hears about; execution follows
-  // queue discipline.
-  done(std::move(*created));
 }
 
 void BatchQueueHost::OnJobStart(const BatchJob& job) {
@@ -167,46 +139,59 @@ void BatchQueueHost::OnJobStart(const BatchJob& job) {
     ++reservation_conflicts_;
   }
 
-  // The job's instances, demand and vault are the submitted request's.
-  pending.live_instances =
-      ActivateCreated(pending.request, pending.reservation_serial);
-  if (pending.live_instances == 0) {
-    queue_->JobFinished(job.id);
-    pending_jobs_.erase(it);
+  // The job's instances, demand and vault are the submitted request's;
+  // only those still waiting start.
+  ActivateCreated(pending.request);
+  if (!Occupied(pending)) {
+    DropJob(job.id);
     RepopulateAttributes();
   }
 }
 
 void BatchQueueHost::OnJobVacate(const BatchJob& job) {
   // The workstation owner returned (Condor-style): suspend the job's
-  // objects in place; they resume when the queue restarts the job.
+  // objects in place.  They wait again, under the hold they ran under,
+  // and resume when the queue restarts the job.
   for (const Loid& instance : job.instances) {
+    auto running = running_.find(instance);
+    if (running == running_.end()) continue;
     auto* object = dynamic_cast<LegionObject*>(kernel()->FindActor(instance));
     if (object != nullptr && object->active()) {
       (void)object->Deactivate();
     }
-    running_.erase(instance);
+    waiting_[instance] = running->second.reservation_serial;
+    running_.erase(running);
   }
-  auto it = pending_jobs_.find(job.id);
-  if (it != pending_jobs_.end()) it->second.live_instances = 0;
   RepopulateAttributes();
 }
 
-void BatchQueueHost::OnObjectReleased(const RunningObject& released) {
-  auto it = instance_job_.find(released.object);
+void BatchQueueHost::OnDeparted(const Loid& object) {
+  auto it = instance_job_.find(object);
   if (it == instance_job_.end()) return;
   const std::uint64_t job_id = it->second;
   instance_job_.erase(it);
-  auto pending_it = pending_jobs_.find(job_id);
-  if (pending_it == pending_jobs_.end()) return;
-  PendingJob& pending = pending_it->second;
-  if (pending.live_instances > 0) --pending.live_instances;
-  if (pending.live_instances == 0) {
-    queue_->JobFinished(job_id);
-    pending_jobs_.erase(pending_it);
-    // Freed slots may admit the next job immediately.
-    queue_->Poll(kernel()->Now());
+  if (Occupied(pending_jobs_.at(job_id))) return;
+  DropJob(job_id);
+  // Freed slots may admit the next job immediately.
+  queue_->Poll(kernel()->Now());
+}
+
+bool BatchQueueHost::Occupied(const PendingJob& pending) const {
+  return std::any_of(pending.request.instances.begin(),
+                     pending.request.instances.end(),
+                     [this](const Loid& instance) {
+                       return running_.contains(instance) ||
+                              waiting_.contains(instance);
+                     });
+}
+
+void BatchQueueHost::DropJob(std::uint64_t job_id) {
+  auto it = pending_jobs_.find(job_id);
+  queue_->Cancel(job_id);
+  for (const Loid& instance : it->second.request.instances) {
+    instance_job_.erase(instance);
   }
+  pending_jobs_.erase(it);
 }
 
 void BatchQueueHost::ExtendAttributes(AttributeDatabase& attrs) {

@@ -12,9 +12,14 @@
 // the functionality of the underlying queuing system, and there is an
 // unavoidable potential for conflict."
 //
-// BatchQueueHost fronts a simulated QueueSystem: StartObject submits a
-// job; the instances come alive when the queue starts the job.  The
-// reservation table in the Host is the one ledger of holds.  A queue with
+// BatchQueueHost fronts a simulated QueueSystem.  It shares the base
+// host's lifecycle -- admission, binary fetch, creation, the waiting
+// record, hold release and kills -- and differs only in Place: a
+// StartObject's waiting instances become one queued job, and they start
+// when the queue starts the job.  Whenever an instance leaves (killed,
+// finished, deactivated or withdrawn), a job none of whose instances is
+// left is dropped from the queue, queued or running.  The reservation
+// table in the Host is the one ledger of holds.  A queue with
 // native reservation support vetoes windows it could not honor and reads
 // the host's open holds (live in the table, no job started under them)
 // at each decision, so it never backfills into a held window.  The
@@ -54,22 +59,19 @@ class BatchQueueHost : public HostObject {
   // Reservation pass-through (Maui path): the queue's veto applies to
   // each slot of every reservation request, after the vault check.
   Status PreAdmitSlot(const ReservationRequest& request, SimTime now) override;
-  // A released hold also withdraws the jobs still queued under it and
-  // retires their instances, which would otherwise start without a hold.
-  bool ReleaseHold(const ReservationToken& token) override;
   Status AdmitWithoutReservation(const StartObjectRequest& request) override;
-  void LaunchObjects(const StartObjectRequest& request,
-                     std::uint64_t reservation_serial,
-                     Callback<std::vector<Loid>> done) override;
+  // Submits the request's waiting instances to the queue as one job.
+  void Place(const StartObjectRequest& request,
+             std::uint64_t reservation_serial) override;
   void ExtendAttributes(AttributeDatabase& attrs) override;
   std::string HostKind() const override { return "batch-" + queue_->flavor(); }
-  void OnObjectReleased(const RunningObject& released) override;
+  // Drops the departed instance's job once none of its instances is left.
+  void OnDeparted(const Loid& object) override;
 
  private:
   struct PendingJob {
     StartObjectRequest request;
     std::uint64_t reservation_serial = 0;
-    std::size_t live_instances = 0;
     bool started = false;
     bool conflict_counted = false;
   };
@@ -77,6 +79,10 @@ class BatchQueueHost : public HostObject {
   void OnPoll();
   void OnJobStart(const BatchJob& job);
   void OnJobVacate(const BatchJob& job);
+  // Whether any of the job's instances still runs or waits here.
+  bool Occupied(const PendingJob& pending) const;
+  // Takes the job out of the queue, queued or running, and forgets it.
+  void DropJob(std::uint64_t job_id);
 
   std::unique_ptr<QueueSystem> queue_;
   Duration poll_period_;

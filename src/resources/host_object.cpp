@@ -224,6 +224,16 @@ bool HostObject::ReleaseHold(const ReservationToken& token) {
   if (!authority_.Verify(token) || !table_.Cancel(token, kernel()->Now())) {
     return false;
   }
+  // Every instance waiting under the hold leaves the record before the
+  // first departure runs: a queue that departure polls could otherwise
+  // start another of them on the slots it frees.
+  std::vector<Loid> withdrawn;
+  std::erase_if(waiting_, [&](const auto& entry) {
+    if (entry.second != token.serial) return false;
+    withdrawn.push_back(entry.first);
+    return true;
+  });
+  for (const Loid& object : withdrawn) Depart(object, /*kill=*/true);
   std::vector<Loid> orphans;
   for (const auto& [object, running] : running_) {
     if (running.reservation_serial == token.serial) orphans.push_back(object);
@@ -362,59 +372,48 @@ void HostObject::LaunchObjects(const StartObjectRequest& request,
 void HostObject::LaunchPrepared(const StartObjectRequest& request,
                                 std::uint64_t reservation_serial,
                                 Callback<std::vector<Loid>> done) {
-  auto created = CreateInstanceObjects(request);
-  if (!created.ok()) {
-    ++starts_refused_;
-    done(created.status());
-    return;
-  }
-  const SimTime now = kernel()->Now();
-  if (reservation_serial != 0 && request.token.start > now) {
-    // The reservation window opens later: acknowledge the placement now
-    // and bring the objects up when the window starts.
-    std::vector<Loid> instances = *created;
-    kernel()->ScheduleAt(request.token.start,
-                         [this, request, reservation_serial] {
-                           ActivateCreated(request, reservation_serial);
-                         });
-    done(std::move(instances));
-    return;
-  }
-  ActivateCreated(request, reservation_serial);
-  done(std::move(*created));
-}
-
-Result<std::vector<Loid>> HostObject::CreateInstanceObjects(
-    const StartObjectRequest& request) {
   if (!request.factory) {
-    return Status::Error(ErrorCode::kInvalidArgument,
-                         "start request carries no object factory");
+    ++starts_refused_;
+    done(Status::Error(ErrorCode::kInvalidArgument,
+                       "start request carries no object factory"));
+    return;
   }
-  std::vector<Loid> created;
-  created.reserve(request.instances.size());
+  // The instances are created inactive and wait until Place starts them.
   for (const Loid& instance : request.instances) {
     kernel()->AdoptActor(request.factory(kernel(), instance));
-    created.push_back(instance);
+    waiting_[instance] = reservation_serial;
   }
-  return created;
+  Place(request, reservation_serial);
+  done(request.instances);
 }
 
-std::size_t HostObject::ActivateCreated(const StartObjectRequest& request,
-                                        std::uint64_t reservation_serial) {
+void HostObject::Place(const StartObjectRequest& request,
+                       std::uint64_t reservation_serial) {
+  if (reservation_serial != 0 && request.token.start > kernel()->Now()) {
+    // The reservation window opens later: the instances wait for it.
+    kernel()->ScheduleAt(request.token.start,
+                         [this, request] { ActivateCreated(request); });
+    return;
+  }
+  ActivateCreated(request);
+}
+
+void HostObject::ActivateCreated(const StartObjectRequest& request) {
   const Loid vault =
       request.vault.valid() ? request.vault : request.token.vault;
-  std::size_t started = 0;
   for (const Loid& instance : request.instances) {
+    // An instance withdrawn, killed or released meanwhile is not waiting.
+    auto waiting = waiting_.find(instance);
+    if (waiting == waiting_.end()) continue;
+    const std::uint64_t reservation_serial = waiting->second;
+    waiting_.erase(waiting);
     auto* object = dynamic_cast<LegionObject*>(kernel()->FindActor(instance));
-    if (object == nullptr) continue;  // killed before it could start
-    if (RunObject(*object, vault, request.memory_mb, request.cpu_fraction,
-                  reservation_serial)
-            .ok()) {
-      ++started;
+    if (object != nullptr) {
+      (void)RunObject(*object, vault, request.memory_mb, request.cpu_fraction,
+                      reservation_serial);
     }
   }
   RepopulateAttributes();
-  return started;
 }
 
 Status HostObject::RunObject(LegionObject& object, const Loid& vault,
@@ -426,35 +425,38 @@ Status HostObject::RunObject(LegionObject& object, const Loid& vault,
                                   static_cast<std::int64_t>(memory_mb));
   object.mutable_attributes().Set("cpu_fraction", cpu_fraction);
   running_[object.loid()] =
-      RunningObject{object.loid(), vault,           memory_mb,
-                    cpu_fraction,  kernel()->Now(), reservation_serial};
+      RunningObject{vault, memory_mb, cpu_fraction, reservation_serial};
   ++objects_started_;
   return Status::Ok();
 }
 
 bool HostObject::ReleaseObject(const Loid& object, bool kill) {
   auto it = running_.find(object);
-  if (it == running_.end()) return false;
-  const RunningObject released = it->second;
-  running_.erase(it);
-  if (released.reservation_serial != 0) {
-    const ReservationRecord* record =
-        table_.Find(released.reservation_serial);
-    if (record != nullptr) table_.OnJobDone(record->token);
+  if (it != running_.end()) {
+    const std::uint64_t reservation_serial = it->second.reservation_serial;
+    running_.erase(it);
+    if (reservation_serial != 0) {
+      const ReservationRecord* record = table_.Find(reservation_serial);
+      if (record != nullptr) table_.OnJobDone(record->token);
+    }
+  } else if (waiting_.erase(object) == 0) {
+    return false;
   }
-  if (kill) RetireInstance(object);
-  OnObjectReleased(released);
-  RepopulateAttributes();
+  Depart(object, kill);
   return true;
 }
 
-void HostObject::RetireInstance(const Loid& object) {
-  if (auto* actor = kernel()->FindActor(object)) {
-    if (auto* legion_object = dynamic_cast<LegionObject*>(actor)) {
-      legion_object->MarkDead();
+void HostObject::Depart(const Loid& object, bool kill) {
+  if (kill) {
+    if (auto* actor = kernel()->FindActor(object)) {
+      if (auto* legion_object = dynamic_cast<LegionObject*>(actor)) {
+        legion_object->MarkDead();
+      }
+      kernel()->RemoveActor(object);
     }
-    kernel()->RemoveActor(object);
   }
+  OnDeparted(object);
+  RepopulateAttributes();
 }
 
 void HostObject::KillObject(const Loid& object, Callback<bool> done) {
@@ -474,7 +476,7 @@ void HostObject::DeactivateObject(const Loid& object, Callback<bool> done) {
   auto* actor = kernel()->FindActor(object);
   auto* legion_object = dynamic_cast<LegionObject*>(actor);
   if (legion_object == nullptr) {
-    running_.erase(it);
+    ReleaseObject(object, /*kill=*/false);
     done(Status::Error(ErrorCode::kInternal, "running object vanished"));
     return;
   }

@@ -13,10 +13,17 @@
 // its attribute database, pushes updates into Collections, and raises RGE
 // trigger events (e.g. "load above threshold") that the Monitor can hook.
 //
-// This base class behaves like the paper's "standard Unix Host Object":
-// objects start immediately and the reservation table lives in the Host
-// because the underlying OS has no notion of reservations.  Subclasses
-// model SMPs and batch-queue-fronted machines.
+// Every host kind takes an instance through one lifecycle: StartObject
+// admits it, LaunchObjects fetches its binary and creates it, and it
+// waits under its hold (if any) until the host starts it.  Releasing the
+// hold withdraws what still waits under it and kills what runs under it;
+// KillObject reaches a waiting instance as well as a running one.  Host
+// kinds differ only in Place, which decides when a waiting instance may
+// run.  This base class behaves like the paper's "standard Unix Host
+// Object": instances start at once, or when their reservation window
+// opens, and the reservation table lives in the Host because the
+// underlying OS has no notion of reservations.  Subclasses model SMPs and
+// batch-queue-fronted machines.
 #pragma once
 
 #include <cstdint>
@@ -148,21 +155,19 @@ class HostObject : public LegionObject, public HostInterface {
  protected:
   // What a host remembers about each object it is running.
   struct RunningObject {
-    Loid object;
     Loid vault;
     std::size_t memory_mb = 0;
     double cpu_fraction = 1.0;
-    SimTime started;
     std::uint64_t reservation_serial = 0;  // 0 = no reservation
   };
 
   // The one cancel step behind CancelReservation and
   // CancelReservationBatch: releases the token's hold if it is ours and
-  // live, then kills every object still running under it (one whose
-  // start reply or kill was lost; nobody else can reach it).  Returns
-  // whether a hold was released.  Batch-queue hosts also withdraw the
-  // jobs still queued under the hold.
-  virtual bool ReleaseHold(const ReservationToken& token);
+  // live, withdraws every instance still waiting under it, then kills
+  // every object still running under it (one whose start reply or kill
+  // was lost; nobody else can reach it).  Returns whether a hold was
+  // released.
+  bool ReleaseHold(const ReservationToken& token);
   // Admission for token-less starts (the Class's default placement path).
   virtual Status AdmitWithoutReservation(const StartObjectRequest& request);
   // The local policy's verdict on an object that holds no reservation (a
@@ -176,36 +181,36 @@ class HostObject : public LegionObject, public HostInterface {
   // fit beside the running objects.
   Status CheckRunningCapacity(double cpu, std::size_t memory_mb) const;
 
-  // Actually places the objects on the machine.  The Unix host launches
-  // immediately; batch hosts queue.  Must eventually call `done`.  The
-  // base implementation routes through the implementation cache (if
-  // wired) and then LaunchPrepared.
-  virtual void LaunchObjects(const StartObjectRequest& request,
-                             std::uint64_t reservation_serial,
-                             Callback<std::vector<Loid>> done);
-  // Launch after the binary is locally available.
+  // Fetches the implementation binary (through the implementation cache
+  // if one is wired, else from the class), then LaunchPrepared.  Calls
+  // `done` with the instances once they are created.
+  void LaunchObjects(const StartObjectRequest& request,
+                     std::uint64_t reservation_serial,
+                     Callback<std::vector<Loid>> done);
+  // Launch after the binary is locally available: creates the inactive
+  // instances, enters each in the waiting record under
+  // `reservation_serial`, and hands them to Place.
   void LaunchPrepared(const StartObjectRequest& request,
                       std::uint64_t reservation_serial,
                       Callback<std::vector<Loid>> done);
+  // Decides when the request's waiting instances run.  The Unix host
+  // starts them now, or when the reservation window opens; batch hosts
+  // queue them as one job.
+  virtual void Place(const StartObjectRequest& request,
+                     std::uint64_t reservation_serial);
 
   // Subclass hook to add attributes during repopulation.
   virtual void ExtendAttributes(AttributeDatabase& attrs) { (void)attrs; }
   virtual std::string HostKind() const { return "unix"; }
-  // Called whenever a running object is released (killed, deactivated, or
-  // finished); batch hosts use it to free queue slots.
-  virtual void OnObjectReleased(const RunningObject& released) {
-    (void)released;
-  }
+  // Called whenever an instance leaves the host: killed, finished,
+  // deactivated, or withdrawn before it started.  It is already out of
+  // both the running and the waiting record.  Batch hosts use it to drop
+  // a job none of whose instances is left.
+  virtual void OnDeparted(const Loid& object) { (void)object; }
 
-  // Instantiates the (inactive) instance objects and adopts them into the
-  // kernel; activation happens separately so launches can be deferred to
-  // a reservation window or a batch queue slot.
-  Result<std::vector<Loid>> CreateInstanceObjects(
-      const StartObjectRequest& request);
-  // Activates previously created instances and registers them as
-  // running; returns how many came up.
-  std::size_t ActivateCreated(const StartObjectRequest& request,
-                              std::uint64_t reservation_serial);
+  // Starts those of the request's instances that are still waiting and
+  // registers them as running under the hold they waited for.
+  void ActivateCreated(const StartObjectRequest& request);
   // Activates `object` here on `vault` and registers it as running under
   // `reservation_serial` (0 = none).  The object records its demand so it
   // can be readmitted after migration or reactivation.
@@ -213,10 +218,14 @@ class HostObject : public LegionObject, public HostInterface {
                    std::size_t memory_mb, double cpu_fraction,
                    std::uint64_t reservation_serial);
 
-  // Releases a running object's resources.  Returns false if unknown.
+  // Takes `object` off this host: a running object releases its
+  // resources, a waiting one leaves the waiting record; `kill` also
+  // retires it.  Returns false if the object is neither.
   bool ReleaseObject(const Loid& object, bool kill);
-  // Marks `object` dead and removes it from the kernel, if it exists.
-  void RetireInstance(const Loid& object);
+  // The end of every departure: retires `object` if `kill` (marks it dead
+  // and removes it from the kernel), runs OnDeparted and refreshes the
+  // attributes.
+  void Depart(const Loid& object, bool kill);
 
   double RunningCpuDemand() const;
   std::size_t RunningMemoryDemand() const;
@@ -263,6 +272,10 @@ class HostObject : public LegionObject, public HostInterface {
   std::vector<Loid> collections_;
   Loid impl_cache_;  // invalid = no cache wired (binaries are free)
   std::unordered_map<Loid, RunningObject> running_;
+  // Instances created here but not running, each with the serial of the
+  // hold it waits under (0 = none): deferred to a window, queued, or
+  // vacated by the queue.
+  std::unordered_map<Loid, std::uint64_t> waiting_;
   // At-most-once admission, one entry per (requester, batch id): the
   // batch while it waits on a vault probe, so a retransmission joins it
   // instead of admitting again, then only its reply, which a

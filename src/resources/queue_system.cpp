@@ -17,13 +17,9 @@ bool QueueSystem::Cancel(std::uint64_t job_id) {
     queue_.erase(it);
     return true;
   }
-  // Cancelling a running job: drop it from the running set; the host is
-  // responsible for killing its objects.
+  // A running job leaves the running set; the host is responsible for
+  // its objects.
   return running_.erase(job_id) != 0;
-}
-
-void QueueSystem::JobFinished(std::uint64_t job_id) {
-  running_.erase(job_id);
 }
 
 double QueueSystem::used_slots() const {
@@ -108,11 +104,8 @@ void LoadLevelerLikeQueue::Poll(SimTime now) {
       const BatchJob& job = queue_[i];
       if (job.cpu_demand() > free + 1e-9) continue;
       const double age_credit =
-          (now - job.submitted).seconds() /
-          std::max(aging_interval_.seconds(), 1e-9);
-      const double base =
-          static_cast<double>(job.priority + ClassOf(job));
-      const double score = base + age_credit;
+          (now - job.submitted).seconds() / kAgingInterval.seconds();
+      const double score = static_cast<double>(ClassOf(job)) + age_credit;
       if (score > best_score) {
         best_score = score;
         best = i;

@@ -19,6 +19,11 @@
 //                         window.  The host's reservation table stays the
 //                         one ledger of holds; the queue keeps no copy.
 //
+// A BatchQueueHost submits one job per StartObject and hears through the
+// callbacks when a job starts or is vacated.  It drops a job with Cancel,
+// queued or running, once none of the job's instances is left on the
+// host (finished, killed, deactivated or withdrawn with its hold).
+//
 // None of these is a faithful re-implementation of the named product;
 // each reproduces the property the Legion RMI depends on (see DESIGN.md).
 #pragma once
@@ -44,7 +49,6 @@ struct BatchJob {
   double cpu_fraction = 1.0;     // per instance
   Duration estimated_runtime = Duration::Minutes(30);
   SimTime submitted;
-  int priority = 0;
   // Reservation-backed jobs (Maui path): the window the job must run in.
   bool reserved = false;
   SimTime window_start;
@@ -78,9 +82,9 @@ class QueueSystem {
   void SetHoldSource(HoldSource holds) { holds_ = std::move(holds); }
 
   virtual void Submit(BatchJob job);
+  // Drops a job, queued or running; false if there is none.  A running
+  // job's slots are free for the next Poll.
   virtual bool Cancel(std::uint64_t job_id);
-  // Host notification that a running job's objects finished.
-  virtual void JobFinished(std::uint64_t job_id);
   // One scheduling cycle: start whatever the discipline allows.
   virtual void Poll(SimTime now) = 0;
 
@@ -149,16 +153,14 @@ class CondorLikeQueue : public QueueSystem {
 // Priority classes with aging: shorter estimated runtime => higher class.
 class LoadLevelerLikeQueue : public QueueSystem {
  public:
-  LoadLevelerLikeQueue(double cpu_slots,
-                       Duration aging_interval = Duration::Minutes(10))
-      : QueueSystem(cpu_slots), aging_interval_(aging_interval) {}
+  // A queued job gains one class per interval waited.
+  static constexpr Duration kAgingInterval = Duration::Minutes(10);
+
+  explicit LoadLevelerLikeQueue(double cpu_slots) : QueueSystem(cpu_slots) {}
   void Poll(SimTime now) override;
   std::string flavor() const override { return "loadleveler"; }
 
   static int ClassOf(const BatchJob& job);
-
- private:
-  Duration aging_interval_;
 };
 
 // Native advance reservations + conservative backfill.

@@ -23,10 +23,6 @@ NetworkModel::PathCost NetworkModel::Path(DomainId a, DomainId b,
   PathCost path;
   path.base =
       cross ? params_.inter_domain_latency : params_.intra_domain_latency;
-  if (cross) {
-    auto it = pair_latency_.find(PairKey(a, b));
-    if (it != pair_latency_.end()) path.base = it->second;
-  }
   const double bandwidth = cross ? params_.inter_domain_bandwidth_bps
                                  : params_.intra_domain_bandwidth_bps;
   path.transfer = Duration::Seconds(static_cast<double>(bytes) * 8.0 /
@@ -44,10 +40,6 @@ Duration NetworkModel::HealthyPathLatency(const Loid& from, const Loid& to,
   }
   const PathCost path = Path(from_it->second, to_it->second, bytes);
   return path.base + path.transfer;
-}
-
-void NetworkModel::SetPairLatency(DomainId a, DomainId b, Duration latency) {
-  pair_latency_[PairKey(a, b)] = latency;
 }
 
 void NetworkModel::AddPartition(DomainId a, DomainId b, SimTime start,

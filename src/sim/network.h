@@ -57,9 +57,6 @@ class NetworkModel {
   void RegisterEndpoint(const Loid& loid, DomainId domain);
   std::optional<DomainId> DomainOf(const Loid& loid) const;
 
-  // Overrides latency for a specific (unordered) domain pair.
-  void SetPairLatency(DomainId a, DomainId b, Duration latency);
-
   // Declares domains a and b mutually unreachable during [start, end).
   void AddPartition(DomainId a, DomainId b, SimTime start, SimTime end);
 
@@ -89,13 +86,9 @@ class NetworkModel {
     DomainId a, b;
     SimTime start, end;
   };
-  static std::uint64_t PairKey(DomainId a, DomainId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
   bool Partitioned(DomainId a, DomainId b, SimTime now) const;
-  // The base latency between two domains (a pair override wins) and the
-  // time `bytes` take over their link.
+  // The base latency between two domains and the time `bytes` take over
+  // their link.
   struct PathCost {
     Duration base;
     Duration transfer;
@@ -105,7 +98,6 @@ class NetworkModel {
   NetworkParams params_;
   Rng rng_;
   std::unordered_map<Loid, DomainId> endpoints_;
-  std::unordered_map<std::uint64_t, Duration> pair_latency_;
   std::vector<Partition> partitions_;
   // Per-sender uplink FIFO (serialize_uplink): when this endpoint's
   // previous transfers finish draining onto the wire.

@@ -10,6 +10,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class IrsSchedulerTest : public ::testing::Test {
@@ -69,7 +70,9 @@ TEST_F(IrsSchedulerTest, FewerCollectionLookupsThanRepeatedRandom) {
       world_.collection->loid(), world_.enactor->loid(), /*seed=*/5);
   // IRS: n=4 candidate schedules, one lookup.
   Compute({{klass_->loid(), 4}});
-  EXPECT_EQ(scheduler_->collection_lookups(), 1u);
+  EXPECT_EQ(Count(world_.kernel, "collection_lookups",
+                  {{"component", "scheduler"}, {"scheduler", "irs"}}),
+            1u);
   // Random x4: four lookups.
   for (int i = 0; i < 4; ++i) {
     Await<ScheduleRequestList> schedule;
@@ -77,7 +80,9 @@ TEST_F(IrsSchedulerTest, FewerCollectionLookupsThanRepeatedRandom) {
     world_.Run();
     ASSERT_TRUE(schedule.Get().ok());
   }
-  EXPECT_EQ(random->collection_lookups(), 4u);
+  EXPECT_EQ(Count(world_.kernel, "collection_lookups",
+                  {{"component", "scheduler"}, {"scheduler", "random"}}),
+            4u);
 }
 
 TEST_F(IrsSchedulerTest, SurvivesHostFailuresThatDefeatRandom) {

@@ -152,10 +152,12 @@ TEST_F(LayeringTest, PlusRmDelegatesNegotiationToEnactor) {
 }
 
 TEST_F(LayeringTest, SeparateModulesGoThroughScheduler) {
-  const auto lookups = scheduler_->collection_lookups();
+  const obs::Labels cell = {{"component", "scheduler"},
+                            {"scheduler", "random"}};
+  const auto lookups = Count(world_.kernel, "collection_lookups", cell);
   PlacementTrace trace = Place(Layering::kSeparateModules);
   EXPECT_TRUE(trace.success);
-  EXPECT_GT(scheduler_->collection_lookups(), lookups);
+  EXPECT_GT(Count(world_.kernel, "collection_lookups", cell), lookups);
 }
 
 TEST_F(LayeringTest, FailureSurfacesAsUnsuccessfulTrace) {

@@ -11,6 +11,7 @@ namespace legion {
 namespace {
 
 using testing::Await;
+using testing::Count;
 using testing::TestWorld;
 
 class RandomSchedulerTest : public ::testing::Test {
@@ -138,11 +139,15 @@ TEST_F(RandomSchedulerTest, FullPipelinePlacesInstances) {
 }
 
 TEST_F(RandomSchedulerTest, CountsCollectionLookups) {
-  EXPECT_EQ(scheduler_->collection_lookups(), 0u);
+  auto lookups = [&] {
+    return Count(world_.kernel, "collection_lookups",
+                 {{"component", "scheduler"}, {"scheduler", "random"}});
+  };
+  EXPECT_EQ(lookups(), 0u);
   Compute({{klass_->loid(), 4}});
-  EXPECT_EQ(scheduler_->collection_lookups(), 1u);
+  EXPECT_EQ(lookups(), 1u);
   Compute({{klass_->loid(), 4}});
-  EXPECT_EQ(scheduler_->collection_lookups(), 2u);
+  EXPECT_EQ(lookups(), 2u);
 }
 
 }  // namespace

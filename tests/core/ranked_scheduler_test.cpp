@@ -96,7 +96,7 @@ TEST_F(RankedSchedulerTest, FeasibilityFilterAvoidsNonfeasibleSchedules) {
 
 TEST_F(RankedSchedulerTest, RankedVariantsNameAlternatives) {
   world_.Populate();
-  auto* scheduler = Make<LoadAwareScheduler>(false, /*nvariants=*/2);
+  auto* scheduler = Make<LoadAwareScheduler>();
   auto schedule = Compute(scheduler, {{klass_->loid(), 2}});
   ASSERT_TRUE(schedule.ok());
   const MasterSchedule& master = schedule->masters[0];
@@ -129,12 +129,12 @@ TEST_F(RankedSchedulerTest, VariantsAreTheNextBestHostsInRankOrder) {
   }
   ASSERT_EQ(score.size(), 4u);
 
-  auto* scheduler = Make<LoadAwareScheduler>(false, /*nvariants=*/2);
+  auto* scheduler = Make<LoadAwareScheduler>();
   auto schedule = Compute(scheduler, {{klass_->loid(), 3}});
   ASSERT_TRUE(schedule.ok());
   const MasterSchedule& master = schedule->masters[0];
   ASSERT_EQ(master.mappings.size(), 3u);
-  ASSERT_EQ(master.variants.size(), 2u);
+  ASSERT_EQ(master.variants.size(), RankedScheduler::kVariants);
   for (std::size_t i = 0; i < master.mappings.size(); ++i) {
     std::vector<Loid> expected;
     for (const auto& [host, unused] : score) expected.push_back(host);
@@ -143,7 +143,7 @@ TEST_F(RankedSchedulerTest, VariantsAreTheNextBestHostsInRankOrder) {
                 if (score[a] != score[b]) return score[a] < score[b];
                 return a < b;
               });
-    expected.resize(3);
+    expected.resize(RankedScheduler::kVariants + 1);
     std::vector<Loid> ranked{master.mappings[i].host};
     for (const VariantSchedule& variant : master.variants) {
       for (const auto& [index, mapping] : variant.mappings) {

@@ -274,11 +274,11 @@ TEST(BatchEquivalence, RetransmissionJoinsBatchStillProbingVault) {
   config.hosts = 2;
   config.domains = 2;
   config.net.jitter_fraction = 0.0;
+  config.net.inter_domain_latency = Duration::Seconds(3);  // the one WAN link
   TestWorld world(config);
   world.Populate();
   ClassObject* klass = world.MakeClass("app", 16, 1.0);
   world.enactor->options().rpc_timeout = Duration::Seconds(2);
-  world.kernel.network().SetPairLatency(0, 1, Duration::Seconds(3));
 
   ScheduleRequestList request;
   MasterSchedule master;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/impl_cache.h"
 #include "test_world.h"
 
 namespace legion {
@@ -302,6 +303,85 @@ TEST_F(BatchQueueHostTest, ReleasedHoldStartsNoJobQueuedUnderIt) {
   EXPECT_EQ(host->running_count(), 0u);
   EXPECT_EQ(host->queue().queued_count(), 0u);
   EXPECT_EQ(host->queue().running_count(), 0u);
+}
+
+TEST_F(BatchQueueHostTest, ReleasedHoldStartsNeitherQueuedJob) {
+  // A 2-CPU FIFO host runs a token-less 1-CPU job.  Under one reusable
+  // hold a 2-CPU job waits at the head and a 1-CPU job behind it.
+  // Withdrawing the head must not let the job behind it start on the
+  // free CPU: the cancel withdraws both.
+  auto* host = MakeFifoHost(2);
+  Await<std::vector<Loid>> tokenless;
+  host->StartObject(StartRequest(1), tokenless.Sink());
+  ASSERT_TRUE(tokenless.Get().ok());
+  ReservationRequest reusable =
+      Reservation(world_.kernel.Now(), Duration::Hours(1));
+  reusable.type = ReservationType::ReusableTimesharing();
+  Await<ReservationToken> token;
+  host->MakeReservation(reusable, token.Sink());
+  ASSERT_TRUE(token.Get().ok());
+  Await<std::vector<Loid>> wide, narrow;
+  host->StartObject(StartRequest(2, *token.Get()), wide.Sink());
+  host->StartObject(StartRequest(1, *token.Get()), narrow.Sink());
+  ASSERT_TRUE(wide.Get().ok());
+  ASSERT_TRUE(narrow.Get().ok());
+  ASSERT_EQ(host->running_count(), 1u);
+  ASSERT_EQ(host->queue().queued_count(), 2u);
+
+  Await<bool> cancelled;
+  host->CancelReservation(*token.Get(), cancelled.Sink());
+  EXPECT_TRUE(*cancelled.Get());
+  EXPECT_EQ(host->objects_started(), 1u);
+  world_.kernel.RunFor(Duration::Minutes(1));
+  EXPECT_EQ(host->objects_started(), 1u);
+  EXPECT_EQ(host->running_count(), 1u);
+  EXPECT_EQ(host->queue().running_count(), 1u);
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+  EXPECT_EQ(world_.kernel.FindActor(narrow.Get()->front()), nullptr);
+}
+
+TEST_F(BatchQueueHostTest, KillWithdrawsQueuedJob) {
+  // kill_object reaches an instance whose job is still queued: the job
+  // leaves the queue at once and never starts.
+  auto* host = MakeFifoHost(1);
+  Await<std::vector<Loid>> first, second;
+  host->StartObject(StartRequest(1), first.Sink());
+  host->StartObject(StartRequest(1), second.Sink());
+  ASSERT_TRUE(first.Get().ok());
+  ASSERT_TRUE(second.Get().ok());
+  ASSERT_EQ(host->running_count(), 1u);
+  ASSERT_EQ(host->queue().queued_count(), 1u);
+  const Loid queued = second.Get()->front();
+
+  Await<bool> killed;
+  host->KillObject(queued, killed.Sink());
+  EXPECT_TRUE(*killed.Get());
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+  EXPECT_EQ(world_.kernel.FindActor(queued), nullptr);
+  host->FinishObject(first.Get()->front());
+  world_.kernel.RunFor(Duration::Seconds(15));
+  EXPECT_EQ(host->running_count(), 0u);
+  EXPECT_EQ(host->queue().running_count(), 0u);
+}
+
+TEST_F(BatchQueueHostTest, StartFetchesBinaryThroughCache) {
+  // A batch host launches like any host: a start that names an
+  // implementation waits for its binary, here through the cache.
+  auto* host = MakeFifoHost(1);
+  auto* cache = world_.kernel.AddActor<ImplementationCacheObject>(
+      world_.kernel.minter().Mint(LoidSpace::kService, 0), /*domain=*/0);
+  host->SetImplementationCache(cache->loid());
+  StartObjectRequest request = StartRequest(1);
+  request.implementation = "x86/Linux";
+  request.binary_bytes = 1 << 20;
+  Await<std::vector<Loid>> started;
+  host->StartObject(request, started.Sink());
+  EXPECT_FALSE(started.Ready());  // the binary is on its way
+  world_.kernel.RunFor(Duration::Seconds(5));
+  ASSERT_TRUE(started.Ready());
+  ASSERT_TRUE(started.Get().ok());
+  EXPECT_EQ(cache->misses(), 1u);
+  EXPECT_EQ(host->running_count(), 1u);
 }
 
 TEST_F(BatchQueueHostTest, BatchAdmissionConsultsQueuePerSlot) {

@@ -425,6 +425,46 @@ TEST_F(HostObjectTest, FutureReservationDefersActivation) {
   EXPECT_EQ(host_->running_count(), 1u);
 }
 
+TEST_F(HostObjectTest, CancelledHoldWithdrawsDeferredInstance) {
+  // An instance waiting for its window leaves with its hold: cancelling
+  // the hold before the window opens retires it, and it never runs.
+  ReservationRequest reservation = Request();
+  reservation.start = world_.kernel.Now() + Duration::Minutes(5);
+  Await<ReservationToken> token;
+  host_->MakeReservation(reservation, token.Sink());
+  ASSERT_TRUE(token.Get().ok());
+  Await<std::vector<Loid>> started;
+  host_->StartObject(StartRequest(1, *token.Get()), started.Sink());
+  ASSERT_TRUE(started.Get().ok());
+  Await<bool> cancelled;
+  host_->CancelReservation(*token.Get(), cancelled.Sink());
+  EXPECT_TRUE(*cancelled.Get());
+  world_.kernel.RunFor(Duration::Minutes(10));
+  EXPECT_EQ(host_->running_count(), 0u);
+  EXPECT_EQ(host_->objects_started(), 0u);
+  EXPECT_EQ(world_.kernel.FindActor(started.Get()->front()), nullptr);
+}
+
+TEST_F(HostObjectTest, KillReachesDeferredInstance) {
+  // kill_object reaches an instance still waiting for its window.
+  ReservationRequest reservation = Request();
+  reservation.start = world_.kernel.Now() + Duration::Minutes(5);
+  Await<ReservationToken> token;
+  host_->MakeReservation(reservation, token.Sink());
+  ASSERT_TRUE(token.Get().ok());
+  Await<std::vector<Loid>> started;
+  host_->StartObject(StartRequest(1, *token.Get()), started.Sink());
+  ASSERT_TRUE(started.Get().ok());
+  const Loid instance = started.Get()->front();
+  Await<bool> killed;
+  host_->KillObject(instance, killed.Sink());
+  EXPECT_TRUE(*killed.Get());
+  world_.kernel.RunFor(Duration::Minutes(10));
+  EXPECT_EQ(host_->running_count(), 0u);
+  EXPECT_EQ(host_->objects_started(), 0u);
+  EXPECT_EQ(world_.kernel.FindActor(instance), nullptr);
+}
+
 TEST_F(HostObjectTest, KillObjectReleasesEverything) {
   Await<std::vector<Loid>> started;
   host_->StartObject(StartRequest(1), started.Sink());

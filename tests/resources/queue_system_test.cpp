@@ -52,7 +52,7 @@ TEST(FifoQueueTest, StrictFcfsBlocksBehindBigJob) {
   queue.Submit(Job(3, 0.5));  // FIFO: must also wait (no backfill)
   queue.Poll(SimTime(0));
   EXPECT_EQ(started, (std::vector<std::uint64_t>{1}));
-  queue.JobFinished(1);
+  queue.Cancel(1);
   queue.Poll(SimTime(1));
   EXPECT_EQ(started, (std::vector<std::uint64_t>{1, 2}));
 }
@@ -65,7 +65,7 @@ TEST(FifoQueueTest, JobFinishedFreesSlot) {
   queue.Submit(Job(2));
   queue.Poll(SimTime(0));
   EXPECT_EQ(starts, 1);
-  queue.JobFinished(1);
+  queue.Cancel(1);
   queue.Poll(SimTime(1));
   EXPECT_EQ(starts, 2);
 }
@@ -123,13 +123,13 @@ TEST(LoadLevelerLikeQueueTest, ShortJobsJumpTheQueue) {
   queue.Poll(SimTime(0));
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0], 2u);  // the short job wins
-  queue.JobFinished(2);
+  queue.Cancel(2);
   queue.Poll(SimTime(1));
   EXPECT_EQ(started[1], 3u);  // then the medium one
 }
 
 TEST(LoadLevelerLikeQueueTest, AgingEventuallyPromotesLongJobs) {
-  LoadLevelerLikeQueue queue(1.0, /*aging=*/Duration::Minutes(10));
+  LoadLevelerLikeQueue queue(1.0);  // ages one class per 10 minutes
   std::vector<std::uint64_t> started;
   queue.SetCallbacks([&](const BatchJob& job) { started.push_back(job.id); },
                      nullptr);

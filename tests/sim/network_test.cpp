@@ -65,19 +65,6 @@ TEST(NetworkTest, BandwidthScalesWithPayload) {
   EXPECT_NEAR((*big - *small).seconds(), 1.05, 0.05);
 }
 
-TEST(NetworkTest, PairLatencyOverride) {
-  NetworkModel net(QuietParams());
-  net.RegisterEndpoint(Endpoint(1), 0);
-  net.RegisterEndpoint(Endpoint(2), 5);
-  net.SetPairLatency(0, 5, Duration::Millis(120));
-  auto latency = net.Latency(Endpoint(1), Endpoint(2), 0, SimTime::Zero());
-  ASSERT_TRUE(latency.has_value());
-  EXPECT_EQ(*latency, Duration::Millis(120));
-  // Order-independent.
-  auto reverse = net.Latency(Endpoint(2), Endpoint(1), 0, SimTime::Zero());
-  EXPECT_EQ(*reverse, Duration::Millis(120));
-}
-
 TEST(NetworkTest, LossDropsMessages) {
   NetworkParams params = QuietParams();
   params.inter_domain_loss = 1.0;

@@ -107,19 +107,24 @@ class TestWorld {
   std::uint64_t next_class_serial_ = 100;
 };
 
-// Reads the registry counter `name{component=<component>}`.  A cell that
-// does not exist fails the test, so a misspelt name cannot read as 0.
+// Reads the registry counter `name{labels}`.  A cell that does not exist
+// fails the test, so a misspelt name cannot read as 0.
 inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
-                           const std::string& component) {
+                           const obs::Labels& labels) {
   const obs::MetricsSnapshot snapshot = kernel.metrics().Snapshot();
-  const auto it = snapshot.counters.find(
-      obs::MetricsRegistry::CellKey(name, {{"component", component}}));
+  const std::string key = obs::MetricsRegistry::CellKey(name, labels);
+  const auto it = snapshot.counters.find(key);
   if (it == snapshot.counters.end()) {
-    ADD_FAILURE() << "no counter " << name << "{component=" << component
-                  << "}";
+    ADD_FAILURE() << "no counter " << key;
     return 0;
   }
   return it->second;
+}
+
+// Reads the registry counter `name{component=<component>}`.
+inline std::uint64_t Count(const SimKernel& kernel, std::string_view name,
+                           const std::string& component) {
+  return Count(kernel, name, obs::Labels{{"component", component}});
 }
 
 // The field keys, in order, of every audit record of `kind`.
