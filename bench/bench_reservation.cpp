@@ -133,7 +133,8 @@ ReservationOutcome RunCell(Kind kind, int backlog_jobs, int reservations) {
   // Run past the backlog so late starts register as conflicts.
   kernel.RunFor(Duration::Hours(3));
   if (auto* batch = dynamic_cast<BatchQueueHost*>(host)) {
-    outcome.conflicts = static_cast<int>(batch->reservation_conflicts());
+    outcome.conflicts =
+        static_cast<int>(batch->queue().reservation_conflicts());
   }
   return outcome;
 }

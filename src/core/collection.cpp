@@ -87,17 +87,18 @@ void CollectionObject::JoinCollection(const Loid& joiner,
   done(true);
 }
 
+bool CollectionObject::Erase(const Loid& member) {
+  auto it = records_.find(member);
+  if (it == records_.end()) return false;
+  indexes_.Remove(member, it->second.attributes);
+  records_.erase(it);
+  JournalDelta(CollectionDelta::Kind::kLeave, member, AttributeDatabase{});
+  return true;
+}
+
 void CollectionObject::LeaveCollection(const Loid& leaver,
                                        Callback<bool> done) {
-  auto it = records_.find(leaver);
-  if (it == records_.end()) {
-    done(false);
-    return;
-  }
-  indexes_.Remove(leaver, it->second.attributes);
-  records_.erase(it);
-  JournalDelta(CollectionDelta::Kind::kLeave, leaver, AttributeDatabase{});
-  done(true);
+  done(Erase(leaver));
 }
 
 void CollectionObject::UpdateCollectionEntry(const Loid& member,
@@ -421,13 +422,7 @@ void CollectionObject::ApplyDeltaBatch(const DeltaBatch& batch,
     if (delta.kind == CollectionDelta::Kind::kUpsert) {
       Upsert(delta.member, delta.attributes);
     } else {
-      auto it = records_.find(delta.member);
-      if (it != records_.end()) {
-        indexes_.Remove(delta.member, it->second.attributes);
-        records_.erase(it);
-        JournalDelta(CollectionDelta::Kind::kLeave, delta.member,
-                     AttributeDatabase{});
-      }
+      Erase(delta.member);
     }
   }
   done(high);

@@ -118,8 +118,6 @@ class CollectionObject : public LegionObject, public CollectionSink {
  public:
   CollectionObject(SimKernel* kernel, Loid loid);
 
-  std::string DebugName() const override { return "collection"; }
-
   // ---- Figure 4 interface -------------------------------------------------
   // int JoinCollection(LOID joiner);
   void JoinCollection(const Loid& joiner, Callback<bool> done);
@@ -184,6 +182,9 @@ class CollectionObject : public LegionObject, public CollectionSink {
  private:
   bool Authorized(const Loid& caller, const Loid& member) const;
   void Upsert(const Loid& member, const AttributeDatabase& attributes);
+  // Unindexes and drops the member's record and journals its leave;
+  // false if there is none.
+  bool Erase(const Loid& member);
   // Journals a membership change for the next delta push.
   void JournalDelta(CollectionDelta::Kind kind, const Loid& member,
                     const AttributeDatabase& attributes);

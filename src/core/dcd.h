@@ -30,8 +30,6 @@ class DataCollectionDaemon : public LegionObject {
   DataCollectionDaemon(SimKernel* kernel, Loid loid, DcdOptions options = {});
   ~DataCollectionDaemon() override;
 
-  std::string DebugName() const override { return "dcd"; }
-
   void WatchResource(const Loid& resource);
   void AddCollection(CollectionObject* collection);
 

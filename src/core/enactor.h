@@ -114,8 +114,6 @@ class EnactorObject : public LegionObject {
   // Starts with default options; tune them through options().
   EnactorObject(SimKernel* kernel, Loid loid);
 
-  std::string DebugName() const override { return "enactor"; }
-
   // ---- Figure 6 interface ---------------------------------------------------
   // &LegionScheduleFeedback make_reservations(&LegionScheduleList);
   void MakeReservations(const ScheduleRequestList& request,

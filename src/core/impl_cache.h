@@ -30,8 +30,6 @@ class ImplementationCacheObject : public LegionObject, public BinaryProvider {
   ImplementationCacheObject(SimKernel* kernel, Loid loid,
                             std::uint32_t domain);
 
-  std::string DebugName() const override { return "impl-cache"; }
-
   // Ensures the binary for (class, "arch/os") is locally available;
   // `done(true)` once it is.  A miss pulls `binary_bytes` from the class
   // object over the network; concurrent requests for the same key share

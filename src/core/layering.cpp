@@ -137,15 +137,19 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
   state->started = started;
   state->done = std::move(done);
 
-  auto instantiate = [this, state] {
+  // Releases every hold a host granted, best effort, as the Enactor does
+  // when it abandons a master.  A hold its instance consumed is already
+  // gone, and its cancel releases nothing.
+  auto release = [this, state] {
+    for (const ReservationToken& token : state->tokens) {
+      if (!token.valid()) continue;
+      CancelToken(kernel(), loid(), token, kDefaultRpcTimeout,
+                  [](Result<bool>) { /* best effort */ });
+    }
+  };
+  auto instantiate = [this, state, release] {
     if (state->failed) {
-      // Release the holds the other hosts granted, best effort, as the
-      // Enactor does when it abandons a master.
-      for (const ReservationToken& token : state->tokens) {
-        if (!token.valid()) continue;
-        CancelToken(kernel(), loid(), token, kDefaultRpcTimeout,
-                    [](Result<bool>) { /* best effort */ });
-      }
+      release();
       PlacementTrace trace;
       trace.latency = kernel()->Now() - state->started;
       state->done(std::move(trace));
@@ -153,13 +157,16 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
     }
     CreateInstances(
         kernel(), loid(), state->mappings, state->tokens, kDefaultRpcTimeout,
-        [this, state](std::vector<Result<Loid>> instances) {
+        [this, state, release](std::vector<Result<Loid>> instances) {
           PlacementTrace trace;
           trace.latency = kernel()->Now() - state->started;
           trace.instances_started = static_cast<std::size_t>(
               std::count_if(instances.begin(), instances.end(),
                             [](const Result<Loid>& r) { return r.ok(); }));
           trace.success = trace.instances_started == instances.size();
+          // All or nothing: the started instances were killed, and the
+          // holds of those that never started are released.
+          if (!trace.success) release();
           state->done(std::move(trace));
         });
   };
@@ -229,7 +236,7 @@ void ApplicationCoordinator::PlacePlusRm(const PlacementRequest& request,
                                Callback<EnactResult> reply) {
                 enactor.EnactSchedule(fb, std::move(reply));
               },
-              [this, started, done = std::move(done)](
+              [this, started, fb = *feedback, done = std::move(done)](
                   Result<EnactResult> enacted) mutable {
                 PlacementTrace trace;
                 trace.latency = kernel()->Now() - started;
@@ -238,6 +245,18 @@ void ApplicationCoordinator::PlacePlusRm(const PlacementRequest& request,
                   for (const auto& instance : enacted->instances) {
                     if (instance.ok()) ++trace.instances_started;
                   }
+                }
+                if (!trace.success) {
+                  // Release what the failed enactment still holds, as
+                  // figure 9's loop does.
+                  CallOn<std::size_t, EnactorObject>(
+                      kernel(), loid(), wiring_.enactor, kMediumMessage,
+                      kSmallMessage, kDefaultRpcTimeout,
+                      [fb](EnactorObject& enactor,
+                           Callback<std::size_t> reply) {
+                        enactor.CancelReservations(fb, std::move(reply));
+                      },
+                      [](Result<std::size_t>) { /* best effort */ });
                 }
                 done(std::move(trace));
               });

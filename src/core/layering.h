@@ -55,10 +55,6 @@ class ApplicationCoordinator : public LegionObject {
   ApplicationCoordinator(SimKernel* kernel, Loid loid, Layering layering,
                          Wiring wiring, std::uint64_t seed = 7);
 
-  std::string DebugName() const override {
-    return std::string("app[") + legion::ToString(layering_) + "]";
-  }
-
   void Place(const PlacementRequest& request, Callback<PlacementTrace> done);
 
   // The mode-(c) service entry point: runs the mode-(a) logic locally on

@@ -30,8 +30,6 @@ class MonitorObject : public LegionObject {
  public:
   MonitorObject(SimKernel* kernel, Loid loid);
 
-  std::string DebugName() const override { return "monitor"; }
-
   // Registers an outcall on the host's RGE event manager for the named
   // event.  The firing travels as a (message-counted) outcall from the
   // host to this monitor.

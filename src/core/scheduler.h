@@ -64,7 +64,6 @@ class SchedulerObject : public LegionObject {
                   Loid collection, Loid enactor);
 
   const std::string& name() const { return name_; }
-  std::string DebugName() const override { return "scheduler " + name_; }
 
   // Computes a ScheduleRequestList for the placement request.  Policies
   // that cannot produce any feasible schedule complete with an error.

@@ -38,7 +38,6 @@ class ClassObject : public LegionObject, public ClassInterface {
               ObjectFactory factory = nullptr);
 
   const std::string& name() const { return name_; }
-  std::string DebugName() const override { return "class " + name_; }
 
   // ---- ClassInterface ----------------------------------------------------
   void CreateInstance(std::optional<PlacementSuggestion> suggestion,

@@ -13,18 +13,8 @@ BatchQueueHost::BatchQueueHost(SimKernel* kernel, Loid loid, HostSpec spec,
       poll_period_(poll_period) {
   queue_->SetCallbacks([this](const BatchJob& job) { OnJobStart(job); },
                        [this](const BatchJob& job) { OnJobVacate(job); });
-  // The queue's holds are the table's live records, minus those a
-  // started job has spent: that job occupies real slots instead.
-  queue_->SetHoldSource([this, kernel] {
-    QueueSystem::Holds holds = table_.LiveRecords(kernel->Now());
-    for (const auto& [id, pending] : pending_jobs_) {
-      if (!pending.started) continue;
-      std::erase_if(holds, [&](const ReservationRecord& hold) {
-        return hold.token.serial == pending.reservation_serial;
-      });
-    }
-    return holds;
-  });
+  queue_->SetHoldSource(
+      [this, kernel] { return table_.LiveRecords(kernel->Now()); });
   RepopulateAttributes();
 }
 
@@ -44,18 +34,7 @@ void BatchQueueHost::StopQueuePolling() {
 void BatchQueueHost::OnPoll() {
   const SimTime now = kernel()->Now();
   queue_->Poll(now);
-  // A reserved job still waiting after its window closed is a conflict
-  // even if it never starts: the reservation was not honored.
-  for (auto& [id, pending] : pending_jobs_) {
-    if (pending.started || pending.conflict_counted) continue;
-    if (pending.reservation_serial == 0) continue;
-    const SimTime window_end =
-        pending.request.token.start + pending.request.token.duration;
-    if (now >= window_end) {
-      pending.conflict_counted = true;
-      ++reservation_conflicts_;
-    }
-  }
+  queue_->CountLateReservations(now);
   RepopulateAttributes();
 }
 
@@ -102,20 +81,13 @@ void BatchQueueHost::Place(const StartObjectRequest& request,
   job.cpu_fraction = request.cpu_fraction;
   job.estimated_runtime = request.estimated_runtime;
   job.submitted = kernel()->Now();
+  job.hold = reservation_serial;
   if (reservation_serial != 0) {
-    job.reserved = true;
     job.window_start = request.token.start;
     job.window_end = request.token.start + request.token.duration;
     if (request.token.duration > Duration::Zero()) {
       job.estimated_runtime = request.token.duration;
     }
-  }
-  PendingJob pending;
-  pending.request = request;
-  pending.reservation_serial = reservation_serial;
-  pending_jobs_[job.id] = std::move(pending);
-  for (const Loid& instance : request.instances) {
-    instance_job_[instance] = job.id;
   }
   queue_->Submit(std::move(job));
   // An opportunistic scheduling cycle: idle machines start work at once.
@@ -126,32 +98,18 @@ void BatchQueueHost::Place(const StartObjectRequest& request,
 }
 
 void BatchQueueHost::OnJobStart(const BatchJob& job) {
-  auto it = pending_jobs_.find(job.id);
-  if (it == pending_jobs_.end()) return;
-  PendingJob& pending = it->second;
-  pending.started = true;  // spends the job's hold
-
-  if (job.reserved && kernel()->Now() >= job.window_end &&
-      !pending.conflict_counted) {
-    // The "unavoidable potential for conflict": the queue could not
-    // honor the reserved window.
-    pending.conflict_counted = true;
-    ++reservation_conflicts_;
-  }
-
-  // The job's instances, demand and vault are the submitted request's;
-  // only those still waiting start.
-  ActivateCreated(pending.request);
-  if (!Occupied(pending)) {
-    DropJob(job.id);
-    RepopulateAttributes();
+  ActivateCreated(job.instances);
+  // An instance that did not start no longer waited: it is leaving with
+  // its released hold, and it leaves the job now.
+  for (const Loid& instance : job.instances) {
+    if (!running_.contains(instance)) queue_->Withdraw(instance);
   }
 }
 
 void BatchQueueHost::OnJobVacate(const BatchJob& job) {
   // The workstation owner returned (Condor-style): suspend the job's
-  // objects in place.  They wait again, under the hold they ran under,
-  // and resume when the queue restarts the job.
+  // objects in place.  Their records move back to the waiting set, hold
+  // included, and they resume when the queue restarts the job.
   for (const Loid& instance : job.instances) {
     auto running = running_.find(instance);
     if (running == running_.end()) continue;
@@ -159,39 +117,16 @@ void BatchQueueHost::OnJobVacate(const BatchJob& job) {
     if (object != nullptr && object->active()) {
       (void)object->Deactivate();
     }
-    waiting_[instance] = running->second.reservation_serial;
+    waiting_[instance] = running->second;
     running_.erase(running);
   }
   RepopulateAttributes();
 }
 
 void BatchQueueHost::OnDeparted(const Loid& object) {
-  auto it = instance_job_.find(object);
-  if (it == instance_job_.end()) return;
-  const std::uint64_t job_id = it->second;
-  instance_job_.erase(it);
-  if (Occupied(pending_jobs_.at(job_id))) return;
-  DropJob(job_id);
-  // Freed slots may admit the next job immediately.
+  if (!queue_->Withdraw(object)) return;
+  // The job shrank or left: freed slots may admit the next job at once.
   queue_->Poll(kernel()->Now());
-}
-
-bool BatchQueueHost::Occupied(const PendingJob& pending) const {
-  return std::any_of(pending.request.instances.begin(),
-                     pending.request.instances.end(),
-                     [this](const Loid& instance) {
-                       return running_.contains(instance) ||
-                              waiting_.contains(instance);
-                     });
-}
-
-void BatchQueueHost::DropJob(std::uint64_t job_id) {
-  auto it = pending_jobs_.find(job_id);
-  queue_->Cancel(job_id);
-  for (const Loid& instance : it->second.request.instances) {
-    instance_job_.erase(instance);
-  }
-  pending_jobs_.erase(it);
 }
 
 void BatchQueueHost::ExtendAttributes(AttributeDatabase& attrs) {

@@ -13,23 +13,23 @@
 // unavoidable potential for conflict."
 //
 // BatchQueueHost fronts a simulated QueueSystem.  It shares the base
-// host's lifecycle -- admission, binary fetch, creation, the waiting
-// record, hold release and kills -- and differs only in Place: a
+// host's lifecycle -- admission, binary fetch, creation, the instance
+// records, hold release and kills -- and differs only in Place: a
 // StartObject's waiting instances become one queued job, and they start
-// when the queue starts the job.  Whenever an instance leaves (killed,
-// finished, deactivated or withdrawn), a job none of whose instances is
-// left is dropped from the queue, queued or running.  The reservation
-// table in the Host is the one ledger of holds.  A queue with
-// native reservation support vetoes windows it could not honor and reads
-// the host's open holds (live in the table, no job started under them)
-// at each decision, so it never backfills into a held window.  The
-// "unavoidable conflict" shows up as the reservation_conflicts counter:
-// a reserved job whose queue wait pushed its start past the reserved
-// window.
+// when the queue starts the job.  The queue's job is the only record of
+// it: whenever an instance leaves (killed, finished, deactivated or
+// withdrawn), the host withdraws it from its job, so the job's demand
+// shrinks and a job with none left is dropped, queued or running.  The
+// reservation table in the Host is the one ledger of holds.  A queue
+// with native reservation support vetoes windows it could not honor and
+// reads the table's live holds at each decision, leaving out those its
+// running jobs occupy, so it never backfills into a held window.  The
+// "unavoidable conflict" shows up as the queue's reservation_conflicts
+// counter: a reserved job whose queue wait pushed its start past the
+// reserved window.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "resources/host_object.h"
 #include "resources/queue_system.h"
@@ -52,9 +52,6 @@ class BatchQueueHost : public HostObject {
   // Runs one queue scheduling cycle immediately.
   void PollQueueNow() { OnPoll(); }
 
-  // Jobs whose reserved window expired before the queue started them.
-  std::uint64_t reservation_conflicts() const { return reservation_conflicts_; }
-
  protected:
   // Reservation pass-through (Maui path): the queue's veto applies to
   // each slot of every reservation request, after the vault check.
@@ -65,32 +62,18 @@ class BatchQueueHost : public HostObject {
              std::uint64_t reservation_serial) override;
   void ExtendAttributes(AttributeDatabase& attrs) override;
   std::string HostKind() const override { return "batch-" + queue_->flavor(); }
-  // Drops the departed instance's job once none of its instances is left.
+  // Withdraws the departed instance from its job, then polls the queue.
   void OnDeparted(const Loid& object) override;
 
  private:
-  struct PendingJob {
-    StartObjectRequest request;
-    std::uint64_t reservation_serial = 0;
-    bool started = false;
-    bool conflict_counted = false;
-  };
-
   void OnPoll();
   void OnJobStart(const BatchJob& job);
   void OnJobVacate(const BatchJob& job);
-  // Whether any of the job's instances still runs or waits here.
-  bool Occupied(const PendingJob& pending) const;
-  // Takes the job out of the queue, queued or running, and forgets it.
-  void DropJob(std::uint64_t job_id);
 
   std::unique_ptr<QueueSystem> queue_;
   Duration poll_period_;
   SimKernel::PeriodicId poll_timer_ = 0;
   std::uint64_t next_job_id_ = 1;
-  std::unordered_map<std::uint64_t, PendingJob> pending_jobs_;
-  std::unordered_map<Loid, std::uint64_t> instance_job_;
-  std::uint64_t reservation_conflicts_ = 0;
 };
 
 // Convenience: a batch host whose queue manager supports reservations

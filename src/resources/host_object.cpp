@@ -229,7 +229,7 @@ bool HostObject::ReleaseHold(const ReservationToken& token) {
   // start another of them on the slots it frees.
   std::vector<Loid> withdrawn;
   std::erase_if(waiting_, [&](const auto& entry) {
-    if (entry.second != token.serial) return false;
+    if (entry.second.reservation_serial != token.serial) return false;
     withdrawn.push_back(entry.first);
     return true;
   });
@@ -379,9 +379,12 @@ void HostObject::LaunchPrepared(const StartObjectRequest& request,
     return;
   }
   // The instances are created inactive and wait until Place starts them.
+  const InstanceRecord record{
+      request.vault.valid() ? request.vault : request.token.vault,
+      request.memory_mb, request.cpu_fraction, reservation_serial};
   for (const Loid& instance : request.instances) {
     kernel()->AdoptActor(request.factory(kernel(), instance));
-    waiting_[instance] = reservation_serial;
+    waiting_[instance] = record;
   }
   Place(request, reservation_serial);
   done(request.instances);
@@ -392,40 +395,35 @@ void HostObject::Place(const StartObjectRequest& request,
   if (reservation_serial != 0 && request.token.start > kernel()->Now()) {
     // The reservation window opens later: the instances wait for it.
     kernel()->ScheduleAt(request.token.start,
-                         [this, request] { ActivateCreated(request); });
+                         [this, instances = request.instances] {
+                           ActivateCreated(instances);
+                         });
     return;
   }
-  ActivateCreated(request);
+  ActivateCreated(request.instances);
 }
 
-void HostObject::ActivateCreated(const StartObjectRequest& request) {
-  const Loid vault =
-      request.vault.valid() ? request.vault : request.token.vault;
-  for (const Loid& instance : request.instances) {
+void HostObject::ActivateCreated(const std::vector<Loid>& instances) {
+  for (const Loid& instance : instances) {
     // An instance withdrawn, killed or released meanwhile is not waiting.
     auto waiting = waiting_.find(instance);
     if (waiting == waiting_.end()) continue;
-    const std::uint64_t reservation_serial = waiting->second;
+    const InstanceRecord record = waiting->second;
     waiting_.erase(waiting);
     auto* object = dynamic_cast<LegionObject*>(kernel()->FindActor(instance));
-    if (object != nullptr) {
-      (void)RunObject(*object, vault, request.memory_mb, request.cpu_fraction,
-                      reservation_serial);
-    }
+    if (object != nullptr) (void)RunObject(*object, record);
   }
   RepopulateAttributes();
 }
 
-Status HostObject::RunObject(LegionObject& object, const Loid& vault,
-                             std::size_t memory_mb, double cpu_fraction,
-                             std::uint64_t reservation_serial) {
-  Status activated = object.Activate(loid(), vault);
+Status HostObject::RunObject(LegionObject& object,
+                             const InstanceRecord& record) {
+  Status activated = object.Activate(loid(), record.vault);
   if (!activated.ok()) return activated;
-  object.mutable_attributes().Set("memory_mb",
-                                  static_cast<std::int64_t>(memory_mb));
-  object.mutable_attributes().Set("cpu_fraction", cpu_fraction);
-  running_[object.loid()] =
-      RunningObject{vault, memory_mb, cpu_fraction, reservation_serial};
+  object.mutable_attributes().Set(
+      "memory_mb", static_cast<std::int64_t>(record.memory_mb));
+  object.mutable_attributes().Set("cpu_fraction", record.cpu_fraction);
+  running_[object.loid()] = record;
   ++objects_started_;
   return Status::Ok();
 }
@@ -543,8 +541,9 @@ void HostObject::ReactivateObject(const Loid& object, const Loid& vault,
           admitted = CheckRunningCapacity(cpu_fraction, memory_mb);
         }
         if (admitted.ok()) {
-          admitted = RunObject(*legion_object, vault, memory_mb, cpu_fraction,
-                               /*reservation_serial=*/0);
+          admitted = RunObject(*legion_object,
+                               InstanceRecord{vault, memory_mb, cpu_fraction,
+                                              /*reservation_serial=*/0});
         }
         if (!admitted.ok()) {
           done(admitted);

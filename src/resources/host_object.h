@@ -15,7 +15,9 @@
 //
 // Every host kind takes an instance through one lifecycle: StartObject
 // admits it, LaunchObjects fetches its binary and creates it, and it
-// waits under its hold (if any) until the host starts it.  Releasing the
+// waits under its hold (if any) until the host starts it.  One record
+// per instance (vault, demand, hold serial) moves from the waiting set
+// to the running set and back if a queue vacates it.  Releasing the
 // hold withdraws what still waits under it and kills what runs under it;
 // KillObject reaches a waiting instance as well as a running one.  Host
 // kinds differ only in Place, which decides when a waiting instance may
@@ -72,7 +74,6 @@ class HostObject : public LegionObject, public HostInterface {
              std::uint64_t secret_seed);
 
   const HostSpec& spec() const { return spec_; }
-  std::string DebugName() const override { return "host " + spec_.name; }
 
   // ---- HostInterface (Table 1) -------------------------------------------
   void MakeReservation(const ReservationRequest& request,
@@ -153,8 +154,9 @@ class HostObject : public LegionObject, public HostInterface {
   std::uint64_t batch_replay_misses() const { return batch_replay_misses_; }
 
  protected:
-  // What a host remembers about each object it is running.
-  struct RunningObject {
+  // What a host remembers about each instance it has created, waiting or
+  // running.
+  struct InstanceRecord {
     Loid vault;
     std::size_t memory_mb = 0;
     double cpu_fraction = 1.0;
@@ -188,8 +190,8 @@ class HostObject : public LegionObject, public HostInterface {
                      std::uint64_t reservation_serial,
                      Callback<std::vector<Loid>> done);
   // Launch after the binary is locally available: creates the inactive
-  // instances, enters each in the waiting record under
-  // `reservation_serial`, and hands them to Place.
+  // instances, enters each in the waiting set with its record (the hold
+  // is `reservation_serial`), and hands them to Place.
   void LaunchPrepared(const StartObjectRequest& request,
                       std::uint64_t reservation_serial,
                       Callback<std::vector<Loid>> done);
@@ -204,23 +206,21 @@ class HostObject : public LegionObject, public HostInterface {
   virtual std::string HostKind() const { return "unix"; }
   // Called whenever an instance leaves the host: killed, finished,
   // deactivated, or withdrawn before it started.  It is already out of
-  // both the running and the waiting record.  Batch hosts use it to drop
-  // a job none of whose instances is left.
+  // both the running and the waiting set.  Batch hosts use it to
+  // withdraw the instance from its job.
   virtual void OnDeparted(const Loid& object) { (void)object; }
 
-  // Starts those of the request's instances that are still waiting and
-  // registers them as running under the hold they waited for.
-  void ActivateCreated(const StartObjectRequest& request);
-  // Activates `object` here on `vault` and registers it as running under
-  // `reservation_serial` (0 = none).  The object records its demand so it
-  // can be readmitted after migration or reactivation.
-  Status RunObject(LegionObject& object, const Loid& vault,
-                   std::size_t memory_mb, double cpu_fraction,
-                   std::uint64_t reservation_serial);
+  // Starts those of `instances` that are still waiting: each moves with
+  // its record from the waiting set to the running set.
+  void ActivateCreated(const std::vector<Loid>& instances);
+  // Activates `object` here on the record's vault and registers it as
+  // running under the record's hold.  The object records its demand so
+  // it can be readmitted after migration or reactivation.
+  Status RunObject(LegionObject& object, const InstanceRecord& record);
 
   // Takes `object` off this host: a running object releases its
-  // resources, a waiting one leaves the waiting record; `kill` also
-  // retires it.  Returns false if the object is neither.
+  // resources, a waiting one leaves the waiting set; `kill` also retires
+  // it.  Returns false if the object is neither.
   bool ReleaseObject(const Loid& object, bool kill);
   // The end of every departure: retires `object` if `kill` (marks it dead
   // and removes it from the kernel), runs OnDeparted and refreshes the
@@ -271,11 +271,10 @@ class HostObject : public LegionObject, public HostInterface {
   std::vector<Loid> compatible_vaults_;
   std::vector<Loid> collections_;
   Loid impl_cache_;  // invalid = no cache wired (binaries are free)
-  std::unordered_map<Loid, RunningObject> running_;
-  // Instances created here but not running, each with the serial of the
-  // hold it waits under (0 = none): deferred to a window, queued, or
-  // vacated by the queue.
-  std::unordered_map<Loid, std::uint64_t> waiting_;
+  std::unordered_map<Loid, InstanceRecord> running_;
+  // Instances created here but not running: deferred to a window, queued,
+  // or vacated by the queue.
+  std::unordered_map<Loid, InstanceRecord> waiting_;
   // At-most-once admission, one entry per (requester, batch id): the
   // batch while it waits on a vault probe, so a retransmission joins it
   // instead of admitting again, then only its reply, which a

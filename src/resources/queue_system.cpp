@@ -10,16 +10,43 @@ void QueueSystem::Submit(BatchJob job) {
   queue_.push_back(std::move(job));
 }
 
-bool QueueSystem::Cancel(std::uint64_t job_id) {
+bool QueueSystem::Withdraw(const Loid& instance) {
+  auto holds_instance = [&instance](const BatchJob& job) {
+    return std::find(job.instances.begin(), job.instances.end(), instance) !=
+           job.instances.end();
+  };
+  // An instance belongs to one job at most.
+  BatchJob* job = nullptr;
+  for (BatchJob& queued : queue_) {
+    if (holds_instance(queued)) job = &queued;
+  }
+  for (auto& [id, running] : running_) {
+    if (holds_instance(running)) job = &running;
+  }
+  if (job == nullptr) return false;
+  std::erase(job->instances, instance);
+  if (job->instances.empty()) Cancel(job->id);
+  return true;
+}
+
+void QueueSystem::Cancel(std::uint64_t job_id) {
   auto it = std::find_if(queue_.begin(), queue_.end(),
                          [job_id](const BatchJob& j) { return j.id == job_id; });
   if (it != queue_.end()) {
     queue_.erase(it);
-    return true;
+  } else {
+    running_.erase(job_id);
   }
-  // A running job leaves the running set; the host is responsible for
-  // its objects.
-  return running_.erase(job_id) != 0;
+}
+
+void QueueSystem::CountLateReservations(SimTime now) {
+  for (BatchJob& job : queue_) CountIfLate(job, now);
+}
+
+void QueueSystem::CountIfLate(BatchJob& job, SimTime now) {
+  if (job.hold == 0 || job.late || now < job.window_end) return;
+  job.late = true;
+  ++reservation_conflicts_;
 }
 
 double QueueSystem::used_slots() const {
@@ -42,7 +69,10 @@ void QueueSystem::StartJobAt(std::size_t index, SimTime now) {
   BatchJob job = queue_[index];
   job.started = now;
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
+  CountIfLate(job, now);
   running_[job.id] = job;
+  // The callback gets its own copy: withdrawing one of the job's
+  // instances from it changes the running job.
   if (on_start_) on_start_(job);
 }
 
@@ -77,11 +107,7 @@ void CondorLikeQueue::Poll(SimTime now) {
     if (rng_.Bernoulli(owner_return_prob_)) to_vacate.push_back(id);
   }
   for (std::uint64_t id : to_vacate) VacateJob(id, now);
-
-  while (!queue_.empty() &&
-         used_slots() + queue_.front().cpu_demand() <= slots_ + 1e-9) {
-    StartJobAt(0, now);
-  }
+  FifoQueue::Poll(now);
 }
 
 // ---- LoadLeveler-like -----------------------------------------------------------
@@ -133,8 +159,19 @@ double ReservedIn(const QueueSystem::Holds& holds, SimTime t) {
 
 }  // namespace
 
+QueueSystem::Holds MauiLikeQueue::OpenHolds() const {
+  Holds holds = holds_();
+  for (const auto& [id, job] : running_) {
+    if (job.hold == 0) continue;
+    std::erase_if(holds, [&job](const ReservationRecord& hold) {
+      return hold.token.serial == job.hold;
+    });
+  }
+  return holds;
+}
+
 double MauiLikeQueue::ReservedAt(SimTime t) const {
-  return ReservedIn(holds_(), t);
+  return ReservedIn(OpenHolds(), t);
 }
 
 bool MauiLikeQueue::CanHonorWindow(SimTime start, SimTime end, double cpus,
@@ -144,7 +181,7 @@ bool MauiLikeQueue::CanHonorWindow(SimTime start, SimTime end, double cpus,
   // started + estimated_runtime (a non-guess for reserved jobs, an
   // estimate for the rest -- the residual optimism is the "unavoidable
   // potential for conflict" the paper accepts).
-  const Holds holds = holds_();
+  const Holds holds = OpenHolds();
   auto running_at = [&](SimTime t) {
     double used = 0.0;
     for (const auto& [id, job] : running_) {
@@ -184,11 +221,11 @@ void MauiLikeQueue::Poll(SimTime now) {
   bool progressed = true;
   while (progressed && !queue_.empty()) {
     progressed = false;
-    // A start may spend a hold, so each pass reads the holds again.
-    const Holds holds = holds_();
+    // A start may occupy a hold, so each pass reads the holds again.
+    const Holds holds = OpenHolds();
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       const BatchJob& job = queue_[i];
-      if (job.reserved) {
+      if (job.hold != 0) {
         // Reservation-backed job: runs inside its window, on the
         // capacity its hold set aside.
         if (now >= job.window_start && now < job.window_end &&

@@ -14,15 +14,19 @@
 //   * LoadLevelerLikeQueue -- job classes: short jobs outrank long ones,
 //                         with aging so long jobs eventually run;
 //   * MauiLikeQueue    -- native advance reservations: the queue reads
-//                         the host's open holds at every decision and
-//                         never lets a backfilled job trample a held
-//                         window.  The host's reservation table stays the
-//                         one ledger of holds; the queue keeps no copy.
+//                         the host's live holds at every decision, leaves
+//                         out those its running jobs occupy, and never
+//                         lets a backfilled job trample a held window.
+//                         The host's reservation table stays the one
+//                         ledger of holds; the queue keeps no copy.
 //
 // A BatchQueueHost submits one job per StartObject and hears through the
-// callbacks when a job starts or is vacated.  It drops a job with Cancel,
-// queued or running, once none of the job's instances is left on the
-// host (finished, killed, deactivated or withdrawn with its hold).
+// callbacks when a job starts or is vacated.  The queue's BatchJob is the
+// only record of a batch job: the host withdraws each instance that
+// leaves (finished, killed, deactivated or withdrawn with its hold), so a
+// job's demand is always that of the instances still on the host, and a
+// job with none left is dropped, queued or running.  The queue also
+// counts the reserved jobs it could not start inside their window.
 //
 // None of these is a faithful re-implementation of the named product;
 // each reproduces the property the Legion RMI depends on (see DESIGN.md).
@@ -49,10 +53,13 @@ struct BatchJob {
   double cpu_fraction = 1.0;     // per instance
   Duration estimated_runtime = Duration::Minutes(30);
   SimTime submitted;
-  // Reservation-backed jobs (Maui path): the window the job must run in.
-  bool reserved = false;
+  // Reservation-backed jobs: the serial of the hold the job runs under
+  // (0 = none) and the window it must run in.
+  std::uint64_t hold = 0;
   SimTime window_start;
   SimTime window_end;
+  // Set by the queue once it counts the job as a reservation conflict.
+  bool late = false;
   // Set by the queue when the job starts executing.
   SimTime started;
 
@@ -74,19 +81,23 @@ class QueueSystem {
     on_vacate_ = std::move(on_vacate);
   }
 
-  // The host's open holds in grant order: live reservations no job has
-  // started under yet.  A reservation-aware queue reads them afresh at
-  // each decision and keeps no copy; the other queues never read them.
+  // The host's live holds in grant order.  A reservation-aware queue
+  // reads them afresh at each decision and keeps no copy; the other
+  // queues never read them.
   using Holds = std::vector<ReservationRecord>;
   using HoldSource = std::function<Holds()>;
   void SetHoldSource(HoldSource holds) { holds_ = std::move(holds); }
 
-  virtual void Submit(BatchJob job);
-  // Drops a job, queued or running; false if there is none.  A running
-  // job's slots are free for the next Poll.
-  virtual bool Cancel(std::uint64_t job_id);
+  void Submit(BatchJob job);
+  // Takes `instance` out of its job, queued or running, and drops the job
+  // once none of its instances is left; the slots a running job frees go
+  // to the next Poll.  False if no job holds the instance.
+  bool Withdraw(const Loid& instance);
   // One scheduling cycle: start whatever the discipline allows.
   virtual void Poll(SimTime now) = 0;
+  // Counts each reserved job still queued once its window has closed:
+  // the reservation was not honored even if the job never starts.
+  void CountLateReservations(SimTime now);
 
   std::size_t queued_count() const { return queue_.size(); }
   std::size_t running_count() const { return running_.size(); }
@@ -94,7 +105,7 @@ class QueueSystem {
   double slots() const { return slots_; }
 
   // Rough FCFS wait estimate exported in host attributes.
-  virtual Duration EstimateWait(SimTime now) const;
+  Duration EstimateWait(SimTime now) const;
 
   virtual std::string flavor() const = 0;
 
@@ -110,9 +121,14 @@ class QueueSystem {
   }
 
   std::uint64_t jobs_vacated() const { return jobs_vacated_; }
+  // Reserved jobs the queue started at or after their window's end, or
+  // still held queued then: the paper's "unavoidable potential for
+  // conflict".  Each job counts once.
+  std::uint64_t reservation_conflicts() const { return reservation_conflicts_; }
 
  protected:
-  // Moves the job at queue index `i` to running and fires on_start.
+  // Moves the job at queue index `i` to running, counts it if it starts
+  // late for its window, and fires on_start.
   void StartJobAt(std::size_t index, SimTime now);
   void VacateJob(std::uint64_t job_id, SimTime now);
 
@@ -123,6 +139,15 @@ class QueueSystem {
   JobCallback on_vacate_;
   HoldSource holds_ = [] { return Holds{}; };
   std::uint64_t jobs_vacated_ = 0;
+
+ private:
+  // Drops a job, queued or running.
+  void Cancel(std::uint64_t job_id);
+  // Counts a reserved job once, the first time it is seen at or after
+  // its window's end.
+  void CountIfLate(BatchJob& job, SimTime now);
+
+  std::uint64_t reservation_conflicts_ = 0;
 };
 
 // FCFS over CPU slots; the paper's generic "Batch Queue Host" substrate
@@ -134,12 +159,12 @@ class FifoQueue : public QueueSystem {
   std::string flavor() const override { return "fifo"; }
 };
 
-// Cycle stealing with owner-return preemption.
-class CondorLikeQueue : public QueueSystem {
+// Cycle stealing with owner-return preemption; FCFS otherwise.
+class CondorLikeQueue : public FifoQueue {
  public:
   CondorLikeQueue(double cpu_slots, double owner_return_prob_per_poll,
                   std::uint64_t seed)
-      : QueueSystem(cpu_slots),
+      : FifoQueue(cpu_slots),
         owner_return_prob_(owner_return_prob_per_poll),
         rng_(seed) {}
   void Poll(SimTime now) override;
@@ -183,6 +208,9 @@ class MauiLikeQueue : public QueueSystem {
                       SimTime now) const override;
 
  private:
+  // The host's live holds minus those a running job occupies: that job's
+  // slots are real, so its hold sets nothing more aside.
+  Holds OpenHolds() const;
   // Can a non-reserved job of `demand` CPUs run in [now, now+run] without
   // intruding on the capacity `holds` set aside?
   bool FitsOutsideReservations(const Holds& holds, double demand,

@@ -39,7 +39,6 @@ class VaultObject : public LegionObject, public VaultInterface {
   VaultObject(SimKernel* kernel, Loid loid, VaultSpec spec);
 
   const VaultSpec& spec() const { return spec_; }
-  std::string DebugName() const override { return "vault " + spec_.name; }
 
   // ---- VaultInterface ------------------------------------------------------
   void StoreOpr(const Opr& opr, Callback<bool> done) override;

@@ -48,9 +48,6 @@ class Actor {
   const Loid& loid() const { return loid_; }
   SimKernel* kernel() const { return kernel_; }
 
-  // Human-readable name for traces; defaults to the LOID.
-  virtual std::string DebugName() const { return loid_.ToString(); }
-
  private:
   SimKernel* kernel_;
   Loid loid_;

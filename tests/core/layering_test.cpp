@@ -183,7 +183,34 @@ TEST_F(LayeringTest, DoesAllReleasesGrantedHoldsWhenAnyHostRefuses) {
   EXPECT_EQ(admitting.cancelled(), admitting.admitted());
   // Well inside the holds' 5-minute confirmation window, none is left.
   for (const HostObject* host : world_.hosts) {
-    EXPECT_EQ(host->reservations().live_count(), 0u) << host->DebugName();
+    EXPECT_EQ(host->reservations().live_count(), 0u) << host->spec().name;
+  }
+}
+
+TEST_F(LayeringTest, FailedEnactmentReleasesItsHolds) {
+  // Every host grants its holds, then the class refuses to instantiate
+  // on host 1: the enactment fails, and neither the application (mode
+  // (a)) nor the Enactor it asked (mode (b)) may leave a hold pinned.
+  HostObject* refused = world_.hosts[1];
+  klass_->SetPlacementValidator([refused](const PlacementSuggestion& s) {
+    return s.host == refused->loid()
+               ? Status::Error(ErrorCode::kRefused, "not on host 1")
+               : Status::Ok();
+  });
+  for (Layering layering :
+       {Layering::kApplicationDoesAll, Layering::kApplicationPlusRm}) {
+    const std::uint64_t admitted = refused->reservations().admitted();
+    PlacementTrace trace = Place(layering, 8);
+    EXPECT_FALSE(trace.success) << ToString(layering);
+    ASSERT_GT(refused->reservations().admitted(), admitted)
+        << ToString(layering);
+    // Well inside the holds' 5-minute confirmation window, none is left.
+    for (const HostObject* host : world_.hosts) {
+      EXPECT_EQ(host->reservations().live_count(), 0u)
+          << ToString(layering) << " " << host->spec().name;
+      EXPECT_EQ(host->running_count(), 0u)
+          << ToString(layering) << " " << host->spec().name;
+    }
   }
 }
 

@@ -364,6 +364,48 @@ TEST_F(BatchQueueHostTest, KillWithdrawsQueuedJob) {
   EXPECT_EQ(host->queue().running_count(), 0u);
 }
 
+TEST_F(BatchQueueHostTest, KilledQueuedInstanceShrinksJobDemand) {
+  // A 2-CPU host runs a 1-CPU job and queues a job of two 1-CPU
+  // instances.  Killing one queued instance leaves a 1-CPU job, which
+  // runs on the free CPU.
+  auto* host = MakeFifoHost(2);
+  Await<std::vector<Loid>> running, pair;
+  host->StartObject(StartRequest(1), running.Sink());
+  host->StartObject(StartRequest(2), pair.Sink());
+  ASSERT_TRUE(running.Get().ok());
+  ASSERT_TRUE(pair.Get().ok());
+  ASSERT_EQ(host->queue().queued_count(), 1u);
+
+  Await<bool> killed;
+  host->KillObject(pair.Get()->front(), killed.Sink());
+  EXPECT_TRUE(*killed.Get());
+  world_.kernel.RunFor(Duration::Seconds(10));
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+  EXPECT_EQ(host->running_count(), 2u);
+  EXPECT_DOUBLE_EQ(host->queue().used_slots(), 2.0);
+}
+
+TEST_F(BatchQueueHostTest, FinishedInstanceFreesItsSlot) {
+  // A 2-CPU host runs a job of two 1-CPU instances and queues a 1-CPU
+  // job.  One instance finishing frees its CPU for the queued job.
+  auto* host = MakeFifoHost(2);
+  Await<std::vector<Loid>> pair, queued;
+  host->StartObject(StartRequest(2), pair.Sink());
+  host->StartObject(StartRequest(1), queued.Sink());
+  ASSERT_TRUE(pair.Get().ok());
+  ASSERT_TRUE(queued.Get().ok());
+  ASSERT_EQ(host->queue().queued_count(), 1u);
+
+  host->FinishObject(pair.Get()->front());
+  world_.kernel.RunFor(Duration::Seconds(10));
+  EXPECT_EQ(host->queue().queued_count(), 0u);
+  EXPECT_EQ(host->queue().running_count(), 2u);
+  auto* object = dynamic_cast<LegionObject*>(
+      world_.kernel.FindActor(queued.Get()->front()));
+  ASSERT_NE(object, nullptr);
+  EXPECT_TRUE(object->active());
+}
+
 TEST_F(BatchQueueHostTest, StartFetchesBinaryThroughCache) {
   // A batch host launches like any host: a start that names an
   // implementation waits for its binary, here through the cache.
@@ -471,7 +513,7 @@ TEST_F(BatchQueueHostTest, MauiHonorsReservedWindowDespiteBacklog) {
       world_.kernel.FindActor(reserved.Get()->front()));
   ASSERT_NE(object, nullptr);
   EXPECT_TRUE(object->active());
-  EXPECT_EQ(host->reservation_conflicts(), 0u);
+  EXPECT_EQ(host->queue().reservation_conflicts(), 0u);
 }
 
 TEST_F(BatchQueueHostTest, FifoHostConflictsWhenQueueDelaysReservedJob) {
@@ -496,7 +538,7 @@ TEST_F(BatchQueueHostTest, FifoHostConflictsWhenQueueDelaysReservedJob) {
   world_.kernel.RunFor(Duration::Minutes(10));
   host->FinishObject(blocker.Get()->front());
   world_.kernel.RunFor(Duration::Minutes(1));
-  EXPECT_EQ(host->reservation_conflicts(), 1u);
+  EXPECT_EQ(host->queue().reservation_conflicts(), 1u);
 }
 
 TEST_F(BatchQueueHostTest, CondorVacateSuspendsObjects) {

@@ -5,20 +5,42 @@
 namespace legion {
 namespace {
 
+// The instance a one-instance job `id` holds.
+Loid InstanceOf(std::uint64_t id) { return Loid(LoidSpace::kObject, 0, id); }
+
 BatchJob Job(std::uint64_t id, double cpus = 1.0,
              Duration runtime = Duration::Minutes(30), SimTime submitted = {}) {
   BatchJob job;
   job.id = id;
-  job.instances = {Loid(LoidSpace::kObject, 0, id)};
+  job.instances = {InstanceOf(id)};
   job.cpu_fraction = cpus;
   job.estimated_runtime = runtime;
   job.submitted = submitted;
   return job;
 }
 
+// A job of two 1-CPU instances.
+BatchJob PairJob(std::uint64_t id) {
+  BatchJob job = Job(id);
+  job.instances.push_back(Loid(LoidSpace::kObject, 0, 100 + id));
+  return job;
+}
+
+// A job reserved under hold `serial` for the window [start, end).
+BatchJob ReservedJob(std::uint64_t id, std::uint64_t serial, SimTime start,
+                     SimTime end) {
+  BatchJob job = Job(id, 1.0, end - start);
+  job.hold = serial;
+  job.window_start = start;
+  job.window_end = end;
+  return job;
+}
+
 // A hold of `cpus` over [start, end), as the host's table records it.
-ReservationRecord Hold(SimTime start, SimTime end, double cpus) {
+ReservationRecord Hold(SimTime start, SimTime end, double cpus,
+                       std::uint64_t serial = 0) {
   ReservationRecord hold;
+  hold.token.serial = serial;
   hold.token.start = start;
   hold.token.duration = end - start;
   hold.cpu_fraction = cpus;
@@ -52,7 +74,7 @@ TEST(FifoQueueTest, StrictFcfsBlocksBehindBigJob) {
   queue.Submit(Job(3, 0.5));  // FIFO: must also wait (no backfill)
   queue.Poll(SimTime(0));
   EXPECT_EQ(started, (std::vector<std::uint64_t>{1}));
-  queue.Cancel(1);
+  queue.Withdraw(InstanceOf(1));
   queue.Poll(SimTime(1));
   EXPECT_EQ(started, (std::vector<std::uint64_t>{1, 2}));
 }
@@ -65,7 +87,7 @@ TEST(FifoQueueTest, JobFinishedFreesSlot) {
   queue.Submit(Job(2));
   queue.Poll(SimTime(0));
   EXPECT_EQ(starts, 1);
-  queue.Cancel(1);
+  queue.Withdraw(InstanceOf(1));
   queue.Poll(SimTime(1));
   EXPECT_EQ(starts, 2);
 }
@@ -73,9 +95,58 @@ TEST(FifoQueueTest, JobFinishedFreesSlot) {
 TEST(QueueSystemTest, CancelQueuedJob) {
   FifoQueue queue(1.0);
   queue.Submit(Job(1, 2.0));  // cannot start (too big) -- stays queued
-  EXPECT_TRUE(queue.Cancel(1));
-  EXPECT_FALSE(queue.Cancel(1));
+  EXPECT_TRUE(queue.Withdraw(InstanceOf(1)));
+  EXPECT_FALSE(queue.Withdraw(InstanceOf(1)));
   EXPECT_EQ(queue.queued_count(), 0u);
+}
+
+TEST(QueueSystemTest, WithdrawShrinksQueuedJobThenDropsIt) {
+  FifoQueue queue(1.0);
+  const BatchJob pair = PairJob(1);  // two 1-CPU instances: too big to start
+  queue.Submit(pair);
+  const double full_wait = queue.EstimateWait(SimTime(0)).seconds();
+  EXPECT_FALSE(queue.Withdraw(InstanceOf(9)));  // no job holds it
+  EXPECT_TRUE(queue.Withdraw(pair.instances[0]));
+  EXPECT_EQ(queue.queued_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue.EstimateWait(SimTime(0)).seconds(), full_wait / 2);
+  EXPECT_TRUE(queue.Withdraw(pair.instances[1]));
+  EXPECT_EQ(queue.queued_count(), 0u);
+  EXPECT_FALSE(queue.Withdraw(pair.instances[1]));
+}
+
+TEST(QueueSystemTest, WithdrawFromRunningJobFreesItsSlot) {
+  FifoQueue queue(2.0);
+  const BatchJob pair = PairJob(1);
+  queue.Submit(pair);
+  queue.Submit(Job(2));
+  queue.Poll(SimTime(0));
+  ASSERT_EQ(queue.running_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue.used_slots(), 2.0);
+  EXPECT_TRUE(queue.Withdraw(pair.instances[0]));
+  EXPECT_DOUBLE_EQ(queue.used_slots(), 1.0);
+  queue.Poll(SimTime(1));
+  EXPECT_EQ(queue.running_count(), 2u);
+  EXPECT_EQ(queue.queued_count(), 0u);
+}
+
+TEST(QueueSystemTest, CountLateReservationsCountsAJobOnce) {
+  FifoQueue queue(1.0);
+  queue.Submit(Job(1));  // occupies the one slot
+  const SimTime window_end = SimTime(0) + Duration::Minutes(2);
+  queue.Submit(ReservedJob(2, /*serial=*/7, SimTime(0), window_end));
+  queue.Poll(SimTime(0));
+  ASSERT_EQ(queue.queued_count(), 1u);
+  queue.CountLateReservations(window_end - Duration::Seconds(1));
+  EXPECT_EQ(queue.reservation_conflicts(), 0u);
+  queue.CountLateReservations(window_end);
+  EXPECT_EQ(queue.reservation_conflicts(), 1u);
+  queue.CountLateReservations(window_end + Duration::Minutes(1));
+  EXPECT_EQ(queue.reservation_conflicts(), 1u);
+  // Its late start does not count it again.
+  queue.Withdraw(InstanceOf(1));
+  queue.Poll(window_end + Duration::Minutes(2));
+  EXPECT_EQ(queue.running_count(), 1u);
+  EXPECT_EQ(queue.reservation_conflicts(), 1u);
 }
 
 TEST(QueueSystemTest, WaitEstimateGrowsWithBacklog) {
@@ -123,7 +194,7 @@ TEST(LoadLevelerLikeQueueTest, ShortJobsJumpTheQueue) {
   queue.Poll(SimTime(0));
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0], 2u);  // the short job wins
-  queue.Cancel(2);
+  queue.Withdraw(InstanceOf(2));
   queue.Poll(SimTime(1));
   EXPECT_EQ(started[1], 3u);  // then the medium one
 }
@@ -189,7 +260,7 @@ TEST(MauiLikeQueueTest, ReservedJobStartsInItsWindow) {
   const QueueSystem::Holds holds = {Hold(window_start, window_end, 1.0)};
   queue.SetHoldSource(HoldsFrom(holds));
   BatchJob reserved = Job(1, 1.0, Duration::Minutes(60));
-  reserved.reserved = true;
+  reserved.hold = 1;
   reserved.window_start = window_start;
   reserved.window_end = window_end;
   queue.Submit(reserved);
@@ -213,6 +284,28 @@ TEST(MauiLikeQueueTest, ReservedAtAggregatesWindows) {
   holds.erase(holds.begin());
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(120)), 0.0);
   EXPECT_DOUBLE_EQ(queue.ReservedAt(SimTime(220)), 3.0);
+}
+
+TEST(MauiLikeQueueTest, RunningJobsHoldReservesNothing) {
+  // Two 1-CPU holds: the first open now, the second opening in 30
+  // minutes.  Once the first hold's job runs, its slot is real and the
+  // hold reserves nothing more; the queued job's hold still reserves.
+  MauiLikeQueue queue(2.0);
+  const SimTime now = SimTime(0);
+  const SimTime later = now + Duration::Minutes(30);
+  const SimTime end = now + Duration::Minutes(90);
+  const QueueSystem::Holds holds = {Hold(now, end, 1.0, /*serial=*/1),
+                                    Hold(later, end, 1.0, /*serial=*/2)};
+  queue.SetHoldSource(HoldsFrom(holds));
+  EXPECT_DOUBLE_EQ(queue.ReservedAt(now + Duration::Minutes(10)), 1.0);
+  EXPECT_DOUBLE_EQ(queue.ReservedAt(later + Duration::Minutes(10)), 2.0);
+  queue.Submit(ReservedJob(1, /*serial=*/1, now, end));
+  queue.Submit(ReservedJob(2, /*serial=*/2, later, end));
+  queue.Poll(now);
+  ASSERT_EQ(queue.running_count(), 1u);
+  ASSERT_EQ(queue.queued_count(), 1u);
+  EXPECT_DOUBLE_EQ(queue.ReservedAt(now + Duration::Minutes(10)), 0.0);
+  EXPECT_DOUBLE_EQ(queue.ReservedAt(later + Duration::Minutes(10)), 1.0);
 }
 
 TEST(MauiLikeQueueTest, BackfillSkipsBlockedHeadJob) {
