@@ -24,6 +24,11 @@
 #   .bench_build included) and both run directories (rerunning with the
 #   same work-dir rebuilds incrementally); without it a temporary
 #   directory is used and removed on exit.
+# For each artifact that differs it prints the first 20 lines of `diff -u`
+# (a .json file is pretty-printed with `python3 -m json.tool` first, since
+# a BENCH_*.json mirror is one line), so an intended difference can be
+# checked from the log.
+#
 # Exit status: 0 if every artifact and smoke fingerprint matches, 1
 # naming every artifact that differs, exists on one side only, or comes
 # from a run that failed, and every smoke line that differs or reports
@@ -157,6 +162,26 @@ artifacts="$(cd "$work" && {
 } | sort -u)"
 [[ -n "$artifacts" ]] || die "no artifacts were written"
 
+# Prints the first 20 lines of a unified diff of run file $1 between the
+# two run directories, pretty-printing JSON (a file that does not parse
+# is diffed as it is).
+show_diff() {
+  local file="$1" side
+  local -a texts=()
+  for side in base-run head-run; do
+    if [[ "$file" == *.json ]] &&
+       python3 -m json.tool "$work/$side/$file" >"$work/$side.diff.txt" \
+         2>/dev/null; then
+      texts+=("$work/$side.diff.txt")
+    else
+      texts+=("$work/$side/$file")
+    fi
+  done
+  echo "artifact_oracle.sh: diff -u of $file (first 20 lines):"
+  diff -u --label "$base_ref/$file" --label "working tree/$file" \
+    "${texts[@]}" | head -n 20 || true
+}
+
 compared=0
 for artifact in $artifacts; do
   compared=$((compared + 1))
@@ -166,8 +191,10 @@ for artifact in $artifacts; do
     differ+=("only at $base_ref: $artifact")
   elif ! cmp -s "$work/base-run/$artifact" "$work/head-run/$artifact"; then
     differ+=("differs: $artifact")
+    show_diff "$artifact" >&2
   fi
 done
+rm -f "$work/base-run.diff.txt" "$work/head-run.diff.txt"
 
 for log in "$work"/head-run/logs/*.txt; do
   name="$(basename "$log")"

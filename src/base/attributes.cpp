@@ -1,5 +1,6 @@
 #include "base/attributes.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -68,44 +69,71 @@ std::optional<int> CompareAttrValues(const AttrValue& a, const AttrValue& b) {
   return std::nullopt;
 }
 
-const AttributeDatabase::Map& AttributeDatabase::Attrs() const {
-  static const Map kEmpty;
+namespace {
+
+// The first entry whose name is not below `name`: the entry itself when
+// present, else the position it belongs at.
+template <typename It>
+It LowerBound(It first, It last, std::string_view name) {
+  return std::lower_bound(
+      first, last, name,
+      [](const AttributeDatabase::Entry& entry, std::string_view key) {
+        return std::string_view(entry.first) < key;
+      });
+}
+
+}  // namespace
+
+const AttributeDatabase::Entries& AttributeDatabase::Attrs() const {
+  static const Entries kEmpty;
   return attrs_ ? *attrs_ : kEmpty;
 }
 
-AttributeDatabase::Map& AttributeDatabase::Mutable() {
+AttributeDatabase::Entries& AttributeDatabase::Mutable() {
   if (!attrs_) {
-    attrs_ = std::make_shared<Map>();
+    attrs_ = std::make_shared<Entries>();
   } else if (attrs_.use_count() > 1) {
-    attrs_ = std::make_shared<Map>(*attrs_);
+    // One spare slot: a clone is usually made to insert one name (the
+    // Collection's `member`), and then that insert does not reallocate.
+    auto clone = std::make_shared<Entries>();
+    clone->reserve(attrs_->size() + 1);
+    clone->assign(attrs_->begin(), attrs_->end());
+    attrs_ = std::move(clone);
   }
   return *attrs_;
 }
 
-void AttributeDatabase::Set(const std::string& name, AttrValue value) {
-  Mutable()[name] = std::move(value);
+void AttributeDatabase::Set(std::string_view name, AttrValue value) {
+  Entries& entries = Mutable();
+  auto it = LowerBound(entries.begin(), entries.end(), name);
+  if (it != entries.end() && it->first == name) {
+    it->second = std::move(value);
+  } else {
+    entries.emplace(it, std::string(name), std::move(value));
+  }
 }
 
-const AttrValue* AttributeDatabase::Get(const std::string& name) const {
+const AttrValue* AttributeDatabase::Get(std::string_view name) const {
   if (!attrs_) return nullptr;
-  auto it = attrs_->find(name);
-  return it == attrs_->end() ? nullptr : &it->second;
+  auto it = LowerBound(attrs_->begin(), attrs_->end(), name);
+  return it != attrs_->end() && it->first == name ? &it->second : nullptr;
 }
 
-AttrValue AttributeDatabase::GetOr(const std::string& name,
+AttrValue AttributeDatabase::GetOr(std::string_view name,
                                    AttrValue fallback) const {
   const AttrValue* v = Get(name);
   return v != nullptr ? *v : fallback;
 }
 
-bool AttributeDatabase::Has(const std::string& name) const {
+bool AttributeDatabase::Has(std::string_view name) const {
   return Get(name) != nullptr;
 }
 
-bool AttributeDatabase::Erase(const std::string& name) {
-  // An absent name leaves a shared map shared.
+bool AttributeDatabase::Erase(std::string_view name) {
+  // An absent name leaves a shared array shared.
   if (!Has(name)) return false;
-  Mutable().erase(name);
+  Entries& entries = Mutable();
+  entries.erase(LowerBound(entries.begin(), entries.end(), name));
   return true;
 }
 
@@ -116,8 +144,7 @@ void AttributeDatabase::Clear() {
 void AttributeDatabase::MergeFrom(const AttributeDatabase& other) {
   // Merging itself or nothing changes no value, so it keeps any sharing.
   if (this == &other || other.empty()) return;
-  Map& mine = Mutable();
-  for (const auto& [name, value] : other.Attrs()) mine[name] = value;
+  for (const auto& [name, value] : other.Attrs()) Set(name, value);
 }
 
 std::string AttributeDatabase::ToString() const {

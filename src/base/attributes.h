@@ -9,10 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -77,30 +78,37 @@ class AttrValue {
 // across int/double.
 std::optional<int> CompareAttrValues(const AttrValue& a, const AttrValue& b);
 
-// An attribute database: named attribute values.  Names are kept sorted
-// so snapshots render deterministically.
+// An attribute database: named attribute values, kept in one array
+// sorted by name, so snapshots render deterministically and a lookup is
+// a binary search over contiguous entries.  Names are looked up as
+// std::string_view, so reading by a literal builds no std::string.
 //
-// A copy-on-write value: copies share one map until either side writes,
-// and the first write through a shared handle clones the map first.  So a
-// host's push snapshot, the Collection's stored record, a federation
-// journal entry and every query reply holding the same attributes cost
-// one map between them, and a writer never disturbs another holder.  The
-// use_count() check behind this is sound because the simulation is
-// single-threaded (DESIGN.md §3).
+// A copy-on-write value: copies share one array until either side
+// writes, and the first write through a shared handle clones the array
+// first.  So a host's push snapshot, the Collection's stored record, a
+// federation journal entry and every query reply holding the same
+// attributes cost one array between them, and a writer never disturbs
+// another holder.  The use_count() check behind this is sound because
+// the simulation is single-threaded (DESIGN.md §3).
 //
 // Rule for callers: a pointer from Get() or an iterator is valid only
 // until the next write through the same handle.  After the write it may
-// point into the old, still-shared map rather than the handle's own, so
-// never read through it again.
+// point into the old, still-shared array rather than the handle's own,
+// or, on an unshared handle, at an entry that an insert or erase moved,
+// so never read through it again.
 class AttributeDatabase {
  public:
-  void Set(const std::string& name, AttrValue value);
+  using Entry = std::pair<std::string, AttrValue>;
+
+  // Assigns a present name in place; inserts a new one at its sorted
+  // position.
+  void Set(std::string_view name, AttrValue value);
   // Returns nullptr if absent.
-  const AttrValue* Get(const std::string& name) const;
+  const AttrValue* Get(std::string_view name) const;
   // Returns the value or `fallback` if absent.
-  AttrValue GetOr(const std::string& name, AttrValue fallback) const;
-  bool Has(const std::string& name) const;
-  bool Erase(const std::string& name);
+  AttrValue GetOr(std::string_view name, AttrValue fallback) const;
+  bool Has(std::string_view name) const;
+  bool Erase(std::string_view name);
   void Clear();
 
   // Copies every attribute of `other` into this database (overwriting).
@@ -115,14 +123,14 @@ class AttributeDatabase {
   std::string ToString() const;
 
  private:
-  using Map = std::map<std::string, AttrValue>;
+  using Entries = std::vector<Entry>;
 
-  // The shared map, or an empty one when nothing is stored.
-  const Map& Attrs() const;
-  // The map this handle may write: created if absent, cloned if shared.
-  Map& Mutable();
+  // The shared array, or an empty one when nothing is stored.
+  const Entries& Attrs() const;
+  // The array this handle may write: created if absent, cloned if shared.
+  Entries& Mutable();
 
-  std::shared_ptr<Map> attrs_;  // null means empty
+  std::shared_ptr<Entries> attrs_;  // null means empty
 };
 
 }  // namespace legion

@@ -47,7 +47,7 @@ bool CollectionObject::Authorized(const Loid& caller,
 void CollectionObject::Upsert(const Loid& member,
                               const AttributeDatabase& attributes) {
   CollectionRecord& record = records_[member];
-  // The copy shares the push's map; setting "member" clones it once.
+  // The copy shares the push's array; setting "member" clones it once.
   // Every record self-identifies so injected functions can key external
   // state (e.g. load history) by member.
   AttributeDatabase next = attributes;
@@ -281,10 +281,12 @@ Result<CollectionData> CollectionObject::QueryLocal(
   bool used_index = false;
   const query::IndexPlan* plan = query.plan();
   if (plan != nullptr && !options.force_scan && !records_.empty()) {
-    // An index path that would visit most of the store gathers and sorts
-    // more than the scan it replaces; gate on a capped estimate.
+    // An inexact index path that would visit most of the store gathers,
+    // sorts and re-checks more than the scan it replaces; gate it on a
+    // capped estimate.  An exact plan has no residual pass to save, so
+    // it always takes the index path.
     const std::size_t limit = records_.size() - records_.size() / 4;
-    if (indexes_.Estimate(*plan, limit) <= limit) {
+    if (plan->exact || indexes_.Estimate(*plan, limit) <= limit) {
       used_index = true;
       AttributeIndexes::Candidates candidates = indexes_.Eval(*plan);
       matched.reserve(candidates.members.size());

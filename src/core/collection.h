@@ -204,7 +204,7 @@ class CollectionObject : public LegionObject, public CollectionSink {
   void MaterializeDerived(CollectionRecord& record) const;
   // Applies ordering / top-k pruning to the matched records and copies
   // the survivors out (materializing derived attributes); each copy
-  // shares the stored record's attribute map.  `matched` must be sorted
+  // shares the stored record's attribute array.  `matched` must be sorted
   // by member.
   CollectionData EmitResults(std::vector<const CollectionRecord*>& matched,
                              const QueryOptions& options) const;

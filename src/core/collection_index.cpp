@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <tuple>
 
@@ -227,6 +228,22 @@ void AttributeIndexes::EvalInto(const query::IndexPlan& plan,
       PredicateInto(plan.pred, out);
       return;
     case query::IndexPlan::Kind::kAnd: {
+      if (plan.exact) {
+        // Each child's candidates are exactly its matches, so the
+        // conjunction's matches are their intersection.
+        std::vector<Loid> matches = SortedMembers(plan.children.front());
+        for (std::size_t i = 1; i < plan.children.size() && !matches.empty();
+             ++i) {
+          const std::vector<Loid> members = SortedMembers(plan.children[i]);
+          std::vector<Loid> both;
+          std::set_intersection(matches.begin(), matches.end(),
+                                members.begin(), members.end(),
+                                std::back_inserter(both));
+          matches = std::move(both);
+        }
+        out->insert(out->end(), matches.begin(), matches.end());
+        return;
+      }
       // Matches are a subset of every conjunct's candidates, so prune
       // through the cheapest child and let the residual pass check the
       // rest -- intersecting the large siblings would cost more than it
@@ -250,19 +267,28 @@ void AttributeIndexes::EvalInto(const query::IndexPlan& plan,
   }
 }
 
-AttributeIndexes::Candidates AttributeIndexes::Eval(
+std::vector<Loid> AttributeIndexes::SortedMembers(
     const query::IndexPlan& plan) const {
-  Candidates result;
-  result.exact = plan.exact;
-  EvalInto(plan, &result.members);
+  std::vector<Loid> members;
+  EvalInto(plan, &members);
   // Individual member sets come out LOID-sorted, but ranges and unions
   // interleave sets; restore the canonical order (and drop duplicates a
   // record can earn by matching several `or` branches).
-  std::sort(result.members.begin(), result.members.end());
-  result.members.erase(
-      std::unique(result.members.begin(), result.members.end()),
-      result.members.end());
-  return result;
+  const auto not_increasing = [](const Loid& a, const Loid& b) {
+    return !(a < b);
+  };
+  if (std::adjacent_find(members.begin(), members.end(), not_increasing) ==
+      members.end()) {
+    return members;  // one set, or sets that did not interleave
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return members;
+}
+
+AttributeIndexes::Candidates AttributeIndexes::Eval(
+    const query::IndexPlan& plan) const {
+  return Candidates{SortedMembers(plan), plan.exact};
 }
 
 }  // namespace legion

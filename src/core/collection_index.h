@@ -19,9 +19,11 @@
 // order for free.
 //
 // The candidate contract matches planner.h: for any record matching the
-// full query, the plan's candidate set contains it.  Range boundaries
-// are answered inclusively (the residual pass trims the edge) so that
-// int64 keys that collide when widened to double can never be dropped.
+// full query, the plan's candidate set contains it, and an exact plan's
+// candidate set is the match set (an exact `and` intersects its
+// children's sorted member lists).  Range boundaries are answered
+// inclusively (the residual pass trims the edge) so that int64 keys that
+// collide when widened to double can never be dropped.
 #pragma once
 
 #include <cstddef>
@@ -57,15 +59,19 @@ class AttributeIndexes {
     bool exact = false;         // plan-level exactness (planner.h)
   };
 
-  // Evaluates the plan against the indexes.  `and` nodes prune through
-  // their cheapest child (by Estimate); `or` nodes union every branch.
+  // Evaluates the plan against the indexes.  An exact `and` intersects
+  // its children's candidates and stops once the intersection is empty;
+  // an inexact `and` prunes through its cheapest child (by Estimate);
+  // `or` nodes union every branch.
   Candidates Eval(const query::IndexPlan& plan) const;
 
   // Candidate count for the plan without materializing anything,
   // counted only up to `cap`: once the running count exceeds the cap
   // the walk stops and the (now cap-exceeding) partial count returns.
-  // The Collection skips the index path when the estimate is close to
-  // the store size -- gathering would cost more than the scan.
+  // An `and` counts its cheapest child, so the estimate of an exact
+  // `and` is an upper bound.  The Collection skips the index path for
+  // an inexact plan whose estimate is close to the store size --
+  // gathering and re-checking would cost more than the scan.
   std::size_t Estimate(const query::IndexPlan& plan, std::size_t cap) const;
 
   std::size_t attribute_count() const { return attrs_.size(); }
@@ -89,7 +95,10 @@ class AttributeIndexes {
   static void EraseValue(PerAttribute& index, const AttrValue& value,
                          const Loid& member);
 
+  // EvalInto appends the plan's candidates unordered and possibly
+  // repeated; SortedMembers returns them sorted and unique.
   void EvalInto(const query::IndexPlan& plan, std::vector<Loid>* out) const;
+  std::vector<Loid> SortedMembers(const query::IndexPlan& plan) const;
   // Calls visit(set) for each member set `pred` selects, in key order,
   // until visit returns false.  PredicateInto appends the members;
   // EstimatePredicate sums the set sizes up to its cap.

@@ -1,6 +1,7 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "objects/core_hierarchy.h"
@@ -133,6 +134,16 @@ std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record) {
     }
   }
   return vaults;
+}
+
+double NumberOr(const CollectionRecord& record, std::string_view name,
+                double fallback) {
+  const AttrValue* value = record.attributes.Get(name);
+  if (value == nullptr || !value->is_numeric() ||
+      std::isnan(value->as_double())) {
+    return fallback;
+  }
+  return value->as_double();
 }
 
 ObjectMapping SchedulerObject::MapOnto(const Loid& class_loid,

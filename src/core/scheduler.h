@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/collection.h"
@@ -42,6 +43,13 @@ using PlacementRequest = std::vector<InstanceRequest>;
 
 // Extracts the compatible-vault LOIDs from a host's Collection record.
 std::vector<Loid> CompatibleVaultsOf(const CollectionRecord& record);
+
+// The attribute `name` of a host's Collection record as a double, or
+// `fallback` when the record lacks it or holds anything but a number
+// there (NaN included): the Collection stores whatever a member says of
+// itself, so a policy never assumes an attribute's kind.
+double NumberOr(const CollectionRecord& record, std::string_view name,
+                double fallback);
 
 // Figure 9's global limits, as per-call options.
 struct RunOptions {

@@ -45,10 +45,8 @@ void KOfNScheduler::ComputeSchedule(const PlacementRequest& request,
         for (const CollectionRecord& record : *hosts) {
           std::vector<Loid> vaults = CompatibleVaultsOf(record);
           if (vaults.empty()) continue;
-          candidates.push_back(
-              {MapOnto(class_loid, record, vaults.front()),
-               record.attributes.GetOr("host_load", AttrValue(0.0))
-                   .as_double()});
+          candidates.push_back({MapOnto(class_loid, record, vaults.front()),
+                                NumberOr(record, "host_load", 0.0)});
         }
         if (candidates.size() < k) {
           done(Status::Error(ErrorCode::kNoResources,

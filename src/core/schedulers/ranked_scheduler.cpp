@@ -27,15 +27,12 @@ double LoadAwareScheduler::Score(const CollectionRecord& record) const {
       return forecast->as_double();
     }
   }
-  return record.attributes.GetOr("host_load", AttrValue(1e9)).as_double();
+  return NumberOr(record, "host_load", 1e9);
 }
 
 double CostAwareScheduler::Score(const CollectionRecord& record) const {
-  const double cost =
-      record.attributes.GetOr("host_cost_per_cpu_second", AttrValue(0.0))
-          .as_double();
-  const double speed =
-      record.attributes.GetOr("host_speed_mips", AttrValue(1.0)).as_double();
+  const double cost = NumberOr(record, "host_cost_per_cpu_second", 0.0);
+  const double speed = NumberOr(record, "host_speed_mips", 1.0);
   // Dollars per MIPS-second of useful work; free hosts tie at zero and
   // the spreading logic distributes among them.
   return cost / std::max(speed, 1e-9);
@@ -72,8 +69,7 @@ void RankedScheduler::ComputeSchedule(const PlacementRequest& request,
           r.score = Score(record);
           r.record = &record;
           r.vault = vaults.front();
-          r.cpus = record.attributes.GetOr("host_cpus", AttrValue(1))
-                       .as_double();
+          r.cpus = NumberOr(record, "host_cpus", 1.0);
           ranked.push_back(r);
         }
         if (ranked.empty()) {

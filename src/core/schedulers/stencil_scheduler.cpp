@@ -1,6 +1,7 @@
 #include "core/schedulers/stencil_scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "objects/class_object.h"
@@ -46,13 +47,13 @@ void StencilScheduler::ComputeSchedule(const PlacementRequest& request,
           if (vaults.empty()) continue;
           HostSlot slot;
           slot.mapping = MapOnto(class_loid, record, vaults.front());
-          slot.load =
-              record.attributes.GetOr("host_load", AttrValue(0.0)).as_double();
-          slot.cpus =
-              record.attributes.GetOr("host_cpus", AttrValue(1)).as_double();
-          domains[record.attributes.GetOr("host_domain", AttrValue(0))
-                      .as_int()]
-              .push_back(std::move(slot));
+          slot.load = NumberOr(record, "host_load", 0.0);
+          slot.cpus = NumberOr(record, "host_cpus", 1.0);
+          // A domain number past the int64 range has no integer key.
+          const double domain = NumberOr(record, "host_domain", 0.0);
+          const std::int64_t key =
+              std::abs(domain) < 9e18 ? static_cast<std::int64_t>(domain) : 0;
+          domains[key].push_back(std::move(slot));
         }
         if (domains.empty()) {
           done(Status::Error(ErrorCode::kNoResources, "no usable hosts"));

@@ -135,7 +135,10 @@ std::optional<IndexPlan> PlanBool(const BoolExpr& expr) {
     }
     IndexPlan plan;
     plan.kind = IndexPlan::Kind::kAnd;
-    plan.exact = false;  // evaluation prunes through one child only
+    // Exact sides are intersected.  Take exactness from the two sides,
+    // not from the flattened children: an inexact `and` side may hide a
+    // dropped conjunct behind children that are each exact.
+    plan.exact = lhs->exact && rhs->exact;
     Absorb(plan, std::move(*lhs));
     Absorb(plan, std::move(*rhs));
     return plan;

@@ -17,7 +17,10 @@
 // Plans compose through the boolean structure of the query:
 //
 //   * and: candidates of ANY sargable conjunct form a superset of the
-//     matches, so the evaluator may pick the cheapest child.
+//     matches, so the evaluator may pick the cheapest child.  When every
+//     conjunct is sargable and exact, the `and` is exact too: the
+//     evaluator intersects the children's candidates, which then equal
+//     the matches.
 //   * or:  a plan exists only when EVERY branch is sargable; the
 //     candidate set is the union of the branches.
 //
@@ -63,10 +66,10 @@ struct IndexPlan {
   // True when this plan's candidate set equals the match set of the
   // *entire* subexpression it was derived from, so the residual pass can
   // be skipped.  False whenever anything was approximated: a dropped
-  // non-sargable conjunct, an `and` (whose evaluation prunes through one
-  // child only), or numeric keys (the ordered index compares as double;
-  // equality on huge int64s and range boundaries are widened to stay
-  // superset-safe).
+  // non-sargable conjunct, an `and` or `or` with an inexact side (an
+  // inexact `and` prunes through one child only), or numeric keys (the
+  // ordered index compares as double; equality on huge int64s and range
+  // boundaries are widened to stay superset-safe).
   bool exact = false;
 
   std::string ToString() const;

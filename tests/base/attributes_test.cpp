@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace legion {
 namespace {
 
@@ -107,12 +111,43 @@ TEST(AttributeDatabaseTest, IterationIsSortedByName) {
   db.Set("zeta", 1);
   db.Set("alpha", 2);
   db.Set("mid", 3);
+  db.Set("beta", 4);
+  db.Set("a", 6);
+  // A present name is assigned in place, even to another kind of value.
+  db.Set("mid", AttrValue(AttrList{"x86"}));
+  EXPECT_EQ(db.size(), 5u);
+  EXPECT_TRUE(db.Get("mid")->is_list());
   std::vector<std::string> names;
   for (const auto& [name, value] : db) names.push_back(name);
-  EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "alpha", "beta", "mid",
+                                             "zeta"}));
 }
 
-// Copy-on-write: copies share one map until either side writes.
+TEST(AttributeDatabaseTest, LookupsTakeAnyStringForm) {
+  AttributeDatabase db;
+  // Longer than a short-string buffer holds.
+  const std::string long_name = "host_available_memory_mb";
+  db.Set(long_name, 512);
+  db.Set(std::string_view("host_cpus"), 4);
+  db.Set("compatible_vaults", AttrValue(AttrList{"v1"}));
+  ASSERT_NE(db.Get("host_available_memory_mb"), nullptr);
+  EXPECT_EQ(db.Get("host_available_memory_mb")->as_int(), 512);
+  EXPECT_EQ(db.Get(std::string_view(long_name))->as_int(), 512);
+  EXPECT_EQ(db.Get(long_name)->as_int(), 512);
+  // A view of part of a longer buffer is compared by its own length.
+  const std::string padded = "host_cpus_and_more";
+  EXPECT_EQ(db.Get(std::string_view(padded).substr(0, 9))->as_int(), 4);
+  EXPECT_EQ(db.Get(std::string_view(padded)), nullptr);
+  EXPECT_EQ(db.GetOr(std::string_view("host_cpus"), AttrValue(0)).as_int(), 4);
+  EXPECT_TRUE(db.Has("compatible_vaults"));
+  EXPECT_FALSE(db.Has("compatible_vault"));
+  EXPECT_FALSE(db.Has("host_available_memory_mbx"));
+  EXPECT_TRUE(db.Erase(std::string_view(long_name)));
+  EXPECT_FALSE(db.Has(long_name));
+  EXPECT_EQ(db.size(), 2u);
+}
+
+// Copy-on-write: copies share one array until either side writes.
 
 // The integer stored under `name`, or -1 when it is absent.
 std::int64_t IntOr(const AttributeDatabase& db, const std::string& name) {

@@ -141,6 +141,36 @@ TEST(AttributeIndexesTest, AndPrunesThroughCheapestChild) {
   EXPECT_LE(indexes.Estimate(plan, 1000), 1u);
 }
 
+TEST(AttributeIndexesTest, ExactAndIntersectsItsChildren) {
+  AttributeIndexes indexes;
+  const char* const platforms[][2] = {
+      {"x86", "Linux"}, {"x86", "IRIX"}, {"mips", "IRIX"}, {"x86", "Linux"}};
+  for (std::uint64_t i = 0; i < std::size(platforms); ++i) {
+    AttributeDatabase db;
+    db.Set("arch", platforms[i][0]);
+    db.Set("os", platforms[i][1]);
+    indexes.Add(M(i + 1), db);
+  }
+  using Op = query::PredicateOp;
+  auto exact_and = [](const char* arch, const char* os) {
+    query::IndexPlan plan;
+    plan.kind = query::IndexPlan::Kind::kAnd;
+    plan.exact = true;
+    plan.children = {Pred("arch", Op::kEq, AttrValue(arch)),
+                     Pred("os", Op::kEq, AttrValue(os))};
+    for (query::IndexPlan& child : plan.children) child.exact = true;
+    return plan;
+  };
+  // M(2), x86/IRIX, matches only the arch conjunct and is left out.
+  auto result = indexes.Eval(exact_and("x86", "Linux"));
+  EXPECT_EQ(result.members, (std::vector<Loid>{M(1), M(4)}));
+  EXPECT_TRUE(result.exact);
+  EXPECT_EQ(indexes.Eval(exact_and("x86", "IRIX")).members,
+            (std::vector<Loid>{M(2)}));
+  EXPECT_TRUE(indexes.Eval(exact_and("vax", "IRIX")).members.empty());
+  EXPECT_TRUE(indexes.Eval(exact_and("mips", "Linux")).members.empty());
+}
+
 TEST(AttributeIndexesTest, EstimateHonorsTheCap) {
   AttributeIndexes indexes;
   for (std::uint64_t i = 1; i <= 50; ++i) {

@@ -207,6 +207,64 @@ TEST_F(CollectionTest, CallerWritesAfterAPushDoNotReachTheRecord) {
                   ->empty());
 }
 
+TEST_F(CollectionTest, HostMatchQueryOverAMatchingStoreIsOneIndexLookup) {
+  // Every record runs one of the four platforms, so the schedulers'
+  // host-match query (SchedulerObject::HostMatchQuery's shape: one
+  // arch-and-OS pair per implementation) matches the whole store.  Its
+  // plan is exact, so it takes the index path even though its estimate
+  // is every record.
+  const char* const platforms[][2] = {{"x86", "Linux"},
+                                      {"sparc", "Solaris"},
+                                      {"alpha", "OSF1"},
+                                      {"mips", "IRIX"}};
+  std::string text;
+  for (const auto& platform : platforms) {
+    if (!text.empty()) text += " or ";
+    text += "($host_arch == \"" + std::string(platform[0]) +
+            "\" and $host_os_name == \"" + platform[1] + "\")";
+  }
+  for (int i = 0; i < 12; ++i) {
+    const auto& platform = platforms[i % 4];
+    // Loads fall as members rise, so host_load order is not member order.
+    AttributeDatabase db = HostRecord(platform[0], 0.1 * (12 - i));
+    db.Set("host_os_name", platform[1]);
+    Await<bool> joined;
+    world_.collection->JoinCollection(Member(i), db, joined.Sink());
+  }
+  const auto hits = Count(world_.kernel, "index_hits", "collection");
+  const auto fallbacks =
+      Count(world_.kernel, "planner_fallbacks", "collection");
+  auto indexed = world_.collection->QueryLocal(text);
+  EXPECT_EQ(Count(world_.kernel, "index_hits", "collection"), hits + 1);
+  EXPECT_EQ(Count(world_.kernel, "planner_fallbacks", "collection"),
+            fallbacks);
+
+  auto expect_same = [](const CollectionData& actual,
+                        const CollectionData& expected) {
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].member, expected[i].member) << i;
+      EXPECT_EQ(actual[i].attributes.ToString(),
+                expected[i].attributes.ToString())
+          << i;
+    }
+  };
+  QueryOptions scan;
+  scan.force_scan = true;
+  ASSERT_TRUE(indexed.ok());
+  EXPECT_EQ(indexed->size(), 12u);
+  expect_same(*indexed, *world_.collection->QueryLocal(text, scan));
+  QueryOptions ranked;
+  ranked.order_by = "host_load";
+  QueryOptions ranked_scan = ranked;
+  ranked_scan.force_scan = true;
+  auto ranked_indexed = world_.collection->QueryLocal(text, ranked);
+  ASSERT_TRUE(ranked_indexed.ok());
+  EXPECT_EQ(ranked_indexed->front().member, Member(11));
+  expect_same(*ranked_indexed,
+              *world_.collection->QueryLocal(text, ranked_scan));
+}
+
 TEST_F(CollectionTest, StatsCount) {
   Await<bool> joined;
   world_.collection->JoinCollection(Member(1), HostRecord("x86", 0.5),

@@ -133,6 +133,25 @@ TEST_F(KOfNSchedulerTest, EndToEndReplicaPlacement) {
   EXPECT_EQ(klass_->instances().size(), 4u);
 }
 
+TEST_F(KOfNSchedulerTest, NonNumericLoadStillSchedules) {
+  // Host 0 describes its load as a word; it ranks at the fallback load
+  // instead of failing the whole schedule.
+  AttributeDatabase busy = world_.hosts[0]->attributes();
+  busy.Set("host_load", "busy");
+  Await<bool> updated;
+  world_.collection->UpdateCollectionEntry(world_.hosts[0]->loid(), busy,
+                                           updated.Sink());
+  ASSERT_TRUE(*updated.Get());
+  auto schedule = Compute(Make(5), 3);
+  ASSERT_TRUE(schedule.ok());
+  const MasterSchedule& master = schedule->masters[0];
+  ASSERT_EQ(master.mappings.size(), 3u);
+  std::set<Loid> hosts;
+  for (const auto& mapping : master.mappings) hosts.insert(mapping.host);
+  EXPECT_EQ(hosts.size(), 3u);
+  EXPECT_TRUE(master.Validate().ok());
+}
+
 TEST_F(KOfNSchedulerTest, NEqualsKMeansNoVariants) {
   auto schedule = Compute(Make(3), 3);
   ASSERT_TRUE(schedule.ok());

@@ -212,6 +212,26 @@ TEST_F(RankedSchedulerTest, EndToEndPlacementWorks) {
   EXPECT_EQ(klass_->instances().size(), 3u);
 }
 
+TEST_F(RankedSchedulerTest, NonNumericLoadRanksAsMissing) {
+  // The Collection stores whatever a member says of itself: host 0
+  // describes its load as a word.
+  world_.Populate();
+  AttributeDatabase busy = world_.hosts[0]->attributes();
+  busy.Set("host_load", "busy");
+  Await<bool> updated;
+  world_.collection->UpdateCollectionEntry(world_.hosts[0]->loid(), busy,
+                                           updated.Sink());
+  ASSERT_TRUE(*updated.Get());
+  auto* scheduler = Make<LoadAwareScheduler>();
+  auto schedule = Compute(scheduler, {{klass_->loid(), 3}});
+  ASSERT_TRUE(schedule.ok());
+  const auto& mappings = schedule->masters[0].mappings;
+  ASSERT_EQ(mappings.size(), 3u);
+  for (const auto& mapping : mappings) {
+    EXPECT_NE(mapping.host, world_.hosts[0]->loid());
+  }
+}
+
 TEST_F(RankedSchedulerTest, NoFeasibleHostsFails) {
   world_.Populate();
   auto* scheduler = Make<LoadAwareScheduler>();

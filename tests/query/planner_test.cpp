@@ -101,7 +101,7 @@ TEST(PlannerTest, AndOfSargablesBuildsAndNode) {
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->kind, IndexPlan::Kind::kAnd);
   EXPECT_EQ(plan->children.size(), 3u);  // flattened n-ary
-  EXPECT_FALSE(plan->exact);  // evaluation prunes through one child only
+  EXPECT_FALSE(plan->exact);  // the numeric range child is inexact
 }
 
 TEST(PlannerTest, OrRequiresBothSides) {
@@ -137,8 +137,33 @@ TEST(PlannerTest, HostMatchQueryShapeIsFullySargable) {
   for (const IndexPlan& branch : plan->children) {
     EXPECT_EQ(branch.kind, IndexPlan::Kind::kAnd);
     EXPECT_EQ(branch.children.size(), 2u);
+    EXPECT_TRUE(branch.exact);
   }
-  EXPECT_FALSE(plan->exact);  // and-branches prune via one child each
+  // Every branch intersects exact string equalities, so the index answer
+  // is the match set and the residual pass is skipped.
+  EXPECT_TRUE(plan->exact);
+}
+
+TEST(PlannerTest, AndOfExactPredicatesIsExact) {
+  auto plan = Plan("$host_arch == \"x86\" and $host_os_name == \"Linux\" "
+                   "and defined($host_cpus) and $up == true");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->kind, IndexPlan::Kind::kAnd);
+  EXPECT_EQ(plan->children.size(), 4u);
+  EXPECT_TRUE(plan->exact);
+}
+
+TEST(PlannerTest, AndHidingADroppedConjunctStaysInexact) {
+  // The inner `and` drops match() and keeps two exact children; once
+  // flattened into the outer `and`, every child is exact, but the plan
+  // still stands in for an unchecked conjunct.
+  auto plan = Plan("(($host_arch == \"x86\" and $host_os_name == \"Linux\") "
+                   "and match($host_os_version, \"5\")) and $up == true");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->kind, IndexPlan::Kind::kAnd);
+  ASSERT_EQ(plan->children.size(), 3u);
+  for (const IndexPlan& child : plan->children) EXPECT_TRUE(child.exact);
+  EXPECT_FALSE(plan->exact);
 }
 
 TEST(PlannerTest, PlanToStringRoundTrips) {
